@@ -6,10 +6,9 @@ The package is organised bottom-up:
   binary-grid geometry (digits, neighbours, levels);
 * :mod:`takagi_lab.takagi` -- the function T, its partial sums and
   slope sums, exact values at dyadic points and enclosures elsewhere;
-* :mod:`takagi_lab.plf` -- exact piecewise-linear representation of the
-  partial sums and affine level-set solving;
 * :mod:`takagi_lab.measure` -- certified two-sided bounds on measures
-  of difference-quotient level sets;
+  of difference-quotient level sets, from an adaptive integer bisection
+  of the dyadic cells of the partial sums;
 * :mod:`takagi_lab.analysis` -- certificates against approximate
   derivability (one-scale estimates, blow-ups, refutation evidence);
 * :mod:`takagi_lab.cli` -- the ``takagi-lab`` command-line tool.
@@ -39,15 +38,8 @@ from .takagi import (
     takagi_enclosure,
     takagi_exact,
 )
-from .plf import (
-    BreakpointLimitError,
-    IntervalSet,
-    PLF,
-    build_Gn,
-    solve_affine_ge,
-    solve_affine_le,
-)
 from .measure import (
+    BreakpointLimitError,
     Dir,
     MeasureBound,
     QuotientQuery,

@@ -21,7 +21,8 @@ function T:
   both sides -- jointly incompatible with any single derivative value;
   for drifting slope sums it emits one-sided certificates with
   unboundedly growing thresholds; at dyadic points it uses the
-  blow-up of the one-sided quotients.
+  blow-up of the one-sided quotients, and is certified only when every
+  blow-up certificate reaches density 2**-6.
 
 Finite horizons are treated honestly: liminf/limsup of the slope sums
 are not decidable from finitely many digits, so classification output
@@ -309,7 +310,8 @@ def blowup_check(x: Dyadic, n: int, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> Bl
     Dividing by y - x, the right half of the ball has quotient
     ``>= n - 2*n0`` and the left half quotient ``<= -(n - 2*n0)``, so
     the GE query certifies the right half and the mirrored LE query the
-    left half; their sum is the full ball ``2**-n``.
+    left half; their sum is the full ball ``2**-n``.  The report is
+    certified only when both halves reach ``2**-(n+2)``.
 
     The clamp to ``n0 >= 0`` matters at integers: x is on the level-0
     grid, but the series has no k = 0 term to contribute |h|, so only
@@ -326,10 +328,10 @@ def blowup_check(x: Dyadic, n: int, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> Bl
     required = Fraction(1, 1 << (n + 2))
     xf = x.as_fraction()
     depth0 = n + 4
-    lo_ge, depth_ge, status = certify_lower(
+    lo_ge, depth_ge, status_ge = certify_lower(
         xf, r, Fraction(threshold), Dir.GE, required, depth0=depth0, depth_cap=depth_cap
     )
-    lo_le, depth_le, _ = certify_lower(
+    lo_le, depth_le, status_le = certify_lower(
         xf, r, Fraction(-threshold), Dir.LE, required, depth0=depth0, depth_cap=depth_cap
     )
     return BlowupReport(
@@ -343,7 +345,7 @@ def blowup_check(x: Dyadic, n: int, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> Bl
         lo_mirror=lo_le,
         lo_full=lo_ge + lo_le,
         depth_used=max(depth_ge, depth_le),
-        status=status,
+        status=CERTIFIED if status_ge == status_le == CERTIFIED else UNDECIDED,
     )
 
 
@@ -426,23 +428,26 @@ def _divergent_singles(
 
 def _dyadic_singles(
     x: Dyadic, count: int, depth_cap: int
-) -> tuple[list[DensityCertificate], str]:
+) -> tuple[list[DensityCertificate], list[int], str]:
     """Blow-up certificates with unboundedly growing thresholds."""
     n0 = max(dyadic_level(x), 0)
     singles: list[DensityCertificate] = []
+    uncertified: list[int] = []
     first = 2 * n0 + 1
     for n in range(first, first + count):
         rep = blowup_check(x, n, depth_cap=depth_cap)
-        singles.append(
-            DensityCertificate(
-                x=x.as_fraction(),
-                r=rep.radius,
-                alpha=Fraction(rep.threshold),
-                direction=Dir.GE,
-                density_lo=rep.lo_one_sided / (2 * rep.radius.as_fraction()),
-            )
+        cert = DensityCertificate(
+            x=x.as_fraction(),
+            r=rep.radius,
+            alpha=Fraction(rep.threshold),
+            direction=Dir.GE,
+            density_lo=rep.lo_one_sided / (2 * rep.radius.as_fraction()),
         )
-    return singles, f"thresholds n - {2 * n0} for n = {first}..{first + count - 1}"
+        singles.append(cert)
+        if not _certified(cert):
+            uncertified.append(n)
+    detail = f"thresholds n - {2 * n0} for n = {first}..{first + count - 1}"
+    return singles, uncertified, detail
 
 
 def refute(
@@ -462,14 +467,18 @@ def refute(
     """
     xf = _to_fraction(x)
     if is_dyadic(xf):
-        singles, detail = _dyadic_singles(as_dyadic(xf), dyadic_count, depth_cap)
+        singles, uncertified, detail = _dyadic_singles(
+            as_dyadic(xf), dyadic_count, depth_cap
+        )
+        if uncertified:
+            detail = f"blow-ups at n = {uncertified} did not certify"
         return RefutationEvidence(
             x=xf,
             horizon=horizon,
             case_hint=CASE_DYADIC,
             pairs=(),
             singles=tuple(singles),
-            status=CERTIFIED,
+            status=UNDECIDED if uncertified else CERTIFIED,
             detail=detail,
         )
 

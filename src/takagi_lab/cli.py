@@ -10,8 +10,10 @@ convenience values that are explicitly non-authoritative.
 
 Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
-precondition errors.  ``TAKAGI_DEPTH_CAP`` overrides the default depth
-cap of 64.
+precondition errors, on a query over its cell budget and on a failed
+internal invariant, each reported as one ``error:`` line.
+``TAKAGI_DEPTH_CAP`` overrides the default depth cap of 64.  ``--jobs``
+must be at least 1 and is clamped to the number of CPUs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .exactnum import (
     is_dyadic,
     parse_rat,
 )
-from .plf import BreakpointLimitError
 from .takagi import slope_seq, takagi_enclosure, takagi_exact
 
 SCHEMA = "takagi-lab/1"
@@ -229,6 +230,13 @@ def _run_corpus_entry(job: tuple[int, str, str, int, int]) -> dict:
             "status": report.status, "report": analysis.to_jsonable(report)}
 
 
+def _worker_count(requested: int, entries: int) -> int:
+    """Processes for a corpus run: ``--jobs``, clamped to the CPUs and entries."""
+    if requested < 1:
+        raise ValueError(f"--jobs must be at least 1, got {requested}")
+    return max(1, min(requested, os.cpu_count() or 1, entries))
+
+
 def _verify_all(cfg: RunConfig) -> int:
     if cfg.args.corpus is not None:
         entries = _parse_corpus(Path(cfg.args.corpus).read_text(encoding="utf-8"))
@@ -236,8 +244,9 @@ def _verify_all(cfg: RunConfig) -> int:
         entries = _default_corpus()
     jobs = [(i, kind, x, n, cfg.depth_cap)
             for i, (kind, x, n) in enumerate(entries)]
-    if cfg.args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.args.jobs) as pool:
+    workers = _worker_count(cfg.args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_corpus_entry, jobs))
     else:
         results = [_run_corpus_entry(job) for job in jobs]
@@ -368,6 +377,19 @@ def _print_report(cfg: RunConfig, command: str, report) -> None:
             print(line)
 
 
+def _depth_cap(flag: int | None) -> int:
+    """``--depth-cap`` if given, else ``TAKAGI_DEPTH_CAP``, else the default."""
+    if flag is not None:
+        return flag
+    text = os.environ.get("TAKAGI_DEPTH_CAP")
+    if text is None:
+        return measure.DEFAULT_DEPTH_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"TAKAGI_DEPTH_CAP must be an integer, got {text!r}") from None
+
+
 def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
     parser = _build_parser()
@@ -380,16 +402,14 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
 
-    depth_cap = args.depth_cap
-    if depth_cap is None:
-        depth_cap = int(os.environ.get("TAKAGI_DEPTH_CAP", measure.DEFAULT_DEPTH_CAP))
-    cfg = RunConfig(command=args.command, fmt=args.fmt, depth_cap=depth_cap,
-                    approx=args.approx, args=args)
     try:
+        cfg = RunConfig(command=args.command, fmt=args.fmt,
+                        depth_cap=_depth_cap(args.depth_cap),
+                        approx=args.approx, args=args)
         if args.command == "verify-all":
             return _verify_all(cfg)
         return _dispatch(cfg)
-    except (ValueError, BreakpointLimitError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,7 @@ Everything downstream rests on two value types.  ``Rat`` is an alias for
 terms.  ``Dyadic`` is the canonical form ``num / 2**exp`` with ``num``
 odd unless ``exp`` is zero; the level-n grid ``D_n = {k / 2**n : k in Z}``
 and the union ``D`` of all levels are the natural habitat of grid
-neighbours, radii and polyline breakpoints.  Dyadic values embed
+neighbours, radii and the cells of the measure kernel.  Dyadic values embed
 losslessly into ``Rat`` and mix freely with ``Fraction`` arithmetic.
 
 Rational text I/O is exact: ``"p/q"`` or ``"p"`` only.  Decimal and

@@ -2,7 +2,7 @@
 
 For a centre x, radius r, threshold alpha and direction GE, the target
 set is ``{y : 0 < |y - x| < r, (T(y) - T(x))/(y - x) >= alpha}`` (LE
-mirrors it).  The bracketing works on the exact polyline G_n at the
+mirrors it).  The bracketing works with the partial sum G_n at the
 query's depth n:
 
 * ``G_n(y) <= T(y) <= G_n(y) + tau`` with ``tau = 2**-(n+1)`` (tail band);
@@ -13,14 +13,34 @@ query's depth n:
 
 A point is *certified in* when the pessimistic side of the band already
 satisfies the condition, *certified out* when the optimistic side
-already fails it; both tests are affine comparisons against G_n, solved
-exactly.  ``lo`` is the total certified-in length, ``hi`` is ``2r``
-minus the certified-out length, and the true measure always lies in
-``[lo, hi]``.  Increasing the depth never worsens either bound.
+already fails it; both tests are affine comparisons against G_n.  ``lo``
+is the total certified-in length, ``hi`` is ``2r`` minus the
+certified-out length, and the true measure always lies in ``[lo, hi]``.
+Increasing the depth never worsens either bound.
+
+The two sets ``{G_n >= line}`` and ``{G_n <= line}`` are measured by an
+adaptive bisection over the dyadic cells ``[j/2**(m+1), (j+1)/2**(m+1)]``,
+on each of which G_m is affine.  Since
+``0 <= G_n - G_m <= 2**-(m+1) - 2**-(n+1)``, a cell is wholly in the GE
+set when ``G_m >= line`` at both of its ends and wholly out when
+``G_m + 2**-(m+1) - 2**-(n+1) < line`` at both ends (the LE set mirrors
+this with ``<=`` and ``>``).  Only cells that neither test settles are
+split; at level n the exact affine crossing is solved.  The result is
+the exact Lebesgue measure of each set, the same rationals a full
+polyline of G_n would give, while the cells visited follow the level
+line instead of filling the window.  Inside the walk everything is an
+integer: cell index, and ``D*(G_m - line)`` at the cell ends for one
+common denominator D.  The depth-first stack holds at most one pending
+cell per level, so memory does not grow with the window.
+
+``max_breakpoints`` caps the number of cells one query may visit (both
+sets together); a query over the cap raises
+:class:`BreakpointLimitError`, which :func:`certify_lower` turns into an
+undecided outcome.
 
 The punctured centre point and interval endpoints are measure zero and
 are handled with closed intervals throughout.  Radii are restricted to
-dyadic rationals, keeping every breakpoint on a dyadic grid.
+dyadic rationals, keeping every cell on a dyadic grid.
 """
 
 from __future__ import annotations
@@ -28,19 +48,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import ceil, floor, lcm
 
 from .exactnum import Dyadic, _to_fraction, is_dyadic
-from .plf import (
-    BREAKPOINT_CAP,
-    BreakpointLimitError,
-    IntervalSet,
-    build_Gn,
-    solve_affine_ge,
-    solve_affine_le,
-)
 from .takagi import takagi_enclosure
 
 __all__ = [
+    "BREAKPOINT_CAP",
+    "BreakpointLimitError",
     "CERTIFIED",
     "UNDECIDED",
     "DEFAULT_DEPTH_CAP",
@@ -59,6 +74,14 @@ UNDECIDED = "undecided"
 
 DEFAULT_DEPTH_CAP = 64
 DEPTH_STEP = 4
+
+# Default cell budget per query: far above what any query near the level
+# line needs, while bounding the time of a pathological one.
+BREAKPOINT_CAP = 1 << 24
+
+
+class BreakpointLimitError(RuntimeError):
+    """Raised when a query would visit more cells than its budget."""
 
 
 class Dir(str, Enum):
@@ -110,14 +133,81 @@ class MeasureBound:
             raise ValueError(f"crossed measure bound: {self.lo} > {self.hi}")
 
 
-def _window_plf(x: Fraction, rf: Fraction, depth: int, max_breakpoints: int):
-    """G_depth on the smallest D_{depth+1}-aligned interval covering the window."""
-    scale = 1 << (depth + 1)
-    lo = x - rf
-    hi = x + rf
-    a = Dyadic((lo.numerator * scale) // lo.denominator, depth + 1)
-    b = Dyadic(-((-hi.numerator * scale) // hi.denominator), depth + 1)
-    return build_Gn(a, b, depth, max_breakpoints=max_breakpoints)
+def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction, bands,
+                   max_cells: int) -> list[tuple[Fraction, Fraction]]:
+    """(left, right) measures of ``{y : G_n(y) >= c + alpha*y}`` per band.
+
+    ``bands`` holds ``(c, ge)`` pairs; ``ge=False`` asks for ``<=``.
+    Left is the part in ``[x - r, x]``, right the part in ``[x, x + r]``.
+    Positions are counted in units of ``2**-(n+1)``; ``w0, w1`` are
+    ``D*(G_m - line)`` at the two ends of a level-m cell.
+    """
+    unit = 1 << (n + 1)
+    big = lcm(alpha.denominator * unit, *(c.denominator for c, _ in bands))
+    step0 = alpha.numerator * (big // alpha.denominator) >> 1  # D*alpha/2
+    tail_n = big >> (n + 1)
+    lo, mid, hi = (x - rf) * unit, x * unit, (x + rf) * unit
+    a, b = floor(lo), ceil(hi)
+    # cells within these bounds lie in one half of the window
+    left_in, right_in = (ceil(lo), floor(mid)), (ceil(mid), floor(hi))
+    roots = range(a >> n, -(-b >> n))  # the level-0 cells meeting the window
+    over_budget = BreakpointLimitError(
+        f"depth-{n} query at x={x} needs more than {max_cells} cells"
+    )
+    if len(bands) * len(roots) > max_cells:  # every band visits every root
+        raise over_budget
+
+    cells = 0
+    out = []
+    for c, ge in bands:
+        dc = c.numerator * (big // c.denominator)
+        left = right = 0
+        for root in roots:
+            stack = [(0, root, -dc - step0 * root, -dc - step0 * (root + 1))]
+            while stack:
+                m, j, w0, w1 = stack.pop()
+                cells += 1
+                if cells > max_cells:
+                    raise over_budget
+                w_lo, w_hi = (w0, w1) if w0 <= w1 else (w1, w0)
+                # D*(2**-(m+1) - 2**-(n+1)) bounds D*(G_n - G_m) on the cell
+                tail = (big >> (m + 1)) - tail_n
+                if ge:
+                    inside, outside = w_lo >= 0, w_hi < -tail
+                else:
+                    inside, outside = w_hi <= -tail, w_lo > 0
+                if outside:
+                    continue
+                k = n - m
+                p0 = j << k
+                p1 = p0 + (1 << k)
+                if not inside and m < n:
+                    # exact: D*G_m and D*line are integers on the level-(m+1)
+                    # grid; g_{m+1} adds 2**-(m+2) at the midpoint
+                    wm = ((w0 + w1) >> 1) + (big >> (m + 2))
+                    pm = p0 + (1 << (k - 1))
+                    if pm < b:
+                        stack.append((m + 1, 2 * j + 1, wm, w1))
+                    if pm > a:
+                        stack.append((m + 1, 2 * j, w0, wm))
+                    continue
+                if inside:
+                    if left_in[0] <= p0 and p1 <= left_in[1]:
+                        left += p1 - p0
+                        continue
+                    if right_in[0] <= p0 and p1 <= right_in[1]:
+                        right += p1 - p0
+                        continue
+                else:  # level n: G_n is affine here, cut at the crossing
+                    cross = j + Fraction(w0, w0 - w1)
+                    if (w0 >= 0 if ge else w0 <= 0):
+                        p1 = cross
+                    else:
+                        p0 = cross
+                left += max(0, min(p1, mid) - max(p0, lo))
+                right += max(0, min(p1, hi) - max(p0, mid))
+        out.append((Fraction(left) / unit, Fraction(right) / unit))
+    return out
 
 
 def quotient_set_sides(
@@ -136,24 +226,21 @@ def quotient_set_sides(
         enc = takagi_enclosure(x, n)
         tx_lo, tx_hi = enc.lo, enc.hi
 
-    f = _window_plf(x, rf, n, max_breakpoints)
-    # {y : G_n(y) >= Tx_hi + alpha*(y - x)}  — pessimistic lower line
-    above = solve_affine_ge(f, tx_hi - q.alpha * x, q.alpha)
-    # {y : G_n(y) + tau <= Tx_lo + alpha*(y - x)}  — optimistic upper line
-    below = solve_affine_le(f, tx_lo - q.alpha * x - tau, q.alpha)
-
-    left = (x - rf, x)
-    right = (x, x + rf)
+    (above_l, above_r), (below_l, below_r) = _band_measures(
+        x, rf, n, q.alpha,
+        (
+            # {y : G_n(y) >= Tx_hi + alpha*(y - x)}  — pessimistic lower line
+            (tx_hi - q.alpha * x, True),
+            # {y : G_n(y) + tau <= Tx_lo + alpha*(y - x)}  — optimistic upper line
+            (tx_lo - q.alpha * x - tau, False),
+        ),
+        max_breakpoints,
+    )
     if q.direction is Dir.GE:
-        in_r, out_r = above.clip(*right), below.clip(*right)
-        in_l, out_l = below.clip(*left), above.clip(*left)
+        in_r, out_r, in_l, out_l = above_r, below_r, below_l, above_l
     else:
-        in_r, out_r = below.clip(*right), above.clip(*right)
-        in_l, out_l = above.clip(*left), below.clip(*left)
-
-    left_bound = MeasureBound(in_l.measure(), rf - out_l.measure())
-    right_bound = MeasureBound(in_r.measure(), rf - out_r.measure())
-    return left_bound, right_bound
+        in_r, out_r, in_l, out_l = below_r, above_r, above_l, below_l
+    return MeasureBound(in_l, rf - out_l), MeasureBound(in_r, rf - out_r)
 
 
 def quotient_set_bounds(
@@ -187,14 +274,17 @@ def certify_lower(
 ) -> tuple[Fraction, int, str]:
     """Escalate depth until the certified lower bound reaches ``target``.
 
-    Returns ``(best_lo, depth_used, status)``.  The loop stops at the
-    depth cap or when a construction blows the breakpoint budget; the
-    distinguished ``UNDECIDED`` status is an outcome, not an error.
+    Returns ``(best_lo, depth_used, status)``, where ``depth_used`` is
+    the depth of the last rung that ran to completion, or 0 when none
+    did (``depth0`` above the cap, or the first rung over the cell
+    budget).  The loop stops at the depth cap or when a query blows the
+    cell budget; the distinguished ``UNDECIDED`` status is an outcome,
+    not an error.
     """
     target = _to_fraction(target)
     best = Fraction(0)
     depth = depth0
-    depth_used = depth0
+    depth_used = 0
     while depth <= depth_cap:
         try:
             mb = quotient_set_bounds(

@@ -166,8 +166,11 @@ def slope_seq(x, N: int) -> SlopeSeq:
         total += step
         values.append(total)
     # unit steps and parity come with the construction; keep them checked
-    assert all(abs(values[i + 1] - values[i]) == 1 for i in range(len(values) - 1))
-    assert all((values[i] - (i + 1)) % 2 == 0 for i in range(len(values)))
+    # (explicitly, so that ``python -O`` does not strip the checks)
+    if any(abs(values[i + 1] - values[i]) != 1 for i in range(len(values) - 1)):
+        raise RuntimeError(f"slope sums at {xf} do not move in unit steps")
+    if any((values[i] - (i + 1)) % 2 != 0 for i in range(len(values))):
+        raise RuntimeError(f"slope sums at {xf} break the parity of their index")
     return SlopeSeq(point=xf, values=tuple(values), horizon=N)
 
 

@@ -6,18 +6,33 @@ distances via explicit floor/ceil grid neighbours, series values via
 geometric summation of the eventually periodic digit orbit, slopes via
 exact finite differences, and measures via a vectorised float sampler
 with rigorous error margins.
+
+The uniform polyline engine (``PLF``, ``build_Gn``, ``solve_affine_ge``,
+``solve_affine_le``, ``IntervalSet``) and :func:`uniform_quotient_set_sides`
+are the measure engine the library used before its adaptive kernel: they
+materialise every breakpoint of G_n in the window and solve segment by
+segment.  They stay here as the reference the adaptive kernel must match
+exactly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from takagi_lab.exactnum import Dyadic, dyadic_neighbors, frac_part
-from takagi_lab.measure import Dir, QuotientQuery
-from takagi_lab.takagi import takagi_enclosure
+from takagi_lab.exactnum import Dyadic, _to_fraction, dyadic_neighbors, frac_part, is_dyadic
+from takagi_lab.measure import (
+    BREAKPOINT_CAP,
+    BreakpointLimitError,
+    Dir,
+    MeasureBound,
+    QuotientQuery,
+)
+from takagi_lab.takagi import G, takagi_enclosure
 
 
 def brute_g(k: int, x: Fraction) -> Fraction:
@@ -139,3 +154,282 @@ def grid_measure_bracket(
     emp_lo = max(Fraction(0), (int(yes.sum()) - _runs(yes)) * cell)
     emp_hi = min(2 * rf, 2 * rf - (int(no.sum()) - _runs(no)) * cell)
     return emp_lo, emp_hi, int(uncertain.sum())
+
+
+# -- uniform polyline engine (reference for the adaptive kernel) ------
+
+@dataclass(frozen=True)
+class IntervalSet:
+    """Disjoint, sorted, closed rational intervals with exact total length."""
+
+    intervals: tuple[tuple[Fraction, Fraction], ...]
+
+    @classmethod
+    def from_pieces(cls, pieces) -> "IntervalSet":
+        """Normalize arbitrary (lo, hi) pieces: sort, drop empties, merge."""
+        cleaned = sorted((lo, hi) for lo, hi in pieces if lo <= hi)
+        merged: list[list[Fraction]] = []
+        for lo, hi in cleaned:
+            if merged and lo <= merged[-1][1]:
+                if hi > merged[-1][1]:
+                    merged[-1][1] = hi
+            else:
+                merged.append([lo, hi])
+        return cls(tuple((lo, hi) for lo, hi in merged))
+
+    @classmethod
+    def empty(cls) -> "IntervalSet":
+        return cls(())
+
+    def measure(self) -> Fraction:
+        total = Fraction(0)
+        for lo, hi in self.intervals:
+            total += hi - lo
+        return total
+
+    def clip(self, lo, hi) -> "IntervalSet":
+        """Intersection with the closed interval [lo, hi]."""
+        lo = _to_fraction(lo)
+        hi = _to_fraction(hi)
+        out = []
+        for a, b in self.intervals:
+            c, d = max(a, lo), min(b, hi)
+            if c <= d:
+                out.append((c, d))
+        return IntervalSet(tuple(out))
+
+    def __len__(self) -> int:
+        return len(self.intervals)
+
+    def __iter__(self):
+        return iter(self.intervals)
+
+
+class PLF:
+    """Piecewise-linear function on a closed dyadic interval."""
+
+    __slots__ = ("breakpoints", "values", "slopes")
+
+    def __init__(self, breakpoints, values, slopes):
+        bps = tuple(breakpoints)
+        vals = tuple(values)
+        slps = tuple(slopes)
+        if len(bps) < 2:
+            raise ValueError("a PLF needs at least two breakpoints")
+        if len(vals) != len(bps) or len(slps) != len(bps) - 1:
+            raise ValueError("inconsistent breakpoint/value/slope counts")
+        self.breakpoints = bps
+        self.values = vals
+        self.slopes = slps
+
+    @property
+    def a(self) -> Dyadic:
+        return self.breakpoints[0]
+
+    @property
+    def b(self) -> Dyadic:
+        return self.breakpoints[-1]
+
+    def __neg__(self) -> "PLF":
+        return PLF(self.breakpoints, tuple(-v for v in self.values),
+                   tuple(-s for s in self.slopes))
+
+    def eval(self, y) -> Fraction:
+        """Exact value at y by interpolation on the containing segment."""
+        yf = _to_fraction(y)
+        if yf < self.a or yf > self.b:
+            raise ValueError(f"{yf} outside the domain [{self.a}, {self.b}]")
+        i = bisect_right(self.breakpoints, yf) - 1
+        if i == len(self.slopes):  # y == right endpoint
+            return self.values[-1]
+        return self.values[i] + self.slopes[i] * (yf - self.breakpoints[i].as_fraction())
+
+    __call__ = eval
+
+    def validate(self) -> None:
+        """Full invariant check (used by tests; construction trusts callers)."""
+        for i in range(len(self.breakpoints) - 1):
+            if not self.breakpoints[i] < self.breakpoints[i + 1]:
+                raise AssertionError("breakpoints not strictly increasing")
+            gap = self.breakpoints[i + 1].as_fraction() - self.breakpoints[i].as_fraction()
+            if self.values[i] + self.slopes[i] * gap != self.values[i + 1]:
+                raise AssertionError(f"value/slope mismatch on segment {i}")
+
+
+def _cell_slope(j: int, n: int) -> int:
+    """Slope of G_n on the grid cell [j/2**(n+1), (j+1)/2**(n+1)].
+
+    Each g_k (k <= n) is linear on the cell; its sign is read off bit
+    k+1 of the cell midpoint (2j+1)/2**(n+2), which is bit n+1-k of the
+    odd integer 2j+1.  Summing gives n minus twice the popcount of bits
+    1..n of 2j+1.
+    """
+    m = (2 * j + 1) & ((1 << (n + 1)) - 1)
+    return n - 2 * ((m >> 1).bit_count())
+
+
+def build_Gn(a: Dyadic, b: Dyadic, n: int, *, max_breakpoints: int = BREAKPOINT_CAP) -> PLF:
+    """Exact polyline equal to G_n on [a, b].
+
+    Breakpoints are the points of D_{n+1} inside [a, b] together with
+    the endpoints, so the count is at most ``2**(n+1) * (b - a) + 2``.
+    Raises :class:`BreakpointLimitError` beyond ``max_breakpoints``.
+    """
+    if not isinstance(a, Dyadic) or not isinstance(b, Dyadic):
+        raise TypeError("domain endpoints must be Dyadic")
+    if not a < b:
+        raise ValueError("empty domain: need a < b")
+    if n < 0:
+        raise ValueError("partial-sum order must be non-negative")
+
+    level = n + 1
+    scale = 1 << level
+    af, bf = a.as_fraction(), b.as_fraction()
+    # grid indices of D_{n+1} points inside [a, b]
+    j0 = -((-af.numerator * scale) // af.denominator)  # ceil(a * scale)
+    j1 = (bf.numerator * scale) // bf.denominator      # floor(b * scale)
+
+    inner = j1 - j0 + 1 if j1 >= j0 else 0
+    head = 1 if (inner == 0 or af * scale != j0) else 0
+    tail = 1 if (inner == 0 or bf * scale != j1) else 0
+    if inner + head + tail > max_breakpoints:
+        raise BreakpointLimitError(
+            f"G_{n} on [{a}, {b}] needs {inner + head + tail} breakpoints "
+            f"(budget {max_breakpoints})"
+        )
+
+    if inner == 0:
+        # both endpoints inside one grid cell
+        s = _cell_slope(af.numerator * scale // af.denominator, n)
+        va = G(n, af)
+        return PLF([a, b], [va, va + s * (bf - af)], [s])
+
+    h = Fraction(1, scale)
+    base = G(n, Fraction(j0, scale))
+    v = int(base * scale)  # grid values of G_n are multiples of 1/2**(n+1)
+    grid_vals = [v]
+    grid_slopes = []
+    for j in range(j0, j1):
+        s = _cell_slope(j, n)
+        grid_slopes.append(s)
+        v += s
+        grid_vals.append(v)
+
+    bps: list[Dyadic] = []
+    vals: list[Fraction] = []
+    slopes: list[int] = []
+    if head:
+        s = _cell_slope(j0 - 1, n)
+        bps.append(a)
+        vals.append(Fraction(grid_vals[0], scale) - s * (Fraction(j0, scale) - af))
+        slopes.append(s)
+    bps.extend(Dyadic(j, level) for j in range(j0, j1 + 1))
+    vals.extend(Fraction(gv, scale) for gv in grid_vals)
+    slopes.extend(grid_slopes)
+    if tail:
+        s = _cell_slope(j1, n)
+        bps.append(b)
+        vals.append(Fraction(grid_vals[-1], scale) + s * (bf - Fraction(j1, scale)))
+        slopes.append(s)
+    return PLF(bps, vals, slopes)
+
+
+def solve_affine_ge(f: PLF, c0, c1) -> IntervalSet:
+    """Exact solution set ``{y in dom f : f(y) >= c0 + c1*y}``.
+
+    On a segment the difference f - line is affine, so the endpoint
+    signs decide everything; a sign change yields a single rational
+    crossing point.  Boundary points with equality are included.
+    """
+    c0 = _to_fraction(c0)
+    c1 = _to_fraction(c1)
+    bps = f.breakpoints
+    vals = f.values
+    slopes = f.slopes
+
+    t = bps[0].as_fraction()
+    d = vals[0] - (c0 + c1 * t)
+    inc_cache: dict[tuple[int, int, int], Fraction] = {}
+    gap_cache: dict[tuple[int, int], Fraction] = {}
+
+    pieces: list[tuple[Fraction, Fraction]] = []
+    run_start: Fraction | None = t if d.numerator >= 0 else None
+
+    for i, s in enumerate(slopes):
+        gap_d = bps[i + 1] - bps[i]
+        gkey = (gap_d.num, gap_d.exp)
+        gap = gap_cache.get(gkey)
+        if gap is None:
+            gap = gap_cache[gkey] = gap_d.as_fraction()
+        ikey = (s, gap_d.num, gap_d.exp)
+        inc = inc_cache.get(ikey)
+        if inc is None:
+            inc = inc_cache[ikey] = (s - c1) * gap
+        d_next = d + inc
+        t_next = t + gap
+
+        d_ok = d.numerator >= 0
+        dn_ok = d_next.numerator >= 0
+        if d_ok != dn_ok:
+            cross = t + d * gap / (d - d_next)
+            if d_ok:
+                pieces.append((run_start, cross))
+                run_start = None
+            else:
+                run_start = cross
+        t, d = t_next, d_next
+
+    if run_start is not None:
+        pieces.append((run_start, t))
+    return IntervalSet.from_pieces(pieces)
+
+
+def solve_affine_le(f: PLF, c0, c1) -> IntervalSet:
+    """``{y : f(y) <= c0 + c1*y}``, via the GE solver on the negated data."""
+    return solve_affine_ge(-f, -_to_fraction(c0), -_to_fraction(c1))
+
+
+def _window_plf(x: Fraction, rf: Fraction, depth: int, max_breakpoints: int):
+    """G_depth on the smallest D_{depth+1}-aligned interval covering the window."""
+    scale = 1 << (depth + 1)
+    lo = x - rf
+    hi = x + rf
+    a = Dyadic((lo.numerator * scale) // lo.denominator, depth + 1)
+    b = Dyadic(-((-hi.numerator * scale) // hi.denominator), depth + 1)
+    return build_Gn(a, b, depth, max_breakpoints=max_breakpoints)
+
+
+def uniform_quotient_set_sides(
+    q: QuotientQuery, *, max_breakpoints: int = BREAKPOINT_CAP
+) -> tuple[MeasureBound, MeasureBound]:
+    """Certified (left, right) half-window brackets, by the uniform engine."""
+    x = q.x
+    rf = q.r.as_fraction()
+    n = q.depth
+    tau = Fraction(1, 1 << (n + 1))
+
+    if is_dyadic(x):
+        enc = takagi_enclosure(x, 1)  # dyadic points collapse exactly
+        tx_lo = tx_hi = enc.lo
+    else:
+        enc = takagi_enclosure(x, n)
+        tx_lo, tx_hi = enc.lo, enc.hi
+
+    f = _window_plf(x, rf, n, max_breakpoints)
+    # {y : G_n(y) >= Tx_hi + alpha*(y - x)}  — pessimistic lower line
+    above = solve_affine_ge(f, tx_hi - q.alpha * x, q.alpha)
+    # {y : G_n(y) + tau <= Tx_lo + alpha*(y - x)}  — optimistic upper line
+    below = solve_affine_le(f, tx_lo - q.alpha * x - tau, q.alpha)
+
+    left = (x - rf, x)
+    right = (x, x + rf)
+    if q.direction is Dir.GE:
+        in_r, out_r = above.clip(*right), below.clip(*right)
+        in_l, out_l = below.clip(*left), above.clip(*left)
+    else:
+        in_r, out_r = below.clip(*right), above.clip(*right)
+        in_l, out_l = above.clip(*left), below.clip(*left)
+
+    left_bound = MeasureBound(in_l.measure(), rf - out_l.measure())
+    right_bound = MeasureBound(in_r.measure(), rf - out_r.measure())
+    return left_bound, right_bound

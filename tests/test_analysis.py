@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from takagi_lab import analysis
 from takagi_lab.exactnum import Dyadic, parse_rat
 from takagi_lab.analysis import (
     CASE_BOUNDED,
@@ -16,7 +17,7 @@ from takagi_lab.analysis import (
     to_jsonable,
     verify_lemma,
 )
-from takagi_lab.measure import CERTIFIED, Dir
+from takagi_lab.measure import CERTIFIED, UNDECIDED, Dir
 from takagi_lab.takagi import slope_seq
 
 
@@ -51,6 +52,11 @@ class TestVerifyLemma:
     def test_tiny_cap_gives_undecided(self):
         report = verify_lemma(F(1, 3), 2, depth_cap=4)
         assert report.status == "undecided"
+
+    def test_depth_used_is_the_last_rung_run(self):
+        # the first rung (depth n + 8 = 10) is above the cap: nothing ran
+        assert verify_lemma(F(1, 3), 2, depth_cap=1).depth_used == 0
+        assert verify_lemma(F(1, 3), 2).depth_used == 10
 
 
 class TestClassify:
@@ -100,6 +106,20 @@ class TestBlowup:
         assert report.status == CERTIFIED
         assert report.lo_full == F(1, 4)
 
+    def test_uncertified_mirror_is_undecided(self, monkeypatch):
+        real = analysis.certify_lower
+
+        def le_half_fails(x, r, alpha, direction, target, **kwargs):
+            if direction is Dir.LE:
+                return F(0), 0, UNDECIDED
+            return real(x, r, alpha, direction, target, **kwargs)
+
+        monkeypatch.setattr(analysis, "certify_lower", le_half_fails)
+        report = blowup_check(Dyadic(1, 1), 3)
+        assert report.lo_one_sided == F(1, 16)  # the GE half alone certifies
+        assert report.lo_full < report.radius.as_fraction() * 2
+        assert report.status == UNDECIDED
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             blowup_check(Dyadic(1, 1), 0)
@@ -140,6 +160,12 @@ class TestRefute:
         thresholds = [cert.alpha for cert in evidence.singles]
         assert thresholds == [F(n) for n in range(1, 9)]  # unbounded growth
         assert all(cert.density_lo == F(1, 2) for cert in evidence.singles)
+
+    def test_dyadic_status_follows_the_certificates(self):
+        evidence = refute(F(1, 2), 5, depth_cap=1)
+        assert evidence.status == UNDECIDED
+        assert all(cert.density_lo == 0 for cert in evidence.singles)
+        assert "did not certify" in evidence.detail
 
     def test_divergent_single_sided(self):
         evidence = refute(F(1, 7), 30)

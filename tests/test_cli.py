@@ -1,8 +1,10 @@
+import functools
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from takagi_lab import analysis, cli, measure
 from takagi_lab.cli import run, sample_rows
 from takagi_lab.exactnum import Dyadic, parse_rat
 
@@ -81,6 +83,25 @@ class TestMeasure:
         assert code == 0
         assert parse_rat(payload["result"]["bound"]["lo"]) >= F(1, 128)
 
+    def test_cell_budget_exhausted_is_one_line(self, capsys, monkeypatch):
+        tiny = functools.partial(measure.quotient_set_sides, max_breakpoints=3)
+        monkeypatch.setattr(measure, "quotient_set_sides", tiny)
+        code, out, err = invoke(
+            capsys, "measure", "--x", "1/3", "--r", "1/8", "--alpha", "1/2",
+            "--dir", "ge", "--depth", "20",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "cells" in err
+
+    def test_window_over_cell_budget_fails_fast(self, capsys):
+        # 2**24 level-0 cells per band: over the default budget before any walk
+        code, out, err = invoke(
+            capsys, "measure", "--x", "0", "--r", "4194304", "--alpha", "0",
+            "--dir", "ge", "--depth", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "cells" in err
+
     def test_non_dyadic_radius_rejected(self, capsys):
         code, _, err = invoke(
             capsys, "measure", "--x", "1/2", "--r", "1/3", "--alpha", "1",
@@ -108,6 +129,19 @@ class TestLemma:
         )
         assert code == 2
         assert json.loads(out)["result"]["status"] == "undecided"
+
+    def test_depth_used_when_no_rung_ran(self, capsys):
+        code, out, _ = invoke(capsys, "lemma", "--x", "1/3", "--n", "2",
+                              "--depth-cap", "1", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["result"]["depth_used"] == 0
+
+    @pytest.mark.parametrize("value", ["abc", "", "4.5"])
+    def test_bad_depth_cap_env_is_one_line(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TAKAGI_DEPTH_CAP", value)
+        code, out, err = invoke(capsys, "lemma", "--x", "1/3", "--n", "2")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "TAKAGI_DEPTH_CAP" in err
 
     def test_depth_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TAKAGI_DEPTH_CAP", "4")
@@ -141,6 +175,24 @@ class TestOtherReports:
         payload = json.loads(out)
         assert code == 0
         assert len(payload["result"]["pairs"]) >= 3
+
+    def test_refute_dyadic_undecided(self, capsys):
+        code, out, _ = invoke(capsys, "refute", "--x", "1/2", "--n", "5",
+                              "--depth-cap", "1", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["result"]["status"] == "undecided"
+
+    def test_invariant_failure_is_one_line(self, capsys, monkeypatch):
+        def wrong_direction(x, n, *, depth_cap):
+            return analysis.DensityCertificate(
+                x=F(x), r=Dyadic.pow2(-n), alpha=F(0), direction=measure.Dir.GE,
+                density_lo=F(1),
+            )
+
+        monkeypatch.setattr(analysis, "certificate", wrong_direction)
+        code, out, err = invoke(capsys, "refute", "--x", "1/3", "--n", "6")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "unexpected certificate directions" in err
 
     def test_refute_insufficient_horizon(self, capsys):
         code, out, _ = invoke(capsys, "refute", "--x", "1/3", "--n", "1",
@@ -219,6 +271,28 @@ class TestVerifyAll:
         corpus.write_text("lemma 1/3\n")
         code, _, err = invoke(capsys, "verify-all", "--corpus", str(corpus))
         assert code == 1 and "corpus line" in err
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_rejected(self, capsys, tmp_path, jobs):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("lemma 1/3 2\n")
+        code, out, err = invoke(capsys, "verify-all", "--corpus", str(corpus),
+                                "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--jobs" in err
+
+    def test_clamped_to_cpus_and_entries(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert cli._worker_count(1000, 50) == 4
+        assert cli._worker_count(3, 50) == 3
+        assert cli._worker_count(1000, 2) == 2
+        assert cli._worker_count(1, 50) == 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._worker_count(8, 50) == 1
+        with pytest.raises(ValueError):
+            cli._worker_count(0, 50)
 
 
 class TestMachineOutputExactness:

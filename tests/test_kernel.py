@@ -1,0 +1,90 @@
+"""The adaptive measure kernel against the uniform polyline reference.
+
+Both engines compute exact Lebesgue measures of the same closed sets,
+so every bracket must agree as rationals, not just overlap.
+"""
+
+import random
+from fractions import Fraction as F
+
+from oracles import _cell_slope, uniform_quotient_set_sides
+from takagi_lab.exactnum import Dyadic
+from takagi_lab.measure import Dir, QuotientQuery, quotient_set_sides
+
+QUERIES = 336
+# radii numerators: powers of two and dyadics that are not (3/8, 5/16, ...)
+RADIUS_NUMERATORS = (1, 3, 5, 7)
+
+
+def _centre(rng, kind):
+    if kind == 0:  # dyadic, possibly on a coarse grid
+        return F(rng.randrange(1, 64), 1 << rng.randrange(0, 7))
+    if kind == 1:  # non-dyadic in (0, 1)
+        den = rng.choice((3, 5, 7, 9, 11, 13, 15, 21, 31, 97))
+        return F(rng.randrange(1, den), den)
+    # negative, dyadic or not
+    return -F(rng.randrange(1, 96), rng.choice((1, 2, 3, 4, 5, 7, 8, 12, 64)))
+
+
+def _threshold(rng, kind, x, depth):
+    if kind == 0:  # near the local slope of G_depth at x
+        j = (x.numerator << (depth + 1)) // x.denominator
+        offset = rng.choice((F(0), F(1, 3), F(-1, 3), F(2, 5), F(-2, 5), F(1, 2), F(-1)))
+        return _cell_slope(j, depth) + offset
+    if kind == 1:
+        return F(0)
+    if kind == 2:
+        return F(rng.randrange(-40, 41), rng.choice((1, 2, 3, 5, 7)))
+    if kind == 3:
+        return F(10**6)
+    return F(-(1 << 40))
+
+
+def seeded_queries(seed=2024, count=QUERIES):
+    rng = random.Random(seed)
+    for i in range(count):
+        depth = 1 + i % 14
+        x = _centre(rng, i % 3)
+        # keep the reference's breakpoint count 2**(depth+2)*r at most 7*2**12
+        exp = rng.randrange(max(1, depth - 8), max(1, depth - 8) + 5)
+        r = Dyadic(rng.choice(RADIUS_NUMERATORS), exp)
+        alpha = _threshold(rng, (i // 3) % 5, x, depth)
+        direction = Dir.GE if (i // 14) % 2 else Dir.LE
+        yield QuotientQuery(x, r, alpha, direction, depth)
+
+
+def test_seeded_queries_cover_the_required_mix():
+    queries = list(seeded_queries())
+    assert len(queries) >= 300
+    assert {q.depth for q in queries} == set(range(1, 15))
+    assert {q.direction for q in queries} == {Dir.GE, Dir.LE}
+    assert any(q.x < 0 for q in queries)
+    assert any(q.x.denominator & (q.x.denominator - 1) for q in queries)  # non-dyadic
+    assert any(q.x.denominator & (q.x.denominator - 1) == 0 for q in queries)
+    assert any(q.r == Dyadic(3, 3) for q in queries)  # 3/8
+    alphas = {q.alpha for q in queries}
+    assert {F(0), F(10**6), F(-(1 << 40))} <= alphas
+    assert any(a < 0 for a in alphas if a != F(-(1 << 40)))
+
+
+def test_bit_identical_to_uniform_reference():
+    mismatches = []
+    for query in seeded_queries():
+        got = quotient_set_sides(query)
+        want = uniform_quotient_set_sides(query)
+        if got != want:
+            mismatches.append((query, got, want))
+    assert mismatches == []
+
+
+def test_wide_and_exact_queries():
+    # windows wider than one unit interval, exact blow-up halves and
+    # centres on the window's own grid
+    for query in (
+        QuotientQuery(F(1, 2), Dyadic(3, 0), F(1, 3), Dir.GE, 6),
+        QuotientQuery(F(-5, 3), Dyadic(5, 1), F(-2), Dir.LE, 5),
+        QuotientQuery(F(1, 2), Dyadic(1, 4), F(3), Dir.GE, 8),
+        QuotientQuery(F(1, 2), Dyadic(1, 4), F(-3), Dir.LE, 8),
+        QuotientQuery(F(0), Dyadic(1, 2), F(2), Dir.GE, 9),
+    ):
+        assert quotient_set_sides(query) == uniform_quotient_set_sides(query)

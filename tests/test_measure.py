@@ -8,6 +8,7 @@ from takagi_lab.exactnum import Dyadic
 from takagi_lab.measure import (
     CERTIFIED,
     UNDECIDED,
+    BreakpointLimitError,
     Dir,
     MeasureBound,
     QuotientQuery,
@@ -138,6 +139,59 @@ class TestEscalation:
             depth0=6, depth_cap=64, max_breakpoints=2000,
         )
         assert status == UNDECIDED
+
+
+def cells_needed(query):
+    """Smallest cell budget under which the query completes."""
+    lo, hi = 1, 1 << 16
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            quotient_set_bounds(query, max_breakpoints=mid)
+        except BreakpointLimitError:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class TestCellBudget:
+    # the TestEscalation query: 1/3, r = 1/2, LE at -3/5
+    def query(self, depth):
+        return q(F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, depth)
+
+    def test_tiny_budget_raises(self):
+        with pytest.raises(BreakpointLimitError):
+            quotient_set_bounds(self.query(10), max_breakpoints=3)
+        with pytest.raises(BreakpointLimitError):
+            quotient_set_sides(self.query(10), max_breakpoints=3)
+
+    def test_depth_64_fits_a_small_budget(self):
+        # the uniform engine would need 2**65 breakpoints here
+        bound = quotient_set_bounds(self.query(64), max_breakpoints=2000)
+        assert bound.lo >= F(1, 128)
+        assert bound == quotient_set_bounds(self.query(64))
+
+    def test_exhausted_budget_reports_last_completed_rung(self):
+        budget = cells_needed(self.query(10))
+        assert cells_needed(self.query(14)) > budget
+        lo, depth_used, status = certify_lower(
+            F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(2),
+            depth0=10, depth_cap=64, max_breakpoints=budget,
+        )
+        assert status == UNDECIDED
+        assert depth_used == 10
+        assert lo == quotient_set_bounds(self.query(10)).lo
+
+    def test_no_rung_completed_reports_depth_zero(self):
+        assert certify_lower(
+            F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128),
+            depth0=10, max_breakpoints=3,
+        ) == (0, 0, UNDECIDED)
+        assert certify_lower(
+            F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128),
+            depth0=10, depth_cap=9,
+        ) == (0, 0, UNDECIDED)
 
 
 class TestGridOracleSweep:

@@ -3,14 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from takagi_lab.exactnum import Dyadic
-from takagi_lab.plf import (
+from oracles import (
     BreakpointLimitError,
     IntervalSet,
     build_Gn,
     solve_affine_ge,
     solve_affine_le,
 )
+from takagi_lab.exactnum import Dyadic
 from takagi_lab.takagi import G
 
 

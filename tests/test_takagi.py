@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from oracles import brute_g, brute_T_dyadic, fd_slope, takagi_periodic
+from takagi_lab import takagi
 from takagi_lab.exactnum import Dyadic, dyadic_neighbors
 from takagi_lab.takagi import (
     Enclosure,
@@ -169,6 +174,30 @@ class TestSlopeSeq:
     def test_dyadic_rejected(self):
         with pytest.raises(ValueError):
             slope_seq(F(3, 8), 5)
+
+    def test_broken_invariants_raise(self, monkeypatch):
+        monkeypatch.setattr(takagi, "slope", lambda k, x: 3 if k == 2 else 1)
+        with pytest.raises(RuntimeError, match="unit steps"):
+            slope_seq(F(1, 3), 4)
+        monkeypatch.setattr(takagi, "slope", lambda k, x: 2 if k == 1 else 1)
+        with pytest.raises(RuntimeError, match="parity"):
+            slope_seq(F(1, 3), 4)
+
+    def test_invariants_survive_optimize_flag(self):
+        code = (
+            "from fractions import Fraction\n"
+            "from takagi_lab import takagi\n"
+            "takagi.slope = lambda k, x: 3 if k == 2 else 1\n"
+            "try:\n"
+            "    takagi.slope_seq(Fraction(1, 3), 4)\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
+        )
+        src = Path(takagi.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                             check=True)
+        assert out.stdout.strip() == "raised"
 
 
 class TestLocalLinearity:
