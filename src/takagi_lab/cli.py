@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -79,7 +80,9 @@ def _parse_dyadic(text: str) -> Dyadic:
     return as_dyadic(value)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first ``run`` and reused after."""
     parser = _Parser(prog="takagi-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -321,7 +324,7 @@ def _dispatch(cfg: RunConfig) -> int:
             depth=args.depth,
         )
         left, right = measure.quotient_set_sides(query)
-        bound = measure.MeasureBound(left.lo + right.lo, left.hi + right.hi)
+        bound = left + right
         result = {"query": query, "bound": bound, "left": left, "right": right}
         if cfg.fmt == "json":
             extra = ({"lo": float(bound.lo), "hi": float(bound.hi)}

@@ -132,6 +132,10 @@ class MeasureBound:
         if self.lo > self.hi:
             raise ValueError(f"crossed measure bound: {self.lo} > {self.hi}")
 
+    def __add__(self, other: "MeasureBound") -> "MeasureBound":
+        """Bracket for the measure of a disjoint union."""
+        return MeasureBound(self.lo + other.lo, self.hi + other.hi)
+
 
 def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction, bands,
                    max_cells: int) -> list[tuple[Fraction, Fraction]]:
@@ -248,7 +252,7 @@ def quotient_set_bounds(
 ) -> MeasureBound:
     """Certified bracket for the measure of the query's level set."""
     left, right = quotient_set_sides(q, max_breakpoints=max_breakpoints)
-    return MeasureBound(left.lo + right.lo, left.hi + right.hi)
+    return left + right
 
 
 def density_bounds(

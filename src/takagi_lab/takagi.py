@@ -7,9 +7,12 @@ between consecutive points of D_{n+1}; at every non-dyadic ``x`` each
 ``g_k`` is differentiable with ``g_k'(x) = +-1``, so the slope sums
 ``G_n'(x)`` form an integer walk with unit steps.
 
-All arithmetic is exact.  A value of ``T`` that needs a limit is
-returned as an :class:`Enclosure` using the tail estimate
-``0 <= T(x) - G_n(x) <= sum_{k>n} 2**-(k+1) = 2**-(n+1)``,
+All of it runs on the binary orbit of ``x = p/q``: with
+``r_k = 2**k * p mod q`` one has ``g_k(x) = min(r_k, q - r_k) / (q * 2**k)``
+and ``g_k'(x) = 1 - 2*b_{k+1}(x)``, so ``G_n`` is Horner's rule over
+integers followed by a single ``Fraction``.  A value of ``T`` that
+needs a limit is returned as an :class:`Enclosure` using the tail
+estimate ``0 <= T(x) - G_n(x) <= sum_{k>n} 2**-(k+1) = 2**-(n+1)``,
 which follows from ``sup g_k = 2**-(k+1)``.
 
 The series here starts at k = 1 (no distance-to-integers term).  The
@@ -22,15 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (
-    Dyadic,
-    as_dyadic,
-    bit_at,
-    dyadic_level,
-    frac_part,
-    is_dyadic,
-    _to_fraction,
-)
+from .exactnum import Dyadic, as_dyadic, is_dyadic, _to_fraction
 
 __all__ = [
     "DEFAULT_DEPTH",
@@ -80,18 +75,19 @@ class SlopeSeq:
     horizon: int
 
 
-def _dist_to_grid(x: Fraction, k: int) -> Fraction:
-    """Distance from x to D_k = {j / 2**k}, for k >= 0."""
-    scaled = x * (1 << k)
-    f = scaled - (scaled.numerator // scaled.denominator)
-    return min(f, 1 - f) / (1 << k)
+def _orbit(x) -> tuple[int, int]:
+    """``(p mod q, q)`` for ``x = p/q`` in lowest terms."""
+    xf = _to_fraction(x)
+    return xf.numerator % xf.denominator, xf.denominator
 
 
 def g(k: int, x) -> Fraction:
     """Distance from ``x`` to the level-k grid; ``0 <= g <= 2**-(k+1)``."""
     if k < 1:
         raise ValueError("grid index starts at 1")
-    return _dist_to_grid(_to_fraction(x), k)
+    r, q = _orbit(x)
+    r = (r << k) % q
+    return Fraction(min(r, q - r), q << k)
 
 
 def G(n: int, x, *, classical: bool = False) -> Fraction:
@@ -102,36 +98,35 @@ def G(n: int, x, *, classical: bool = False) -> Fraction:
     """
     if n < 0:
         raise ValueError("partial-sum order must be non-negative")
-    xf = _to_fraction(x)
-    total = _dist_to_grid(xf, 0) if classical else Fraction(0)
-    for k in range(1, n + 1):
-        total += _dist_to_grid(xf, k)
-    return total
+    r, q = _orbit(x)
+    # acc = q * 2**k * G_k(x) after step k, by Horner's rule
+    acc = min(r, q - r) if classical else 0
+    for _ in range(n):
+        r <<= 1
+        if r >= q:
+            r -= q
+        acc = (acc << 1) + min(r, q - r)
+    return Fraction(acc, q << n)
 
 
 def takagi_exact(x: Dyadic, *, classical: bool = False) -> Dyadic:
-    """T(x) at a dyadic point, where the series terminates.
-
-    Once ``x`` is on D_m every later ``g_k(x)`` vanishes, so the value
-    is the finite sum ``G_m(x)`` with ``m = dyadic_level(x) + 1``.
-    """
-    if not isinstance(x, Dyadic):
-        x = as_dyadic(x)
-    m = dyadic_level(x) + 1
-    return as_dyadic(G(m, x.as_fraction(), classical=classical))
+    """T(x) at a dyadic point, where the series terminates."""
+    return as_dyadic(takagi_enclosure(as_dyadic(x), classical=classical).lo)
 
 
 def takagi_enclosure(x, depth: int = DEFAULT_DEPTH, *, classical: bool = False) -> Enclosure:
     """Certified interval around T(x).
 
-    Dyadic points collapse to the exact value; elsewhere the result is
-    ``[G_depth(x), G_depth(x) + 2**-(depth+1)]`` by the tail bound.
+    A dyadic ``x`` with denominator ``2**m`` collapses to the exact
+    value ``G_m(x)``, since every later ``g_k(x)`` vanishes; elsewhere
+    the result is ``[G_depth(x), G_depth(x) + 2**-(depth+1)]`` by the
+    tail bound.
     """
     if depth < 1:
         raise ValueError("enclosure depth must be positive")
     xf = _to_fraction(x)
     if is_dyadic(xf):
-        t = takagi_exact(as_dyadic(xf), classical=classical).as_fraction()
+        t = G(xf.denominator.bit_length() - 1, xf, classical=classical)
         return Enclosure(t, t)
     lo = G(depth, xf, classical=classical)
     return Enclosure(lo, lo + Fraction(1, 1 << (depth + 1)))
@@ -146,10 +141,11 @@ def slope(k: int, x) -> int:
     """
     if k < 1:
         raise ValueError("grid index starts at 1")
-    xf = frac_part(_to_fraction(x))
-    if (xf * (1 << (k + 1))).denominator == 1:
+    r, q = _orbit(x)
+    digits, rest = divmod(r << (k + 1), q)
+    if rest == 0:
         raise ValueError(f"g_{k} has a corner at {x}")
-    return 1 - 2 * bit_at(xf, k + 1)
+    return 1 - 2 * (digits & 1)
 
 
 def slope_seq(x, N: int) -> SlopeSeq:

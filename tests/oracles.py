@@ -12,7 +12,8 @@ The uniform polyline engine (``PLF``, ``build_Gn``, ``solve_affine_ge``,
 are the measure engine the library used before its adaptive kernel: they
 materialise every breakpoint of G_n in the window and solve segment by
 segment.  They stay here as the reference the adaptive kernel must match
-exactly.
+exactly.  Likewise :func:`fraction_G` is the partial sum the library
+computed before its integer orbit kernel, one ``Fraction`` per term.
 """
 
 from __future__ import annotations
@@ -44,6 +45,28 @@ def brute_g(k: int, x: Fraction) -> Fraction:
 
 def brute_G(n: int, x: Fraction) -> Fraction:
     return sum((brute_g(k, x) for k in range(1, n + 1)), Fraction(0))
+
+
+def _dist_to_grid(x: Fraction, k: int) -> Fraction:
+    """Distance from x to D_k = {j / 2**k}, for k >= 0."""
+    scaled = x * (1 << k)
+    f = scaled - (scaled.numerator // scaled.denominator)
+    return min(f, 1 - f) / (1 << k)
+
+
+def fraction_G(n: int, x, *, classical: bool = False) -> Fraction:
+    """Partial sum ``g_1(x) + ... + g_n(x)``; empty sum for n = 0.
+
+    With ``classical=True`` the distance-to-integers term is added in
+    front, giving the partial sums of the textbook variant.
+    """
+    if n < 0:
+        raise ValueError("partial-sum order must be non-negative")
+    xf = _to_fraction(x)
+    total = _dist_to_grid(xf, 0) if classical else Fraction(0)
+    for k in range(1, n + 1):
+        total += _dist_to_grid(xf, k)
+    return total
 
 
 def brute_T_dyadic(x: Dyadic) -> Fraction:

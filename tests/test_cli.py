@@ -311,6 +311,25 @@ class TestMachineOutputExactness:
         json.loads(out, parse_float=lambda s: pytest.fail(f"float in output: {s}"))
 
 
+class TestParserReuse:
+    MEASURE_USAGE = (
+        "usage: takagi-lab measure [-h] [--format {text,json,csv}] [--approx]\n"
+        "                          [--depth-cap DEPTH_CAP] --x X --r R --alpha ALPHA\n"
+        "                          --dir {ge,le} --depth DEPTH\n"
+        "error: the following arguments are required: --r\n"
+    )
+
+    def test_one_parser_serves_consecutive_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._build_parser.cache_clear()
+        assert invoke(capsys, "measure", "--x", "1/3", "--alpha", "0", "--dir", "ge",
+                      "--depth", "4") == (1, "", self.MEASURE_USAGE)
+        assert invoke(capsys, "eval", "--x", "1/4", "--approx") == (0, "1/4  (~0.25)\n", "")
+        assert invoke(capsys, "eval", "--x", "1/4") == (0, "1/4\n", "")
+        assert invoke(capsys, "slopes", "--x", "1/3", "--n", "4") == (0, "-1 0 -1 0\n", "")
+        assert cli._build_parser.cache_info().misses == 1
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert invoke(capsys, )[0] == 1

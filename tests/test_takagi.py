@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import brute_g, brute_T_dyadic, fd_slope, takagi_periodic
+from oracles import brute_g, brute_G, brute_T_dyadic, fd_slope, fraction_G, takagi_periodic
 from takagi_lab import takagi
 from takagi_lab.exactnum import Dyadic, dyadic_neighbors
 from takagi_lab.takagi import (
@@ -66,6 +66,62 @@ class TestPartialSums:
     def test_classical_adds_integer_distance(self):
         assert G(2, F(1, 3), classical=True) == F(1, 4) + F(1, 3)
         assert G(0, F(1, 4), classical=True) == F(1, 4)
+
+
+class TestOrbitKernel:
+    """The integer orbit kernel against the Fraction sum it replaced."""
+
+    DENOMINATORS = (1, 2, 3, 7, 12, 997, 3 << 10, 1 << 20, 10**9 + 7, (1 << 31) - 1,
+                    (1 << 61) - 1, (1 << 89) - 1)
+
+    @staticmethod
+    def brute(n, x, classical):
+        return brute_G(n, x) + (brute_g(0, x) if classical else 0)
+
+    def test_bit_identical_to_fraction_sum(self):
+        rng = random.Random(13)
+        cases = [(F(0), 0, False), (F(-5, 3), 300, True), (F(1, (1 << 61) - 1), 300, False),
+                 (F(-7, 1 << 20), 300, True), (F(5), 17, True)]
+        while len(cases) < 520:
+            q = rng.choice(self.DENOMINATORS)
+            x = F(rng.randrange(-3 * q, 3 * q + 1), q)
+            cases.append((x, rng.randrange(0, 301), rng.random() < 0.5))
+        for x, n, classical in cases:
+            value = G(n, x, classical=classical)
+            assert value == fraction_G(n, x, classical=classical) == self.brute(n, x, classical)
+            if n:
+                assert g(n, x) == brute_g(n, x)
+
+    def test_integer_and_dyadic_arguments(self):
+        for n in (0, 1, 5, 64):
+            assert G(n, -4) == G(n, F(-4)) == fraction_G(n, -4) == 0
+            assert G(n, 3, classical=True) == 0
+            d = Dyadic(-13, 6)
+            assert G(n, d, classical=True) == fraction_G(n, d, classical=True)
+            assert G(n, d) == self.brute(n, d.as_fraction(), False)
+
+    def test_deep_slopes_against_finite_differences(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            q = rng.choice((3, 7, 997, (1 << 61) - 1, (1 << 89) - 1))
+            x = F(rng.randrange(-2 * q, 2 * q), q)
+            if x.denominator == 1:
+                continue
+            for k in (rng.randrange(1, 151), 150):
+                assert slope(k, x) == fd_slope(k, x)
+
+    def test_corner_rejected_at_negative_dyadic(self):
+        x = F(-3, 8)  # 5/8 mod 1, a corner of g_k for every k >= 2
+        assert slope(1, x) == fd_slope(1, x) == 1
+        for k in (2, 3, 150):
+            with pytest.raises(ValueError, match="corner"):
+                slope(k, x)
+
+    def test_deep_enclosure_contains_series_value(self):
+        for x in (F(1, 3), F(5, 7), F(-2, 9), F(11, 31), F(1, (1 << 61) - 1)):
+            enc = takagi_enclosure(x, 4000)
+            assert takagi_periodic(x) in enc
+            assert enc.width() == F(1, 1 << 4001)
 
 
 class TestExactValues:
