@@ -19,7 +19,6 @@ from .exactnum import (
     Rat,
     as_dyadic,
     bit_at,
-    canonicalize,
     dyadic_level,
     dyadic_neighbors,
     format_rat,

@@ -43,11 +43,8 @@ from .measure import (
     CERTIFIED,
     DEFAULT_DEPTH_CAP,
     Dir,
-    MeasureBound,
-    QuotientQuery,
     UNDECIDED,
     certify_lower,
-    quotient_set_bounds,
 )
 from .takagi import SlopeSeq, slope, slope_seq, slope_sum
 
@@ -99,6 +96,8 @@ DYADIC_CORPUS = (
 )
 
 _LEMMA_DEPTH_HEADROOM = 8
+# Blow-up certificates that :func:`refute` emits at a dyadic point.
+_DYADIC_BLOWUPS = 8
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,6 @@ def verify_lemma(
     n: int,
     *,
     depth_cap: int = DEFAULT_DEPTH_CAP,
-    depth0: int | None = None,
 ) -> LemmaReport:
     """Certify the one-scale measure estimate at (x, n).
 
@@ -227,7 +225,7 @@ def verify_lemma(
         alpha,
         direction,
         required,
-        depth0=n + _LEMMA_DEPTH_HEADROOM if depth0 is None else depth0,
+        depth0=n + _LEMMA_DEPTH_HEADROOM,
         depth_cap=depth_cap,
     )
     return LemmaReport(
@@ -427,14 +425,14 @@ def _divergent_singles(
 
 
 def _dyadic_singles(
-    x: Dyadic, count: int, depth_cap: int
+    x: Dyadic, depth_cap: int
 ) -> tuple[list[DensityCertificate], list[int], str]:
     """Blow-up certificates with unboundedly growing thresholds."""
     n0 = max(dyadic_level(x), 0)
     singles: list[DensityCertificate] = []
     uncertified: list[int] = []
     first = 2 * n0 + 1
-    for n in range(first, first + count):
+    for n in range(first, first + _DYADIC_BLOWUPS):
         rep = blowup_check(x, n, depth_cap=depth_cap)
         cert = DensityCertificate(
             x=x.as_fraction(),
@@ -446,7 +444,10 @@ def _dyadic_singles(
         singles.append(cert)
         if not _certified(cert):
             uncertified.append(n)
-    detail = f"thresholds n - {2 * n0} for n = {first}..{first + count - 1}"
+    if uncertified:
+        detail = f"blow-ups at n = {uncertified} did not certify"
+    else:
+        detail = f"thresholds n - {2 * n0} for n = {first}..{first + _DYADIC_BLOWUPS - 1}"
     return singles, uncertified, detail
 
 
@@ -455,7 +456,6 @@ def refute(
     horizon: int,
     *,
     depth_cap: int = DEFAULT_DEPTH_CAP,
-    dyadic_count: int = 8,
 ) -> RefutationEvidence:
     """Horizon-N evidence that no approximate derivative exists at x.
 
@@ -466,63 +466,40 @@ def refute(
     horizon the status is ``insufficient-horizon``.
     """
     xf = _to_fraction(x)
+    pairs: list[CertificatePair] = []
+    singles: list[DensityCertificate] = []
     if is_dyadic(xf):
-        singles, uncertified, detail = _dyadic_singles(
-            as_dyadic(xf), dyadic_count, depth_cap
-        )
-        if uncertified:
-            detail = f"blow-ups at n = {uncertified} did not certify"
-        return RefutationEvidence(
-            x=xf,
-            horizon=horizon,
-            case_hint=CASE_DYADIC,
-            pairs=(),
-            singles=tuple(singles),
-            status=UNDECIDED if uncertified else CERTIFIED,
-            detail=detail,
-        )
-
-    report = classify(xf, horizon)
-    if report.case_hint == CASE_BOUNDED:
-        pairs, uncertified = _bounded_pairs(xf, report, depth_cap)
+        case = CASE_DYADIC
+        singles, uncertified, detail = _dyadic_singles(as_dyadic(xf), depth_cap)
+        status = UNDECIDED if uncertified else CERTIFIED
+    else:
+        report = classify(xf, horizon)
+        case = report.case_hint
+        if case == CASE_BOUNDED:
+            pairs, uncertified = _bounded_pairs(xf, report, depth_cap)
+        else:
+            singles, uncertified = _divergent_singles(xf, report, depth_cap)
+        status = CERTIFIED
         if pairs:
-            status = CERTIFIED
             detail = (
                 f"{len(pairs)} certificate pairs at thresholds "
                 f"{format_rat(report.running_min + SLOPE_MARGIN)} (LE) / "
                 f"{format_rat(report.running_min + 1 - SLOPE_MARGIN)} (GE)"
             )
+        elif singles:
+            detail = f"{len(singles)} one-sided certificates at growing thresholds"
         elif uncertified:
             status = UNDECIDED
             detail = f"qualifying indices {uncertified} did not certify"
         else:
             status = INSUFFICIENT_HORIZON
-            detail = "no qualifying minimum revisit below the horizon"
-        return RefutationEvidence(
-            x=xf,
-            horizon=horizon,
-            case_hint=report.case_hint,
-            pairs=tuple(pairs),
-            singles=(),
-            status=status,
-            detail=detail,
-        )
-
-    singles, uncertified = _divergent_singles(xf, report, depth_cap)
-    if singles:
-        status = CERTIFIED
-        detail = f"{len(singles)} one-sided certificates at growing thresholds"
-    elif uncertified:
-        status = UNDECIDED
-        detail = f"qualifying indices {uncertified} did not certify"
-    else:
-        status = INSUFFICIENT_HORIZON
-        detail = "no record-and-reversal index below the horizon"
+            detail = ("no qualifying minimum revisit below the horizon" if case == CASE_BOUNDED
+                      else "no record-and-reversal index below the horizon")
     return RefutationEvidence(
         x=xf,
         horizon=horizon,
-        case_hint=report.case_hint,
-        pairs=(),
+        case_hint=case,
+        pairs=tuple(pairs),
         singles=tuple(singles),
         status=status,
         detail=detail,

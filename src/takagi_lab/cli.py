@@ -3,16 +3,24 @@
 Subcommands map one-to-one onto library operations: ``eval``,
 ``enclose``, ``slopes``, ``neighbors``, ``measure``, ``lemma``,
 ``blowup``, ``classify``, ``refute``, ``sample`` and ``verify-all``.
+Each subcommand has one handler and takes only the shared flags that
+handler reads:
+
+* ``--format text|json``: every subcommand except ``sample``, which
+  always writes UTF-8 CSV with a header row;
+* ``--approx``: ``eval``, ``enclose``, ``measure`` and ``sample``; it
+  adds decimal convenience values that are explicitly non-authoritative;
+* ``--depth-cap``: ``lemma``, ``blowup``, ``refute`` and ``verify-all``,
+  the commands that escalate depth; without it ``TAKAGI_DEPTH_CAP``,
+  else 64, is the cap.
+
 All machine output is exact: JSON carries rationals as ``"p/q"``
-strings under a versioned ``"schema": "takagi-lab/1"`` key, CSV is
-UTF-8 with a header row.  The optional ``--approx`` flag adds decimal
-convenience values that are explicitly non-authoritative.
+strings under a versioned ``"schema": "takagi-lab/1"`` key.
 
 Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
 precondition errors, on a query over its cell budget and on a failed
-internal invariant, each reported as one ``error:`` line.
-``TAKAGI_DEPTH_CAP`` overrides the default depth cap of 64.  ``--jobs``
+internal invariant, each reported as one ``error:`` line.  ``--jobs``
 must be at least 1 and is clamped to the number of CPUs.
 """
 
@@ -27,8 +35,6 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, measure
@@ -62,17 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated inputs for one invocation."""
-
-    command: str
-    fmt: str
-    depth_cap: int
-    approx: bool
-    args: argparse.Namespace
-
-
 def _parse_dyadic(text: str) -> Dyadic:
     value = parse_rat(text)
     if not is_dyadic(value):
@@ -86,77 +81,88 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="takagi-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add(name, help_text):
+    def add(name, handler, help_text, *, fmt=True, approx=False, depth_cap=False):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                       default="text")
-        p.add_argument("--approx", action="store_true",
-                       help="add non-authoritative decimal values to the output")
-        p.add_argument("--depth-cap", type=int, default=None,
-                       help="override the depth cap (default from TAKAGI_DEPTH_CAP or 64)")
+        p.set_defaults(run=handler)
+        if fmt:
+            p.add_argument("--format", dest="fmt", choices=("text", "json"),
+                           default="text")
+        if approx:
+            p.add_argument("--approx", action="store_true",
+                           help="add non-authoritative decimal values to the output")
+        if depth_cap:
+            p.add_argument("--depth-cap", type=int, default=None,
+                           help="override the depth cap (default from TAKAGI_DEPTH_CAP or 64)")
         return p
 
-    p = add("eval", "exact T(x) at a dyadic point")
+    p = add("eval", _eval, "exact T(x) at a dyadic point", approx=True)
     p.add_argument("--x", required=True)
     p.add_argument("--classical", action="store_true",
                    help="include the distance-to-integers term")
 
-    p = add("enclose", "certified enclosure of T(x)")
+    p = add("enclose", _enclose, "certified enclosure of T(x)", approx=True)
     p.add_argument("--x", required=True)
     p.add_argument("--depth", type=int, default=64)
     p.add_argument("--classical", action="store_true")
 
-    p = add("slopes", "slope sums G_1'(x)..G_N'(x)")
+    p = add("slopes", _slopes, "slope sums G_1'(x)..G_N'(x)")
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True, help="horizon N")
 
-    p = add("neighbors", "level-n grid neighbours around x")
+    p = add("neighbors", _neighbors, "level-n grid neighbours around x")
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("measure", "certified measure bracket for a quotient level set")
+    p = add("measure", _measure, "certified measure bracket for a quotient level set",
+            approx=True)
     p.add_argument("--x", required=True)
     p.add_argument("--r", required=True, help="dyadic radius")
     p.add_argument("--alpha", required=True)
     p.add_argument("--dir", required=True, choices=("ge", "le"))
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("lemma", "certify the one-scale measure estimate at (x, n)")
+    p = add("lemma", _lemma, "certify the one-scale measure estimate at (x, n)",
+            depth_cap=True)
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("blowup", "certify the quotient blow-up at a dyadic point")
+    p = add("blowup", _blowup, "certify the quotient blow-up at a dyadic point",
+            depth_cap=True)
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("classify", "horizon evidence about the slope sums at x")
+    p = add("classify", _classify, "horizon evidence about the slope sums at x")
     p.add_argument("--x", required=True)
     p.add_argument("--n", "--N", dest="n", type=int, required=True, help="horizon N")
 
-    p = add("refute", "emit certificates against approximate derivability")
+    p = add("refute", _refute, "emit certificates against approximate derivability",
+            depth_cap=True)
     p.add_argument("--x", required=True)
     p.add_argument("--n", "--N", dest="n", type=int, default=20, help="horizon N")
 
-    p = add("sample", "CSV enclosure samples of T on [a, b]")
+    p = add("sample", _sample, "CSV enclosure samples of T on [a, b]",
+            fmt=False, approx=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--classical", action="store_true")
 
-    p = add("verify-all", "run a corpus of lemma/blowup checks")
+    p = add("verify-all", _verify_all, "run a corpus of lemma/blowup checks",
+            depth_cap=True)
     p.add_argument("--corpus", default=None, help="file with '<kind> <x> <n>' lines")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     return parser
 
 
-def _emit_json(command: str, result, approx_extra=None) -> str:
-    payload = {"schema": SCHEMA, "command": command,
-               "result": analysis.to_jsonable(result)}
-    if approx_extra is not None:
-        payload["approx"] = approx_extra
-    return json.dumps(payload, indent=2, sort_keys=False)
+def _emit_json(command: str, result, approx=None) -> str:
+    # a verify-all run is JSON-ready already and keeps its fields at the top level
+    body = result if command == "verify-all" else {"result": analysis.to_jsonable(result)}
+    payload = {"schema": SCHEMA, "command": command, **body}
+    if approx is not None:
+        payload["approx"] = approx
+    return json.dumps(payload, indent=2)
 
 
 def _text_lines(result) -> list[str]:
@@ -177,6 +183,22 @@ def _text_lines(result) -> list[str]:
     else:
         out.append(str(data))
     return out
+
+
+def _emit(args, result, *, text=_text_lines, approx=None) -> None:
+    """Print ``result``: the JSON envelope with ``--format json``, else ``text(result)``.
+
+    ``approx`` holds the non-authoritative decimals; only JSON carries them.
+    """
+    if args.fmt == "json":
+        print(_emit_json(args.command, result, approx))
+    else:
+        for line in text(result):
+            print(line)
+
+
+def _exit_code(status: str) -> int:
+    return 0 if status == measure.CERTIFIED else 2
 
 
 def sample_rows(a: Dyadic, b: Dyadic, count: int, depth: int,
@@ -240,144 +262,31 @@ def _worker_count(requested: int, entries: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, entries))
 
 
-def _verify_all(cfg: RunConfig) -> int:
-    if cfg.args.corpus is not None:
-        entries = _parse_corpus(Path(cfg.args.corpus).read_text(encoding="utf-8"))
+def _corpus_lines(outcome: dict) -> list[str]:
+    results = outcome["results"]
+    lines = [f"{r['index']:4d}  {r['kind']:6s}  x={r['x']:>10s}  "
+             f"n={r['n']:<3d}  {r['status']}" for r in results]
+    verdict = "all certified" if outcome["certified"] else "FAILURES PRESENT"
+    lines.append(f"{verdict} ({len(results)} entries)")
+    return lines
+
+
+def _verify_all(args) -> int:
+    depth_cap = _depth_cap(args.depth_cap)
+    if args.corpus is not None:
+        entries = _parse_corpus(Path(args.corpus).read_text(encoding="utf-8"))
     else:
         entries = _default_corpus()
-    jobs = [(i, kind, x, n, cfg.depth_cap)
-            for i, (kind, x, n) in enumerate(entries)]
-    workers = _worker_count(cfg.args.jobs, len(jobs))
+    jobs = [(i, kind, x, n, depth_cap) for i, (kind, x, n) in enumerate(entries)]
+    workers = _worker_count(args.jobs, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_corpus_entry, jobs))
     else:
         results = [_run_corpus_entry(job) for job in jobs]
-    results.sort(key=lambda item: item["index"])
-
     all_ok = all(r["status"] == measure.CERTIFIED for r in results)
-    if cfg.fmt == "json":
-        payload = {"schema": SCHEMA, "command": "verify-all",
-                   "certified": all_ok, "results": results}
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in results:
-            print(f"{r['index']:4d}  {r['kind']:6s}  x={r['x']:>10s}  "
-                  f"n={r['n']:<3d}  {r['status']}")
-        print(f"{'all certified' if all_ok else 'FAILURES PRESENT'} "
-              f"({len(results)} entries)")
+    _emit(args, {"certified": all_ok, "results": results}, text=_corpus_lines)
     return 0 if all_ok else 2
-
-
-# -- dispatch ---------------------------------------------------------
-
-def _dispatch(cfg: RunConfig) -> int:
-    args = cfg.args
-    command = cfg.command
-
-    if command == "eval":
-        x = parse_rat(args.x)
-        if not is_dyadic(x):
-            raise ValueError(f"{args.x!r} is not dyadic; use 'enclose' for general rationals")
-        value = takagi_exact(as_dyadic(x), classical=args.classical)
-        if cfg.fmt == "json":
-            extra = {"value": float(value.as_fraction())} if cfg.approx else None
-            print(_emit_json(command, {"x": x, "value": value}, extra))
-        else:
-            suffix = f"  (~{float(value.as_fraction())})" if cfg.approx else ""
-            print(f"{format_rat(value)}{suffix}")
-        return 0
-
-    if command == "enclose":
-        x = parse_rat(args.x)
-        enc = takagi_enclosure(x, args.depth, classical=args.classical)
-        result = {"x": x, "depth": args.depth, "lo": enc.lo, "hi": enc.hi}
-        if cfg.fmt == "json":
-            extra = {"mid": float((enc.lo + enc.hi) / 2)} if cfg.approx else None
-            print(_emit_json(command, result, extra))
-        else:
-            print(f"[{format_rat(enc.lo)}, {format_rat(enc.hi)}]")
-        return 0
-
-    if command == "slopes":
-        seq = slope_seq(parse_rat(args.x), args.n)
-        if cfg.fmt == "json":
-            print(_emit_json(command, seq))
-        else:
-            print(" ".join(str(v) for v in seq.values))
-        return 0
-
-    if command == "neighbors":
-        lo, hi = dyadic_neighbors(parse_rat(args.x), args.n)
-        if cfg.fmt == "json":
-            print(_emit_json(command, {"x_n": lo, "y_n": hi}))
-        else:
-            print(f"{format_rat(lo)} {format_rat(hi)}")
-        return 0
-
-    if command == "measure":
-        query = measure.QuotientQuery(
-            x=parse_rat(args.x),
-            r=_parse_dyadic(args.r),
-            alpha=parse_rat(args.alpha),
-            direction=measure.Dir.from_string(args.dir),
-            depth=args.depth,
-        )
-        left, right = measure.quotient_set_sides(query)
-        bound = left + right
-        result = {"query": query, "bound": bound, "left": left, "right": right}
-        if cfg.fmt == "json":
-            extra = ({"lo": float(bound.lo), "hi": float(bound.hi)}
-                     if cfg.approx else None)
-            print(_emit_json(command, result, extra))
-        else:
-            for line in _text_lines(result):
-                print(line)
-        return 0
-
-    if command == "lemma":
-        report = analysis.verify_lemma(parse_rat(args.x), args.n,
-                                       depth_cap=cfg.depth_cap)
-        _print_report(cfg, command, report)
-        return 0 if report.status == measure.CERTIFIED else 2
-
-    if command == "blowup":
-        report = analysis.blowup_check(_parse_dyadic(args.x), args.n,
-                                       depth_cap=cfg.depth_cap)
-        _print_report(cfg, command, report)
-        return 0 if report.status == measure.CERTIFIED else 2
-
-    if command == "classify":
-        report = analysis.classify(parse_rat(args.x), args.n)
-        _print_report(cfg, command, report)
-        return 0
-
-    if command == "refute":
-        evidence = analysis.refute(parse_rat(args.x), args.n,
-                                   depth_cap=cfg.depth_cap)
-        _print_report(cfg, command, evidence)
-        return 0 if evidence.status == measure.CERTIFIED else 2
-
-    if command == "sample":
-        rows = sample_rows(_parse_dyadic(args.a), _parse_dyadic(args.b),
-                           args.count, args.depth,
-                           approx=cfg.approx, classical=args.classical)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["y", "lo", "hi"] + (["approx"] if cfg.approx else []))
-        writer.writerows(rows)
-        sys.stdout.write(buffer.getvalue())
-        return 0
-
-    raise AssertionError(f"unhandled command {command}")
-
-
-def _print_report(cfg: RunConfig, command: str, report) -> None:
-    if cfg.fmt == "json":
-        print(_emit_json(command, report))
-    else:
-        for line in _text_lines(report):
-            print(line)
 
 
 def _depth_cap(flag: int | None) -> int:
@@ -393,26 +302,103 @@ def _depth_cap(flag: int | None) -> int:
         raise ValueError(f"TAKAGI_DEPTH_CAP must be an integer, got {text!r}") from None
 
 
+# -- subcommand handlers ----------------------------------------------
+
+def _eval(args) -> int:
+    x = parse_rat(args.x)
+    if not is_dyadic(x):
+        raise ValueError(f"{args.x!r} is not dyadic; use 'enclose' for general rationals")
+    value = takagi_exact(as_dyadic(x), classical=args.classical)
+    approx = {"value": float(value.as_fraction())} if args.approx else None
+    suffix = f"  (~{approx['value']})" if approx else ""
+    _emit(args, {"x": x, "value": value},
+          text=lambda _: [f"{format_rat(value)}{suffix}"], approx=approx)
+    return 0
+
+
+def _enclose(args) -> int:
+    x = parse_rat(args.x)
+    enc = takagi_enclosure(x, args.depth, classical=args.classical)
+    _emit(args, {"x": x, "depth": args.depth, "lo": enc.lo, "hi": enc.hi},
+          text=lambda _: [f"[{format_rat(enc.lo)}, {format_rat(enc.hi)}]"],
+          approx={"mid": float((enc.lo + enc.hi) / 2)} if args.approx else None)
+    return 0
+
+
+def _slopes(args) -> int:
+    _emit(args, slope_seq(parse_rat(args.x), args.n),
+          text=lambda seq: [" ".join(str(v) for v in seq.values)])
+    return 0
+
+
+def _neighbors(args) -> int:
+    lo, hi = dyadic_neighbors(parse_rat(args.x), args.n)
+    _emit(args, {"x_n": lo, "y_n": hi}, text=lambda _: [f"{format_rat(lo)} {format_rat(hi)}"])
+    return 0
+
+
+def _measure(args) -> int:
+    query = measure.QuotientQuery(
+        x=parse_rat(args.x),
+        r=_parse_dyadic(args.r),
+        alpha=parse_rat(args.alpha),
+        direction=measure.Dir.from_string(args.dir),
+        depth=args.depth,
+    )
+    left, right = measure.quotient_set_sides(query)
+    bound = left + right
+    _emit(args, {"query": query, "bound": bound, "left": left, "right": right},
+          approx={"lo": float(bound.lo), "hi": float(bound.hi)} if args.approx else None)
+    return 0
+
+
+def _lemma(args) -> int:
+    depth_cap = _depth_cap(args.depth_cap)
+    report = analysis.verify_lemma(parse_rat(args.x), args.n, depth_cap=depth_cap)
+    _emit(args, report)
+    return _exit_code(report.status)
+
+
+def _blowup(args) -> int:
+    depth_cap = _depth_cap(args.depth_cap)
+    report = analysis.blowup_check(_parse_dyadic(args.x), args.n, depth_cap=depth_cap)
+    _emit(args, report)
+    return _exit_code(report.status)
+
+
+def _classify(args) -> int:
+    _emit(args, analysis.classify(parse_rat(args.x), args.n))
+    return 0
+
+
+def _refute(args) -> int:
+    depth_cap = _depth_cap(args.depth_cap)
+    evidence = analysis.refute(parse_rat(args.x), args.n, depth_cap=depth_cap)
+    _emit(args, evidence)
+    return _exit_code(evidence.status)
+
+
+def _sample(args) -> int:
+    rows = sample_rows(_parse_dyadic(args.a), _parse_dyadic(args.b), args.count,
+                       args.depth, approx=args.approx, classical=args.classical)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["y", "lo", "hi"] + (["approx"] if args.approx else []))
+    writer.writerows(rows)
+    sys.stdout.write(buffer.getvalue())
+    return 0
+
+
 def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
-
-    try:
-        cfg = RunConfig(command=args.command, fmt=args.fmt,
-                        depth_cap=_depth_cap(args.depth_cap),
-                        approx=args.approx, args=args)
-        if args.command == "verify-all":
-            return _verify_all(cfg)
-        return _dispatch(cfg)
-    except (ValueError, RuntimeError, OSError) as exc:
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.run(args)
+    except (_UsageError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

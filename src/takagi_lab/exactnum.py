@@ -20,7 +20,6 @@ from fractions import Fraction
 __all__ = [
     "Rat",
     "Dyadic",
-    "canonicalize",
     "parse_rat",
     "format_rat",
     "is_dyadic",
@@ -248,11 +247,6 @@ class Dyadic:
 
     def __str__(self) -> str:
         return format_rat(self)
-
-
-def canonicalize(num: int, exp: int) -> Dyadic:
-    """Canonical Dyadic equal to ``num / 2**exp`` (``exp >= 0``)."""
-    return Dyadic(num, exp)
 
 
 def is_dyadic(x) -> bool:

@@ -50,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .exactnum import Dyadic, _to_fraction, is_dyadic
+from .exactnum import Dyadic, _to_fraction
 from .takagi import takagi_enclosure
 
 __all__ = [
@@ -76,7 +76,8 @@ DEFAULT_DEPTH_CAP = 64
 DEPTH_STEP = 4
 
 # Default cell budget per query: far above what any query near the level
-# line needs, while bounding the time of a pathological one.
+# line needs.  It bounds the cells a pathological query visits, not its
+# time: every cell carries integers of about n + 1 bits at depth n.
 BREAKPOINT_CAP = 1 << 24
 
 
@@ -223,12 +224,8 @@ def quotient_set_sides(
     n = q.depth
     tau = Fraction(1, 1 << (n + 1))
 
-    if is_dyadic(x):
-        enc = takagi_enclosure(x, 1)  # dyadic points collapse exactly
-        tx_lo = tx_hi = enc.lo
-    else:
-        enc = takagi_enclosure(x, n)
-        tx_lo, tx_hi = enc.lo, enc.hi
+    enc = takagi_enclosure(x, n)  # a point at dyadic x, at any depth
+    tx_lo, tx_hi = enc.lo, enc.hi
 
     (above_l, above_r), (below_l, below_r) = _band_measures(
         x, rf, n, q.alpha,
@@ -272,11 +269,11 @@ def certify_lower(
     target,
     *,
     depth0: int,
-    depth_step: int = DEPTH_STEP,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     max_breakpoints: int = BREAKPOINT_CAP,
 ) -> tuple[Fraction, int, str]:
-    """Escalate depth until the certified lower bound reaches ``target``.
+    """Escalate depth from ``depth0`` in steps of ``DEPTH_STEP`` until the
+    certified lower bound reaches ``target``.
 
     Returns ``(best_lo, depth_used, status)``, where ``depth_used`` is
     the depth of the last rung that ran to completion, or 0 when none
@@ -302,5 +299,5 @@ def certify_lower(
             best = mb.lo
         if best >= target:
             return best, depth, CERTIFIED
-        depth += depth_step
+        depth += DEPTH_STEP
     return best, depth_used, UNDECIDED

@@ -183,6 +183,28 @@ class TestRefute:
         assert evidence.status == INSUFFICIENT_HORIZON
         assert evidence.pairs == ()
 
+    @pytest.mark.parametrize("x, horizon, cap, expected", [
+        (F(1, 3), 12, 64, (CASE_BOUNDED, CERTIFIED,
+                           "6 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
+        (F(1, 3), 12, 1, (CASE_BOUNDED, UNDECIDED,
+                          "qualifying indices [2, 4, 6, 8, 10, 12] did not certify")),
+        (F(6, 11), 6, 64, (CASE_BOUNDED, INSUFFICIENT_HORIZON,
+                           "no qualifying minimum revisit below the horizon")),
+        (F(1, 7), 30, 64, (CASE_DIVERGENT, CERTIFIED,
+                           "10 one-sided certificates at growing thresholds")),
+        (F(1, 7), 30, 1, (CASE_DIVERGENT, UNDECIDED,
+                          "qualifying indices [2, 5, 8, 11, 14, 17, 20, 23, 26, 29]"
+                          " did not certify")),
+        (F(1, 7), 2, 64, (CASE_DIVERGENT, INSUFFICIENT_HORIZON,
+                          "no record-and-reversal index below the horizon")),
+        (F(1, 2), 5, 64, (CASE_DYADIC, CERTIFIED, "thresholds n - 0 for n = 1..8")),
+        (F(1, 2), 5, 1, (CASE_DYADIC, UNDECIDED,
+                         "blow-ups at n = [1, 2, 3, 4, 5, 6, 7, 8] did not certify")),
+    ])
+    def test_status_and_detail(self, x, horizon, cap, expected):
+        evidence = refute(x, horizon, depth_cap=cap)
+        assert (evidence.case_hint, evidence.status, evidence.detail) == expected
+
 
 class TestSerialization:
     def test_reports_round_trip_exactly(self):

@@ -35,6 +35,11 @@ class TestEval:
         code, _, err = invoke(capsys, "eval", "--x", "0.25")
         assert code == 1 and "exact rational" in err
 
+    def test_ignores_bad_depth_cap_env(self, capsys, monkeypatch):
+        # eval has no depth cap, so it must not read TAKAGI_DEPTH_CAP
+        monkeypatch.setenv("TAKAGI_DEPTH_CAP", "abc")
+        assert invoke(capsys, "eval", "--x", "1/4") == (0, "1/4\n", "")
+
 
 class TestEnclose:
     def test_brackets(self, capsys):
@@ -231,6 +236,13 @@ class TestSample:
         assert rows[1][0] == "1/3"
         assert parse_rat(rows[1][2]) - parse_rat(rows[1][1]) == F(1, 1 << 13)
 
+    def test_format_flag_rejected(self, capsys):
+        # sample always writes CSV; a --format it would ignore is a usage error
+        code, out, err = invoke(capsys, "sample", "--a", "0", "--b", "1",
+                                "--count", "3", "--format", "json")
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "--format" in err
+
 
 class TestVerifyAll:
     def test_corpus_file(self, capsys, tmp_path):
@@ -265,6 +277,13 @@ class TestVerifyAll:
                               "--depth-cap", "4", "--format", "json")
         assert code == 2
         assert json.loads(out)["certified"] is False
+
+    def test_text_summary_line(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("lemma 1/3 2\nblowup 1/2 3\n")
+        code, out, _ = invoke(capsys, "verify-all", "--corpus", str(corpus))
+        assert code == 0
+        assert out.splitlines()[-1] == "all certified (2 entries)"
 
     def test_malformed_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -310,12 +329,30 @@ class TestMachineOutputExactness:
         assert code == 0
         json.loads(out, parse_float=lambda s: pytest.fail(f"float in output: {s}"))
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (("lemma", "--x", "1/3", "--n", "2"),
+         "x: 1/3\nn: 2\nsign: 1\ndirection: le\nalpha: -3/5\nbound_required: 1/128\n"
+         "bound_certified: 18065/78848\ndepth_used: 10\nstatus: certified\n"),
+        (("neighbors", "--x", "5/7", "--n", "3", "--format", "json"),
+         '{\n  "schema": "takagi-lab/1",\n  "command": "neighbors",\n  "result": {\n'
+         '    "x_n": "5/8",\n    "y_n": "3/4"\n  }\n}\n'),
+        (("eval", "--x", "5/8", "--format", "json", "--approx"),
+         '{\n  "schema": "takagi-lab/1",\n  "command": "eval",\n  "result": {\n'
+         '    "x": "5/8",\n    "value": "1/4"\n  },\n  "approx": {\n    "value": 0.25\n'
+         '  }\n}\n'),
+        (("enclose", "--x", "1/3", "--depth", "8", "--format", "json", "--approx"),
+         '{\n  "schema": "takagi-lab/1",\n  "command": "enclose",\n  "result": {\n'
+         '    "x": "1/3",\n    "depth": 8,\n    "lo": "85/256",\n    "hi": "171/512"\n'
+         '  },\n  "approx": {\n    "mid": 0.3330078125\n  }\n}\n'),
+    ])
+    def test_exact_stdout(self, capsys, argv, stdout):
+        assert invoke(capsys, *argv) == (0, stdout, "")
+
 
 class TestParserReuse:
     MEASURE_USAGE = (
-        "usage: takagi-lab measure [-h] [--format {text,json,csv}] [--approx]\n"
-        "                          [--depth-cap DEPTH_CAP] --x X --r R --alpha ALPHA\n"
-        "                          --dir {ge,le} --depth DEPTH\n"
+        "usage: takagi-lab measure [-h] [--format {text,json}] [--approx] --x X --r R\n"
+        "                          --alpha ALPHA --dir {ge,le} --depth DEPTH\n"
         "error: the following arguments are required: --r\n"
     )
 
@@ -340,3 +377,11 @@ class TestUsage:
     def test_missing_argument(self, capsys):
         code, _, err = invoke(capsys, "lemma", "--x", "1/3")
         assert code == 1
+
+    def test_depth_cap_only_where_read(self, capsys):
+        # measure runs at the given --depth; a depth cap would be ignored
+        code, out, err = invoke(capsys, "measure", "--x", "1/3", "--r", "1/8",
+                                "--alpha", "1/2", "--dir", "ge", "--depth", "6",
+                                "--depth-cap", "4")
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "--depth-cap" in err

@@ -8,7 +8,6 @@ from takagi_lab.exactnum import (
     Dyadic,
     as_dyadic,
     bit_at,
-    canonicalize,
     dyadic_level,
     dyadic_neighbors,
     format_rat,
@@ -20,17 +19,17 @@ from takagi_lab.exactnum import (
 
 class TestCanonicalize:
     def test_examples(self):
-        assert canonicalize(4, 2) == Dyadic(1, 0)
-        assert canonicalize(6, 3) == Dyadic(3, 2)
-        assert canonicalize(0, 5) == Dyadic(0, 0)
+        assert Dyadic(4, 2) == Dyadic(1, 0)
+        assert Dyadic(6, 3) == Dyadic(3, 2)
+        assert Dyadic(0, 5) == Dyadic(0, 0)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            canonicalize(1, -1)
+            Dyadic(1, -1)
 
     @given(st.integers(-10**12, 10**12), st.integers(0, 80))
     def test_canonical_invariant(self, num, exp):
-        d = canonicalize(num, exp)
+        d = Dyadic(num, exp)
         assert d.exp == 0 or d.num % 2 == 1
         assert d.as_fraction() == F(num, 1 << exp)
 
@@ -151,7 +150,7 @@ class TestDyadicLevel:
 
     @given(st.integers(-10**6, 10**6), st.integers(0, 40))
     def test_level_characterisation(self, num, exp):
-        d = canonicalize(num, exp)
+        d = Dyadic(num, exp)
         m = dyadic_level(d) + 1
         assert (d.as_fraction() * (1 << m)).denominator == 1
         if m >= 1:
