@@ -250,7 +250,7 @@ def certificate(x, n: int, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> DensityCert
         r=r,
         alpha=report.alpha,
         direction=report.direction,
-        density_lo=report.bound_certified / (2 * r.as_fraction()),
+        density_lo=report.bound_certified / (2 * r),
     )
 
 
@@ -316,21 +316,18 @@ def blowup_check(x: Dyadic, n: int, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> Bl
     n of the first distance terms move and the supported threshold is
     n, not n + 2.
     """
-    if not isinstance(x, Dyadic):
-        x = as_dyadic(x)
     n0 = max(dyadic_level(x), 0)
     if n <= 2 * n0:
         raise ValueError(f"need n > {2 * n0} at {x} (level floor {n0})")
     threshold = n - 2 * n0
     r = Dyadic.pow2(-(n + 1))
     required = Fraction(1, 1 << (n + 2))
-    xf = x.as_fraction()
     depth0 = n + 4
     lo_ge, depth_ge, status_ge = certify_lower(
-        xf, r, Fraction(threshold), Dir.GE, required, depth0=depth0, depth_cap=depth_cap
+        x, r, Fraction(threshold), Dir.GE, required, depth0=depth0, depth_cap=depth_cap
     )
     lo_le, depth_le, status_le = certify_lower(
-        xf, r, Fraction(-threshold), Dir.LE, required, depth0=depth0, depth_cap=depth_cap
+        x, r, Fraction(-threshold), Dir.LE, required, depth0=depth0, depth_cap=depth_cap
     )
     return BlowupReport(
         x=x,
@@ -435,11 +432,11 @@ def _dyadic_singles(
     for n in range(first, first + _DYADIC_BLOWUPS):
         rep = blowup_check(x, n, depth_cap=depth_cap)
         cert = DensityCertificate(
-            x=x.as_fraction(),
+            x=x,
             r=rep.radius,
             alpha=Fraction(rep.threshold),
             direction=Dir.GE,
-            density_lo=rep.lo_one_sided / (2 * rep.radius.as_fraction()),
+            density_lo=rep.lo_one_sided / (2 * rep.radius),
         )
         singles.append(cert)
         if not _certified(cert):
@@ -509,10 +506,10 @@ def refute(
 def to_jsonable(obj):
     """Recursively convert reports to JSON-ready data.
 
-    Rationals (Fraction and Dyadic) become exact ``"p/q"`` strings;
+    Rationals (Fraction, Dyadic included) become exact ``"p/q"`` strings;
     no floats ever appear.
     """
-    if isinstance(obj, (Fraction, Dyadic)):
+    if isinstance(obj, Fraction):
         return format_rat(obj)
     if isinstance(obj, Enum):
         return obj.value

@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
 
     def add(name, handler, help_text, *, fmt=True, approx=False, depth_cap=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=handler)
+        p.set_defaults(run=handler, parser=p)
         if fmt:
             p.add_argument("--format", dest="fmt", choices=("text", "json"),
                            default="text")
@@ -308,8 +308,8 @@ def _eval(args) -> int:
     x = parse_rat(args.x)
     if not is_dyadic(x):
         raise ValueError(f"{args.x!r} is not dyadic; use 'enclose' for general rationals")
-    value = takagi_exact(as_dyadic(x), classical=args.classical)
-    approx = {"value": float(value.as_fraction())} if args.approx else None
+    value = takagi_exact(x, classical=args.classical)
+    approx = {"value": float(value)} if args.approx else None
     suffix = f"  (~{approx['value']})" if approx else ""
     _emit(args, {"x": x, "value": value},
           text=lambda _: [f"{format_rat(value)}{suffix}"], approx=approx)
@@ -393,7 +393,9 @@ def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # a flag the subcommand does not take: show that subcommand's usage
+            getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(extras)}")
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1

@@ -1,12 +1,15 @@
 """Exact arithmetic on binary grids.
 
-Everything downstream rests on two value types.  ``Rat`` is an alias for
-:class:`fractions.Fraction`: arbitrary-precision rationals in lowest
-terms.  ``Dyadic`` is the canonical form ``num / 2**exp`` with ``num``
-odd unless ``exp`` is zero; the level-n grid ``D_n = {k / 2**n : k in Z}``
-and the union ``D`` of all levels are the natural habitat of grid
-neighbours, radii and the cells of the measure kernel.  Dyadic values embed
-losslessly into ``Rat`` and mix freely with ``Fraction`` arithmetic.
+Everything downstream rests on one rational type.  ``Rat`` is an alias
+for :class:`fractions.Fraction`: arbitrary-precision rationals in lowest
+terms.  ``Dyadic`` is the ``Fraction`` subclass of values
+``num / 2**exp``, with ``num`` odd unless ``exp`` is zero, built from
+``(num, exp)``; the level-n grid ``D_n = {k / 2**n : k in Z}`` and the
+union ``D`` of all levels are the natural habitat of grid neighbours,
+radii and blow-up centres.  A ``Dyadic`` is a ``Fraction`` everywhere a
+``Fraction`` is accepted; ring arithmetic keeps dyadic results
+``Dyadic``, and division gives a plain ``Fraction``.  Kernels convert to
+plain ``Fraction`` (or to integers) at their entry.
 
 Rational text I/O is exact: ``"p/q"`` or ``"p"`` only.  Decimal and
 scientific notation are rejected rather than silently rounded.
@@ -55,214 +58,123 @@ def parse_rat(text: str) -> Fraction:
 
 def format_rat(value) -> str:
     """Render a rational (or Dyadic, or int) as ``"p/q"``, or ``"p"`` if integral."""
-    f = value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))
 
 
 def _to_fraction(x) -> Fraction:
-    """Coerce Dyadic/Fraction/int to Fraction; floats are refused."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, Dyadic):
-        return x.as_fraction()
-    if isinstance(x, int):
-        return Fraction(x)
+    """Coerce Dyadic/Fraction/int to a plain Fraction; floats are refused."""
+    if isinstance(x, (int, Fraction)):
+        return x if type(x) is Fraction else Fraction(x.numerator, x.denominator)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 
-class Dyadic:
-    """Canonical dyadic rational ``num / 2**exp``.
+def _closed(op):
+    """``Fraction`` operator ``op`` for exact operands, dyadic results as ``Dyadic``.
 
-    The constructor canonicalizes: trailing factors of two are moved
-    from ``num`` into ``exp`` so that ``num`` is odd or ``exp == 0``.
-    Instances are immutable, hashable (consistently with ``Fraction``),
-    totally ordered, and support exact ring arithmetic with ``Dyadic``,
-    ``int`` and ``Fraction`` operands.  Division is deliberately absent
-    (dyadics are not closed under it); use :meth:`as_fraction`.
+    Any other operand (a float, say) gets ``NotImplemented``, so Python
+    raises ``TypeError`` instead of rounding.
+    """
+    def wrapped(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        result = op(self, other)
+        return Dyadic.from_fraction(result) if is_dyadic(result) else result
+
+    return wrapped
+
+
+class Dyadic(Fraction):
+    """Dyadic rational ``num / 2**exp``, a ``Fraction`` with a power-of-two denominator.
+
+    ``Dyadic(num, exp)`` takes integers with ``exp >= 0``; the value is
+    kept in lowest terms, so ``num`` is odd unless ``exp == 0``.
+    Ordering, hashing, ``bool``, ``float`` and ``str`` are those of
+    ``Fraction``, and so is division, which returns a ``Fraction``.  Sums,
+    differences and products with ``int``, ``Fraction`` or ``Dyadic``
+    operands are ``Dyadic`` whenever the result is dyadic; float operands
+    raise ``TypeError``.
     """
 
-    __slots__ = ("_num", "_exp")
+    __slots__ = ()
 
-    def __init__(self, num: int, exp: int = 0):
+    def __new__(cls, num: int, exp: int = 0):
         if not isinstance(num, int) or not isinstance(exp, int):
             raise TypeError("Dyadic components must be integers")
         if exp < 0:
             raise ValueError("Dyadic exponent must be non-negative")
-        if num == 0:
-            exp = 0
-        else:
-            # strip common factors of two, but never push exp below 0
-            trailing = (num & -num).bit_length() - 1
-            shift = min(trailing, exp)
-            num >>= shift
-            exp -= shift
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_exp", exp)
+        return Fraction.__new__(cls, num, 1 << exp)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
+    # Fraction builds pickles, copies and from_float/from_decimal values as
+    # cls(numerator, denominator), which would read the denominator as an
+    # exponent here (and float comparisons go through from_float).
+    def __reduce__(self):
+        return type(self), (self.numerator, self.exp)
 
-    @property
-    def num(self) -> int:
-        return self._num
+    def __copy__(self, memo=None):
+        return self  # immutable, so the value is its own copy
+
+    __deepcopy__ = __copy__
+
+    num = Fraction.numerator  # odd unless exp == 0
 
     @property
     def exp(self) -> int:
-        return self._exp
-
-    @property
-    def numerator(self) -> int:
-        return self._num
-
-    @property
-    def denominator(self) -> int:
-        return 1 << self._exp
+        return self.denominator.bit_length() - 1
 
     @classmethod
     def pow2(cls, k: int) -> "Dyadic":
         """The value ``2**k`` for any integer ``k``."""
-        if k >= 0:
-            return cls(1 << k, 0)
-        return cls(1, -k)
+        return cls(1 << k) if k >= 0 else cls(1, -k)
+
+    @classmethod
+    def from_float(cls, f: float) -> "Dyadic":
+        return cls.from_fraction(Fraction.from_float(f))
+
+    @classmethod
+    def from_decimal(cls, dec) -> "Dyadic":
+        return cls.from_fraction(Fraction.from_decimal(dec))
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "Dyadic":
-        den = f.denominator
-        if den & (den - 1):
+        if not is_dyadic(f):
             raise ValueError(f"{f} is not a dyadic rational")
-        return cls(f.numerator, den.bit_length() - 1)
+        return cls(f.numerator, f.denominator.bit_length() - 1)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self._num, 1 << self._exp)
+        """The same value as a plain ``Fraction``."""
+        return Fraction(self.numerator, self.denominator)
 
     def is_integer(self) -> bool:
-        return self._exp == 0
+        return self.denominator == 1
 
     def scale2(self, k: int) -> "Dyadic":
         """Exact multiplication by ``2**k``."""
-        if k >= 0:
-            return Dyadic(self._num << k, self._exp)
-        return Dyadic(self._num, self._exp - k)
+        return self * self.pow2(k)
 
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Dyadic):
-            e = max(self._exp, other._exp)
-            return Dyadic(
-                (self._num << (e - self._exp)) + (other._num << (e - other._exp)), e
-            )
-        if isinstance(other, int):
-            return Dyadic(self._num + (other << self._exp), self._exp)
-        if isinstance(other, Fraction):
-            return self.as_fraction() + other
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (Dyadic, int, Fraction)):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (Dyadic, int, Fraction)):
-            return (-self) + other
-        return NotImplemented
+    __add__, __radd__ = _closed(Fraction.__add__), _closed(Fraction.__radd__)
+    __sub__, __rsub__ = _closed(Fraction.__sub__), _closed(Fraction.__rsub__)
+    __mul__, __rmul__ = _closed(Fraction.__mul__), _closed(Fraction.__rmul__)
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self._num, self._exp)
+        return Dyadic(-self.numerator, self.exp)
 
     def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self._num), self._exp)
-
-    def __mul__(self, other):
-        if isinstance(other, Dyadic):
-            return Dyadic(self._num * other._num, self._exp + other._exp)
-        if isinstance(other, int):
-            return Dyadic(self._num * other, self._exp)
-        if isinstance(other, Fraction):
-            return self.as_fraction() * other
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- comparisons ----------------------------------------------------
-
-    def _cmp_key(self, other):
-        if isinstance(other, Dyadic):
-            return self._num << other._exp, other._num << self._exp
-        if isinstance(other, int):
-            return self._num, other << self._exp
-        if isinstance(other, Fraction):
-            return (
-                self._num * other.denominator,
-                other.numerator << self._exp,
-            )
-        return None
-
-    def __eq__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] == key[1]
-
-    def __lt__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] < key[1]
-
-    def __le__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] <= key[1]
-
-    def __gt__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] > key[1]
-
-    def __ge__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] >= key[1]
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __bool__(self) -> bool:
-        return self._num != 0
-
-    def __float__(self) -> float:
-        return self._num / (1 << self._exp)
+        return Dyadic(abs(self.numerator), self.exp)
 
     def __repr__(self) -> str:
-        return f"Dyadic({self._num}, {self._exp})"
-
-    def __str__(self) -> str:
-        return format_rat(self)
+        return f"Dyadic({self.numerator}, {self.exp})"
 
 
 def is_dyadic(x) -> bool:
     """True iff ``x`` is a dyadic rational (denominator a power of two)."""
-    if isinstance(x, (Dyadic, int)):
-        return True
-    f = _to_fraction(x)
-    return not (f.denominator & (f.denominator - 1))
+    den = _to_fraction(x).denominator
+    return not den & (den - 1)
 
 
 def as_dyadic(x) -> Dyadic:
     """Convert a dyadic-valued Fraction/int to Dyadic; raise otherwise."""
     if isinstance(x, Dyadic):
         return x
-    if isinstance(x, int):
-        return Dyadic(x, 0)
     return Dyadic.from_fraction(_to_fraction(x))
 
 
@@ -304,8 +216,6 @@ def dyadic_neighbors(x, n: int) -> tuple[Dyadic, Dyadic]:
     return Dyadic(j, n), Dyadic(j + 1, n)
 
 
-def dyadic_level(x: Dyadic) -> int:
+def dyadic_level(x) -> int:
     """Smallest m with ``x`` in D_m, minus one.  Integers give -1."""
-    if not isinstance(x, Dyadic):
-        x = as_dyadic(x)
-    return x.exp - 1
+    return as_dyadic(x).exp - 1

@@ -220,7 +220,7 @@ def quotient_set_sides(
 ) -> tuple[MeasureBound, MeasureBound]:
     """Certified (left, right) half-window brackets for the query's set."""
     x = q.x
-    rf = q.r.as_fraction()
+    rf = _to_fraction(q.r)  # plain Fraction: no Dyadic reaches the cell loop
     n = q.depth
     tau = Fraction(1, 1 << (n + 1))
 
@@ -257,7 +257,7 @@ def density_bounds(
 ) -> tuple[Fraction, Fraction]:
     """The measure bracket divided by the window length 2r."""
     mb = quotient_set_bounds(q, max_breakpoints=max_breakpoints)
-    two_r = 2 * q.r.as_fraction()
+    two_r = 2 * q.r
     return mb.lo / two_r, mb.hi / two_r
 
 
@@ -289,7 +289,7 @@ def certify_lower(
     while depth <= depth_cap:
         try:
             mb = quotient_set_bounds(
-                QuotientQuery(_to_fraction(x), r, _to_fraction(alpha), direction, depth),
+                QuotientQuery(x, r, alpha, direction, depth),
                 max_breakpoints=max_breakpoints,
             )
         except BreakpointLimitError:

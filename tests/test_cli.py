@@ -242,6 +242,7 @@ class TestSample:
                                 "--count", "3", "--format", "json")
         assert code == 1 and out == ""
         assert err.count("error:") == 1 and "--format" in err
+        assert err.startswith("usage: takagi-lab sample")
 
 
 class TestVerifyAll:
@@ -344,6 +345,15 @@ class TestMachineOutputExactness:
          '{\n  "schema": "takagi-lab/1",\n  "command": "enclose",\n  "result": {\n'
          '    "x": "1/3",\n    "depth": 8,\n    "lo": "85/256",\n    "hi": "171/512"\n'
          '  },\n  "approx": {\n    "mid": 0.3330078125\n  }\n}\n'),
+        # reports whose x and radius fields are Dyadic, and CSV rows from Dyadic ends
+        (("blowup", "--x", "3/8", "--n", "5", "--format", "json"),
+         '{\n  "schema": "takagi-lab/1",\n  "command": "blowup",\n  "result": {\n'
+         '    "x": "3/8",\n    "n": 5,\n    "base_level": 2,\n    "threshold": 1,\n'
+         '    "radius": "1/64",\n    "bound_required": "1/128",\n    "lo_one_sided": "1/64",\n'
+         '    "lo_mirror": "1/64",\n    "lo_full": "1/32",\n    "depth_used": 9,\n'
+         '    "status": "certified"\n  }\n}\n'),
+        (("sample", "--a", "1/4", "--b", "1/2", "--count", "3", "--depth", "6"),
+         "y,lo,hi\n1/4,1/4,1/4\n3/8,1/4,1/4\n1/2,0,0\n"),
     ])
     def test_exact_stdout(self, capsys, argv, stdout):
         assert invoke(capsys, *argv) == (0, stdout, "")

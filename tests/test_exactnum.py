@@ -1,9 +1,13 @@
+import copy
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from takagi_lab.analysis import blowup_check
 from takagi_lab.exactnum import (
     Dyadic,
     as_dyadic,
@@ -72,6 +76,27 @@ class TestDyadicArithmetic:
             Dyadic(1, 0) + 0.5  # noqa: intentional type error
         with pytest.raises(TypeError):
             as_dyadic(0.5)
+
+
+class TestDyadicIsAFraction:
+    def test_pickle_and_copies_keep_value_and_type(self):
+        for d in (Dyadic(3, 2), Dyadic(0), Dyadic(-7, 5)):
+            for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+                assert type(clone) is Dyadic
+                assert (clone.num, clone.exp) == (d.num, d.exp)
+                assert clone == d
+        report = blowup_check(Dyadic(1, 2), 3)
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert isinstance(Dyadic(1, 1), F)
+        assert Dyadic(3, 2) / 3 == F(1, 4)
+
+    def test_float_comparisons_and_conversions_are_exact(self):
+        # Fraction compares with a float through from_float
+        assert Dyadic(1, 1) < 0.7 and Dyadic(1, 1) == 0.5 and not Dyadic(1, 1) == 0.3
+        for made in (Dyadic.from_float(-0.375), Dyadic.from_decimal(Decimal("-0.375"))):
+            assert type(made) is Dyadic and made == Dyadic(-3, 3)
+        with pytest.raises(ValueError):
+            Dyadic.from_decimal(Decimal("0.1"))
 
 
 class TestParseFormat:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import grid_measure_bracket
 from takagi_lab.exactnum import Dyadic
@@ -104,6 +105,41 @@ class TestSandwichAndMonotonicity:
             ge = quotient_set_bounds(q(F(2, 7), Dyadic(1, 4), alpha, Dir.GE, 10))
             le = quotient_set_bounds(q(F(2, 7), Dyadic(1, 4), alpha, Dir.LE, 10))
             assert ge.hi + le.hi >= F(1, 8)
+
+
+centres = st.one_of(
+    # dyadic, from coarse grids to level 6, negative ones included
+    st.builds(lambda num, exp: F(num, 1 << exp), st.integers(-64, 64), st.integers(0, 6)),
+    # non-dyadic (an odd denominator above 1 survives reduction), negative ones included
+    st.builds(lambda k, s, den: k + F(1 + s % (den - 1), den), st.integers(-6, 5),
+              st.integers(0, 95), st.sampled_from((3, 5, 7, 9, 11, 13, 21, 97))),
+)
+queries = st.builds(
+    q,
+    centres,
+    st.builds(Dyadic.pow2, st.integers(-6, -1)),
+    st.builds(F, st.integers(-40, 40), st.integers(1, 7)),
+    st.sampled_from(Dir),
+    st.integers(1, 13),
+)
+
+
+class TestBracketProperties:
+    # the host may change speed mid-run, so no per-example deadline
+    @settings(deadline=None, max_examples=300)
+    @given(queries)
+    def test_sides_sum_stay_in_window_and_nest(self, query):
+        two_r = 2 * query.r
+        previous = None
+        for depth in (query.depth, query.depth + 1, query.depth + 4):
+            deeper = q(query.x, query.r, query.alpha, query.direction, depth)
+            left, right = quotient_set_sides(deeper)
+            bound = quotient_set_bounds(deeper)
+            assert left + right == bound
+            assert 0 <= bound.lo <= bound.hi <= two_r
+            if previous is not None:
+                assert previous.lo <= bound.lo and bound.hi <= previous.hi
+            previous = bound
 
 
 class TestDensity:

@@ -1,0 +1,101 @@
+"""Byte-identity gate: do the benchmark ops print the same on REV as on this tree?
+
+Usage: python tools/same_output.py REV
+
+Exports REV with ``git archive`` into a temporary directory, generates
+every op of the three benchmark workloads for seeds 1-3 with
+``bench/workloads.generate`` (writing the corpus files they read), and
+runs each op through ``takagi_lab.cli.run`` in-process, once in a fresh
+interpreter per tree.  Prints every op whose (exit code, stdout, stderr)
+differs between REV and the working tree, and exits 1 if any does.
+Nothing under ``bench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+
+# Runs in a child interpreter with one tree's src/ on PYTHONPATH: reads a
+# JSON list of argvs on stdin, writes [code, stdout, stderr] for each.
+RUNNER = """
+import contextlib, io, json, sys
+from takagi_lab import cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    except Exception as exc:  # the traceback would name the tree, so keep the message
+        code = None
+        err.write(f"{type(exc).__name__}: {exc}")
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump({"module": cli.__file__, "results": results}, sys.stdout)
+"""
+
+
+def generate_ops(workdir: Path) -> list[tuple[str, int, int, list[str]]]:
+    """(workload, seed, index, argv) for every op, corpus files written under workdir."""
+    sys.dont_write_bytecode = True  # leave bench/ as it is
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import WORKLOADS, generate
+
+    ops = []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            opdir = workdir / f"{workload}-{seed}"
+            opdir.mkdir()
+            op_list, files = generate(workload, seed, str(opdir))
+            for name, text in files.items():
+                (opdir / name).write_text(text, encoding="utf-8")
+            ops.extend((workload, seed, i, op["argv"]) for i, op in enumerate(op_list))
+    return ops
+
+
+def run_tree(tree: Path, argvs: list[list[str]]) -> list[list]:
+    env = {key: value for key, value in os.environ.items() if key != "TAKAGI_DEPTH_CAP"}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1", COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", RUNNER], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, check=True)
+    payload = json.loads(proc.stdout)
+    if not Path(payload["module"]).resolve().is_relative_to(tree.resolve()):
+        raise SystemExit(f"{tree} ran takagi_lab from {payload['module']}")
+    return payload["results"]
+
+
+def main(rev: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        base.mkdir()
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        workdir = Path(tmp) / "work"
+        workdir.mkdir()
+        ops = generate_ops(workdir)
+        argvs = [argv for *_, argv in ops]
+        before, after = run_tree(base, argvs), run_tree(ROOT, argvs)
+    differing = 0
+    for (workload, seed, index, argv), old, new in zip(ops, before, after):
+        if old != new:
+            differing += 1
+            parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
+                     if a != b]
+            print(f"{workload} seed {seed} op {index}: {', '.join(parts)} differ: "
+                  f"takagi-lab {' '.join(argv)}")
+    print(f"{len(ops) - differing} of {len(ops)} ops identical to {rev}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    sys.exit(main(sys.argv[1]))
