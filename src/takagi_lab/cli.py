@@ -3,16 +3,15 @@
 Subcommands map one-to-one onto library operations: ``eval``,
 ``enclose``, ``slopes``, ``neighbors``, ``measure``, ``lemma``,
 ``blowup``, ``classify``, ``refute``, ``sample`` and ``verify-all``.
-Each subcommand has one handler and takes only the shared flags that
-handler reads:
+Each subcommand has one handler (``lemma`` and ``blowup`` share one)
+and takes only the shared flags that handler reads:
 
 * ``--format text|json``: every subcommand except ``sample``, which
   always writes UTF-8 CSV with a header row;
 * ``--approx``: ``eval``, ``enclose``, ``measure`` and ``sample``; it
   adds decimal convenience values that are explicitly non-authoritative;
 * ``--depth-cap``: ``lemma``, ``blowup``, ``refute`` and ``verify-all``,
-  the commands that escalate depth; without it ``TAKAGI_DEPTH_CAP``,
-  else 64, is the cap.
+  the commands that escalate depth; the cap is 64 without it.
 
 All machine output is exact: JSON carries rationals as ``"p/q"``
 strings under a versioned ``"schema": "takagi-lab/1"`` key.
@@ -20,8 +19,9 @@ strings under a versioned ``"schema": "takagi-lab/1"`` key.
 Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
 precondition errors, on a query over its cell budget and on a failed
-internal invariant, each reported as one ``error:`` line.  ``--jobs``
-must be at least 1 and is clamped to the number of CPUs.
+internal invariant, each reported as one ``error:`` line.
+``verify-all`` runs its entries in order in one process; its ``--jobs``
+must be 1.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ import csv
 import functools
 import io
 import json
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, measure
@@ -75,6 +73,17 @@ def _parse_dyadic(text: str) -> Dyadic:
     return as_dyadic(value)
 
 
+# check kind -> (centre parser, report function), for ``lemma``, ``blowup``
+# and corpus entries; ``analysis`` is looked up on each call, so a patched
+# or wrapped report function is the one that runs
+_CHECKS = {
+    "lemma": (parse_rat,
+              lambda x, n, cap: analysis.verify_lemma(x, n, depth_cap=cap)),
+    "blowup": (_parse_dyadic,
+               lambda x, n, cap: analysis.blowup_check(x, n, depth_cap=cap)),
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on the first ``run`` and reused after."""
@@ -91,8 +100,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--approx", action="store_true",
                            help="add non-authoritative decimal values to the output")
         if depth_cap:
-            p.add_argument("--depth-cap", type=int, default=None,
-                           help="override the depth cap (default from TAKAGI_DEPTH_CAP or 64)")
+            p.add_argument("--depth-cap", type=int, default=measure.DEFAULT_DEPTH_CAP,
+                           help="maximum escalation depth (default %(default)s)")
         return p
 
     p = add("eval", _eval, "exact T(x) at a dyadic point", approx=True)
@@ -121,12 +130,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--dir", required=True, choices=("ge", "le"))
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("lemma", _lemma, "certify the one-scale measure estimate at (x, n)",
+    p = add("lemma", _check, "certify the one-scale measure estimate at (x, n)",
             depth_cap=True)
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("blowup", _blowup, "certify the quotient blow-up at a dyadic point",
+    p = add("blowup", _check, "certify the quotient blow-up at a dyadic point",
             depth_cap=True)
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -151,14 +160,16 @@ def _build_parser() -> _Parser:
     p = add("verify-all", _verify_all, "run a corpus of lemma/blowup checks",
             depth_cap=True)
     p.add_argument("--corpus", default=None, help="file with '<kind> <x> <n>' lines")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="must be 1: corpus entries run in one process")
 
     return parser
 
 
 def _emit_json(command: str, result, approx=None) -> str:
-    # a verify-all run is JSON-ready already and keeps its fields at the top level
-    body = result if command == "verify-all" else {"result": analysis.to_jsonable(result)}
+    data = analysis.to_jsonable(result)
+    # a verify-all run keeps its fields at the top level
+    body = data if command == "verify-all" else {"result": data}
     payload = {"schema": SCHEMA, "command": command, **body}
     if approx is not None:
         payload["approx"] = approx
@@ -188,7 +199,8 @@ def _text_lines(result) -> list[str]:
 def _emit(args, result, *, text=_text_lines, approx=None) -> None:
     """Print ``result``: the JSON envelope with ``--format json``, else ``text(result)``.
 
-    ``approx`` holds the non-authoritative decimals; only JSON carries them.
+    ``approx`` holds the non-authoritative decimals: JSON carries them under
+    ``"approx"``, and each handler's text renderer shows them its own way.
     """
     if args.fmt == "json":
         print(_emit_json(args.command, result, approx))
@@ -223,43 +235,31 @@ def sample_rows(a: Dyadic, b: Dyadic, count: int, depth: int,
 
 # -- corpus runner ----------------------------------------------------
 
-def _parse_corpus(text: str) -> list[tuple[str, str, int]]:
+def _parse_corpus(text: str) -> list[tuple[int, str, str, object, int]]:
+    """``(line number, kind, x as written, parsed x, n)`` for each entry line."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 3 or parts[0] not in ("lemma", "blowup"):
-            raise ValueError(f"corpus line {lineno}: want '<lemma|blowup> <x> <n>'")
-        entries.append((parts[0], parts[1], int(parts[2])))
+        try:
+            if len(parts) != 3 or parts[0] not in _CHECKS:
+                raise ValueError("want '<lemma|blowup> <x> <n>'")
+            kind, x_text, n_text = parts
+            entries.append((lineno, kind, x_text, _CHECKS[kind][0](x_text), int(n_text)))
+        except ValueError as exc:
+            raise ValueError(f"corpus line {lineno}: {exc}") from None
     return entries
 
 
-def _default_corpus() -> list[tuple[str, str, int]]:
-    entries = [("lemma", format_rat(x), n)
-               for x in analysis.NONDYADIC_CORPUS for n in range(2, 6)]
+def _default_corpus() -> str:
+    lines = [f"lemma {format_rat(x)} {n}"
+             for x in analysis.NONDYADIC_CORPUS for n in range(2, 6)]
     for x in analysis.DYADIC_CORPUS:
         first = 2 * max(x.exp - 1, 0) + 1
-        entries.extend(("blowup", format_rat(x), n) for n in range(first, first + 4))
-    return entries
-
-
-def _run_corpus_entry(job: tuple[int, str, str, int, int]) -> dict:
-    index, kind, x_text, n, depth_cap = job
-    if kind == "lemma":
-        report = analysis.verify_lemma(parse_rat(x_text), n, depth_cap=depth_cap)
-    else:
-        report = analysis.blowup_check(_parse_dyadic(x_text), n, depth_cap=depth_cap)
-    return {"index": index, "kind": kind, "x": x_text, "n": n,
-            "status": report.status, "report": analysis.to_jsonable(report)}
-
-
-def _worker_count(requested: int, entries: int) -> int:
-    """Processes for a corpus run: ``--jobs``, clamped to the CPUs and entries."""
-    if requested < 1:
-        raise ValueError(f"--jobs must be at least 1, got {requested}")
-    return max(1, min(requested, os.cpu_count() or 1, entries))
+        lines.extend(f"blowup {format_rat(x)} {n}" for n in range(first, first + 4))
+    return "\n".join(lines)
 
 
 def _corpus_lines(outcome: dict) -> list[str]:
@@ -272,34 +272,23 @@ def _corpus_lines(outcome: dict) -> list[str]:
 
 
 def _verify_all(args) -> int:
-    depth_cap = _depth_cap(args.depth_cap)
+    if args.jobs != 1:
+        raise ValueError(f"--jobs must be 1 (entries run in one process), got {args.jobs}")
     if args.corpus is not None:
-        entries = _parse_corpus(Path(args.corpus).read_text(encoding="utf-8"))
+        text = Path(args.corpus).read_text(encoding="utf-8")
     else:
-        entries = _default_corpus()
-    jobs = [(i, kind, x, n, depth_cap) for i, (kind, x, n) in enumerate(entries)]
-    workers = _worker_count(args.jobs, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_corpus_entry, jobs))
-    else:
-        results = [_run_corpus_entry(job) for job in jobs]
+        text = _default_corpus()
+    results = []
+    for index, (lineno, kind, x_text, x, n) in enumerate(_parse_corpus(text)):
+        try:
+            report = _CHECKS[kind][1](x, n, args.depth_cap)
+        except ValueError as exc:
+            raise ValueError(f"corpus line {lineno}: {exc}") from None
+        results.append({"index": index, "kind": kind, "x": x_text, "n": n,
+                        "status": report.status, "report": report})
     all_ok = all(r["status"] == measure.CERTIFIED for r in results)
     _emit(args, {"certified": all_ok, "results": results}, text=_corpus_lines)
     return 0 if all_ok else 2
-
-
-def _depth_cap(flag: int | None) -> int:
-    """``--depth-cap`` if given, else ``TAKAGI_DEPTH_CAP``, else the default."""
-    if flag is not None:
-        return flag
-    text = os.environ.get("TAKAGI_DEPTH_CAP")
-    if text is None:
-        return measure.DEFAULT_DEPTH_CAP
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"TAKAGI_DEPTH_CAP must be an integer, got {text!r}") from None
 
 
 # -- subcommand handlers ----------------------------------------------
@@ -319,9 +308,11 @@ def _eval(args) -> int:
 def _enclose(args) -> int:
     x = parse_rat(args.x)
     enc = takagi_enclosure(x, args.depth, classical=args.classical)
+    approx = {"mid": float((enc.lo + enc.hi) / 2)} if args.approx else None
+    suffix = f"  (~{approx['mid']})" if approx else ""
     _emit(args, {"x": x, "depth": args.depth, "lo": enc.lo, "hi": enc.hi},
-          text=lambda _: [f"[{format_rat(enc.lo)}, {format_rat(enc.hi)}]"],
-          approx={"mid": float((enc.lo + enc.hi) / 2)} if args.approx else None)
+          text=lambda _: [f"[{format_rat(enc.lo)}, {format_rat(enc.hi)}]{suffix}"],
+          approx=approx)
     return 0
 
 
@@ -347,21 +338,17 @@ def _measure(args) -> int:
     )
     left, right = measure.quotient_set_sides(query)
     bound = left + right
+    approx = {"lo": float(bound.lo), "hi": float(bound.hi)} if args.approx else None
+    approx_lines = [f"approx.{key}: {value}" for key, value in (approx or {}).items()]
     _emit(args, {"query": query, "bound": bound, "left": left, "right": right},
-          approx={"lo": float(bound.lo), "hi": float(bound.hi)} if args.approx else None)
+          text=lambda report: _text_lines(report) + approx_lines, approx=approx)
     return 0
 
 
-def _lemma(args) -> int:
-    depth_cap = _depth_cap(args.depth_cap)
-    report = analysis.verify_lemma(parse_rat(args.x), args.n, depth_cap=depth_cap)
-    _emit(args, report)
-    return _exit_code(report.status)
-
-
-def _blowup(args) -> int:
-    depth_cap = _depth_cap(args.depth_cap)
-    report = analysis.blowup_check(_parse_dyadic(args.x), args.n, depth_cap=depth_cap)
+def _check(args) -> int:
+    """``lemma`` and ``blowup``: one check at (x, n), escalating up to the cap."""
+    parse, check = _CHECKS[args.command]
+    report = check(parse(args.x), args.n, args.depth_cap)
     _emit(args, report)
     return _exit_code(report.status)
 
@@ -372,8 +359,7 @@ def _classify(args) -> int:
 
 
 def _refute(args) -> int:
-    depth_cap = _depth_cap(args.depth_cap)
-    evidence = analysis.refute(parse_rat(args.x), args.n, depth_cap=depth_cap)
+    evidence = analysis.refute(parse_rat(args.x), args.n, depth_cap=args.depth_cap)
     _emit(args, evidence)
     return _exit_code(evidence.status)
 

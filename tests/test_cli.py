@@ -1,6 +1,10 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -141,23 +145,14 @@ class TestLemma:
         assert code == 2
         assert json.loads(out)["result"]["depth_used"] == 0
 
-    @pytest.mark.parametrize("value", ["abc", "", "4.5"])
-    def test_bad_depth_cap_env_is_one_line(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("TAKAGI_DEPTH_CAP", value)
-        code, out, err = invoke(capsys, "lemma", "--x", "1/3", "--n", "2")
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1 and "TAKAGI_DEPTH_CAP" in err
-
-    def test_depth_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TAKAGI_DEPTH_CAP", "4")
-        code, _, _ = invoke(capsys, "lemma", "--x", "1/3", "--n", "2")
-        assert code == 2
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TAKAGI_DEPTH_CAP", "4")
-        code, _, _ = invoke(capsys, "lemma", "--x", "1/3", "--n", "2",
-                            "--depth-cap", "64")
-        assert code == 0
+    def test_env_depth_cap_is_ignored(self, capsys, monkeypatch):
+        # --depth-cap is the only way to set the cap
+        argv = ("lemma", "--x", "1/3", "--n", "2")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        for value in ("4", "abc"):
+            monkeypatch.setenv("TAKAGI_DEPTH_CAP", value)
+            assert invoke(capsys, *argv) == (code, out, "")
 
 
 class TestOtherReports:
@@ -261,15 +256,13 @@ class TestVerifyAll:
         assert code == 0 and payload["certified"] is True
         assert [r["index"] for r in payload["results"]] == [0, 1, 2, 3]
 
-    def test_parallel_matches_serial(self, capsys, tmp_path):
+    def test_jobs_one_matches_default(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("lemma 1/3 2\nlemma 2/3 2\nblowup 1/2 2\nblowup 0 1\n")
-        code1, out1, _ = invoke(capsys, "verify-all", "--corpus", str(corpus),
-                                "--format", "json")
-        code2, out2, _ = invoke(capsys, "verify-all", "--corpus", str(corpus),
-                                "--jobs", "2", "--format", "json")
-        assert code1 == code2 == 0
-        assert json.loads(out1)["results"] == json.loads(out2)["results"]
+        plain = invoke(capsys, "verify-all", "--corpus", str(corpus), "--format", "json")
+        assert plain[0] == 0
+        assert invoke(capsys, "verify-all", "--corpus", str(corpus),
+                      "--jobs", "1", "--format", "json") == plain
 
     def test_failure_exit_code(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -292,9 +285,29 @@ class TestVerifyAll:
         code, _, err = invoke(capsys, "verify-all", "--corpus", str(corpus))
         assert code == 1 and "corpus line" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("lemma 1/3 abc", "invalid literal for int()"),
+        ("lemma 0.5 3", "not an exact rational"),
+        ("blowup 1/3 3", "is not dyadic"),
+        ("lemma 1/2 3", "the one-scale estimate needs a non-dyadic centre"),
+    ])
+    def test_bad_entry_names_its_line(self, capsys, tmp_path, monkeypatch, line, message):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"# kind x n\n{line}\nlemma 1/5 3\n")
+        ran = []
+        verify_lemma = analysis.verify_lemma
+        monkeypatch.setattr(analysis, "verify_lemma",
+                            lambda x, *a, **k: ran.append(x) or verify_lemma(x, *a, **k))
+        code, out, err = invoke(capsys, "verify-all", "--corpus", str(corpus))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: corpus line 2: ")
+        assert message in err
+        # a line that does not parse stops the run before any entry runs
+        assert ran == ([F(1, 2)] if line == "lemma 1/2 3" else [])
+
 
 class TestJobs:
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2", "4"])
     def test_below_one_rejected(self, capsys, tmp_path, jobs):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("lemma 1/3 2\n")
@@ -302,17 +315,6 @@ class TestJobs:
                                 "--jobs", jobs)
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "--jobs" in err
-
-    def test_clamped_to_cpus_and_entries(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        assert cli._worker_count(1000, 50) == 4
-        assert cli._worker_count(3, 50) == 3
-        assert cli._worker_count(1000, 2) == 2
-        assert cli._worker_count(1, 50) == 1
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._worker_count(8, 50) == 1
-        with pytest.raises(ValueError):
-            cli._worker_count(0, 50)
 
 
 class TestMachineOutputExactness:
@@ -354,6 +356,14 @@ class TestMachineOutputExactness:
          '    "status": "certified"\n  }\n}\n'),
         (("sample", "--a", "1/4", "--b", "1/2", "--count", "3", "--depth", "6"),
          "y,lo,hi\n1/4,1/4,1/4\n3/8,1/4,1/4\n1/2,0,0\n"),
+        # --approx in text mode: a suffix on enclose, trailing lines on measure
+        (("enclose", "--x", "1/3", "--depth", "8", "--approx"),
+         "[85/256, 171/512]  (~0.3330078125)\n"),
+        (("measure", "--x", "1/3", "--r", "1/4", "--alpha", "0", "--dir", "ge",
+          "--depth", "4", "--approx"),
+         "query.x: 1/3\nquery.r: 1/4\nquery.alpha: 0\nquery.direction: ge\nquery.depth: 4\n"
+         "bound.lo: 17/192\nbound.hi: 53/192\nleft.lo: 17/192\nleft.hi: 1/4\nright.lo: 0\n"
+         "right.hi: 5/192\napprox.lo: 0.08854166666666667\napprox.hi: 0.2760416666666667\n"),
     ])
     def test_exact_stdout(self, capsys, argv, stdout):
         assert invoke(capsys, *argv) == (0, stdout, "")
@@ -395,3 +405,15 @@ class TestUsage:
                                 "--depth-cap", "4")
         assert code == 1 and out == ""
         assert err.count("error:") == 1 and "--depth-cap" in err
+
+
+class TestImportCost:
+    def test_no_process_pool_imported(self):
+        # every launch imports the CLI; a process pool would pull in multiprocessing
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, takagi_lab.cli; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert proc.stdout == "[]\n"
