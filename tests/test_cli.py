@@ -145,14 +145,30 @@ class TestLemma:
         assert code == 2
         assert json.loads(out)["result"]["depth_used"] == 0
 
-    def test_env_depth_cap_is_ignored(self, capsys, monkeypatch):
-        # --depth-cap is the only way to set the cap
+    # --depth-cap is the only way to set the cap: TAKAGI_DEPTH_CAP is not read
+
+    @pytest.mark.parametrize("value", ["abc", "", "4.5"])
+    def test_bad_depth_cap_env_is_one_line(self, capsys, monkeypatch, value):
         argv = ("lemma", "--x", "1/3", "--n", "2")
+        expected = invoke(capsys, *argv)
+        assert expected[0] == 0 and expected[2] == ""
+        monkeypatch.setenv("TAKAGI_DEPTH_CAP", value)
+        assert invoke(capsys, *argv) == expected
+
+    def test_depth_cap_env(self, capsys, monkeypatch):
+        argv = ("lemma", "--x", "1/3", "--n", "2")
+        expected = invoke(capsys, *argv)
+        monkeypatch.setenv("TAKAGI_DEPTH_CAP", "4")
         code, out, err = invoke(capsys, *argv)
         assert code == 0 and err == ""
-        for value in ("4", "abc"):
-            monkeypatch.setenv("TAKAGI_DEPTH_CAP", value)
-            assert invoke(capsys, *argv) == (code, out, "")
+        assert (code, out, err) == expected
+
+    def test_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("TAKAGI_DEPTH_CAP", "64")
+        code, out, _ = invoke(capsys, "lemma", "--x", "1/3", "--n", "2",
+                              "--depth-cap", "4", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["result"]["status"] == "undecided"
 
 
 class TestOtherReports:
