@@ -3,7 +3,7 @@
 The package is organised bottom-up:
 
 * :mod:`takagi_lab.exactnum` -- exact dyadic/rational arithmetic and
-  binary-grid geometry (digits, neighbours, levels);
+  binary-grid geometry (neighbours, levels);
 * :mod:`takagi_lab.takagi` -- the function T, its partial sums and
   slope sums, exact values at dyadic points and enclosures elsewhere;
 * :mod:`takagi_lab.measure` -- certified two-sided bounds on measures
@@ -16,9 +16,7 @@ The package is organised bottom-up:
 
 from .exactnum import (
     Dyadic,
-    Rat,
     as_dyadic,
-    bit_at,
     dyadic_level,
     dyadic_neighbors,
     format_rat,
@@ -40,10 +38,8 @@ from .takagi import (
 from .measure import (
     BreakpointLimitError,
     Dir,
-    MeasureBound,
     QuotientQuery,
     certify_lower,
-    density_bounds,
     quotient_set_bounds,
     quotient_set_sides,
 )

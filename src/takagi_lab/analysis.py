@@ -257,11 +257,14 @@ def certificate(x, n: int, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> DensityCert
 def classify(x, N: int) -> ClassificationReport:
     """Slope-sum evidence at horizon N, with a case hint.
 
-    Dyadic points short-circuit.  Otherwise the hint is
-    ``bounded-oscillation`` when both running extrema stopped moving in
-    the first half of the horizon, else ``divergent``.
+    The horizon must be positive, at dyadic points too, which then
+    short-circuit.  Otherwise the hint is ``bounded-oscillation`` when
+    both running extrema stopped moving in the first half of the
+    horizon, else ``divergent``.
     """
     xf = _to_fraction(x)
+    if N < 1:
+        raise ValueError("horizon must be positive")
     if is_dyadic(xf):
         return ClassificationReport(
             x=xf,
@@ -465,13 +468,12 @@ def refute(
     xf = _to_fraction(x)
     pairs: list[CertificatePair] = []
     singles: list[DensityCertificate] = []
-    if is_dyadic(xf):
-        case = CASE_DYADIC
+    report = classify(xf, horizon)
+    case = report.case_hint
+    if case == CASE_DYADIC:
         singles, uncertified, detail = _dyadic_singles(as_dyadic(xf), depth_cap)
         status = UNDECIDED if uncertified else CERTIFIED
     else:
-        report = classify(xf, horizon)
-        case = report.case_hint
         if case == CASE_BOUNDED:
             pairs, uncertified = _bounded_pairs(xf, report, depth_cap)
         else:

@@ -18,8 +18,9 @@ strings under a versioned ``"schema": "takagi-lab/1"`` key.
 
 Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
-precondition errors, on a query over its cell budget and on a failed
-internal invariant, each reported as one ``error:`` line.
+precondition errors, on an integer argument too large to compute with,
+on a query over its cell budget and on a failed internal invariant,
+each reported as one ``error:`` line.
 ``verify-all`` runs its entries in order in one process; its ``--jobs``
 must be 1.
 """
@@ -142,12 +143,12 @@ def _build_parser() -> _Parser:
 
     p = add("classify", _classify, "horizon evidence about the slope sums at x")
     p.add_argument("--x", required=True)
-    p.add_argument("--n", "--N", dest="n", type=int, required=True, help="horizon N")
+    p.add_argument("--n", type=int, required=True, help="horizon N")
 
     p = add("refute", _refute, "emit certificates against approximate derivability",
             depth_cap=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--n", "--N", dest="n", type=int, default=20, help="horizon N")
+    p.add_argument("--n", type=int, default=20, help="horizon N")
 
     p = add("sample", _sample, "CSV enclosure samples of T on [a, b]",
             fmt=False, approx=True)
@@ -333,7 +334,7 @@ def _measure(args) -> int:
         x=parse_rat(args.x),
         r=_parse_dyadic(args.r),
         alpha=parse_rat(args.alpha),
-        direction=measure.Dir.from_string(args.dir),
+        direction=measure.Dir(args.dir),
         depth=args.depth,
     )
     left, right = measure.quotient_set_sides(query)
@@ -386,7 +387,7 @@ def run(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.run(args)
-    except (_UsageError, ValueError, RuntimeError, OSError) as exc:
+    except (_UsageError, ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """Exact arithmetic on binary grids.
 
-Everything downstream rests on one rational type.  ``Rat`` is an alias
-for :class:`fractions.Fraction`: arbitrary-precision rationals in lowest
+Everything downstream rests on one rational type,
+:class:`fractions.Fraction`: arbitrary-precision rationals in lowest
 terms.  ``Dyadic`` is the ``Fraction`` subclass of values
 ``num / 2**exp``, with ``num`` odd unless ``exp`` is zero, built from
 ``(num, exp)``; the level-n grid ``D_n = {k / 2**n : k in Z}`` and the
@@ -21,19 +21,15 @@ import re
 from fractions import Fraction
 
 __all__ = [
-    "Rat",
     "Dyadic",
     "parse_rat",
     "format_rat",
     "is_dyadic",
     "as_dyadic",
     "frac_part",
-    "bit_at",
     "dyadic_neighbors",
     "dyadic_level",
 ]
-
-Rat = Fraction
 
 _RAT_PATTERN = re.compile(r"\A[+-]?[0-9]+(?:\s*/\s*[0-9]+)?\Z")
 
@@ -144,13 +140,6 @@ class Dyadic(Fraction):
         """The same value as a plain ``Fraction``."""
         return Fraction(self.numerator, self.denominator)
 
-    def is_integer(self) -> bool:
-        return self.denominator == 1
-
-    def scale2(self, k: int) -> "Dyadic":
-        """Exact multiplication by ``2**k``."""
-        return self * self.pow2(k)
-
     __add__, __radd__ = _closed(Fraction.__add__), _closed(Fraction.__radd__)
     __sub__, __rsub__ = _closed(Fraction.__sub__), _closed(Fraction.__rsub__)
     __mul__, __rmul__ = _closed(Fraction.__mul__), _closed(Fraction.__rmul__)
@@ -182,20 +171,6 @@ def frac_part(x) -> Fraction:
     """``x`` reduced modulo 1 into ``[0, 1)``."""
     f = _to_fraction(x)
     return f - (f.numerator // f.denominator)
-
-
-def bit_at(x, k: int) -> int:
-    """The k-th binary digit of ``x``, i.e. ``floor(2**k * x) mod 2``.
-
-    Requires ``0 <= x < 1`` (reduce modulo 1 first; the grid-distance
-    functions are 1-periodic) and ``k >= 1``.
-    """
-    if k < 1:
-        raise ValueError("digit index starts at 1")
-    f = _to_fraction(x)
-    if not 0 <= f < 1:
-        raise ValueError(f"binary digits are defined on [0, 1): got {f}")
-    return ((f.numerator << k) // f.denominator) & 1
 
 
 def dyadic_neighbors(x, n: int) -> tuple[Dyadic, Dyadic]:

@@ -33,10 +33,11 @@ integer: cell index, and ``D*(G_m - line)`` at the cell ends for one
 common denominator D.  The depth-first stack holds at most one pending
 cell per level, so memory does not grow with the window.
 
-``max_breakpoints`` caps the number of cells one query may visit (both
+``BREAKPOINT_CAP`` caps the number of cells one query may visit (both
 sets together); a query over the cap raises
 :class:`BreakpointLimitError`, which :func:`certify_lower` turns into an
-undecided outcome.
+undecided outcome.  Brackets are :class:`~takagi_lab.takagi.Enclosure`
+values, the same type that encloses T(x).
 
 The punctured centre point and interval endpoints are measure zero and
 are handled with closed intervals throughout.  Radii are restricted to
@@ -51,7 +52,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from .exactnum import Dyadic, _to_fraction
-from .takagi import takagi_enclosure
+from .takagi import Enclosure, takagi_enclosure
 
 __all__ = [
     "BREAKPOINT_CAP",
@@ -62,10 +63,8 @@ __all__ = [
     "DEPTH_STEP",
     "Dir",
     "QuotientQuery",
-    "MeasureBound",
     "quotient_set_bounds",
     "quotient_set_sides",
-    "density_bounds",
     "certify_lower",
 ]
 
@@ -75,9 +74,9 @@ UNDECIDED = "undecided"
 DEFAULT_DEPTH_CAP = 64
 DEPTH_STEP = 4
 
-# Default cell budget per query: far above what any query near the level
-# line needs.  It bounds the cells a pathological query visits, not its
-# time: every cell carries integers of about n + 1 bits at depth n.
+# Cell budget per query: far above what any query near the level line
+# needs.  It bounds the cells a pathological query visits, not its time:
+# every cell carries integers of about n + 1 bits at depth n.
 BREAKPOINT_CAP = 1 << 24
 
 
@@ -90,13 +89,6 @@ class Dir(str, Enum):
 
     GE = "ge"
     LE = "le"
-
-    @classmethod
-    def from_string(cls, text: str) -> "Dir":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"direction must be 'ge' or 'le', got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -122,24 +114,8 @@ class QuotientQuery:
             raise ValueError("depth must be positive")
 
 
-@dataclass(frozen=True)
-class MeasureBound:
-    """Certified bracket [lo, hi] around a true Lebesgue measure."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"crossed measure bound: {self.lo} > {self.hi}")
-
-    def __add__(self, other: "MeasureBound") -> "MeasureBound":
-        """Bracket for the measure of a disjoint union."""
-        return MeasureBound(self.lo + other.lo, self.hi + other.hi)
-
-
-def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction, bands,
-                   max_cells: int) -> list[tuple[Fraction, Fraction]]:
+def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
+                   bands) -> list[tuple[Fraction, Fraction]]:
     """(left, right) measures of ``{y : G_n(y) >= c + alpha*y}`` per band.
 
     ``bands`` holds ``(c, ge)`` pairs; ``ge=False`` asks for ``<=``.
@@ -156,6 +132,7 @@ def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction, bands,
     # cells within these bounds lie in one half of the window
     left_in, right_in = (ceil(lo), floor(mid)), (ceil(mid), floor(hi))
     roots = range(a >> n, -(-b >> n))  # the level-0 cells meeting the window
+    max_cells = BREAKPOINT_CAP  # read per query, so a patched cap applies
     over_budget = BreakpointLimitError(
         f"depth-{n} query at x={x} needs more than {max_cells} cells"
     )
@@ -215,9 +192,7 @@ def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction, bands,
     return out
 
 
-def quotient_set_sides(
-    q: QuotientQuery, *, max_breakpoints: int = BREAKPOINT_CAP
-) -> tuple[MeasureBound, MeasureBound]:
+def quotient_set_sides(q: QuotientQuery) -> tuple[Enclosure, Enclosure]:
     """Certified (left, right) half-window brackets for the query's set."""
     x = q.x
     rf = _to_fraction(q.r)  # plain Fraction: no Dyadic reaches the cell loop
@@ -235,30 +210,18 @@ def quotient_set_sides(
             # {y : G_n(y) + tau <= Tx_lo + alpha*(y - x)}  — optimistic upper line
             (tx_lo - q.alpha * x - tau, False),
         ),
-        max_breakpoints,
     )
     if q.direction is Dir.GE:
         in_r, out_r, in_l, out_l = above_r, below_r, below_l, above_l
     else:
         in_r, out_r, in_l, out_l = below_r, above_r, above_l, below_l
-    return MeasureBound(in_l, rf - out_l), MeasureBound(in_r, rf - out_r)
+    return Enclosure(in_l, rf - out_l), Enclosure(in_r, rf - out_r)
 
 
-def quotient_set_bounds(
-    q: QuotientQuery, *, max_breakpoints: int = BREAKPOINT_CAP
-) -> MeasureBound:
+def quotient_set_bounds(q: QuotientQuery) -> Enclosure:
     """Certified bracket for the measure of the query's level set."""
-    left, right = quotient_set_sides(q, max_breakpoints=max_breakpoints)
+    left, right = quotient_set_sides(q)
     return left + right
-
-
-def density_bounds(
-    q: QuotientQuery, *, max_breakpoints: int = BREAKPOINT_CAP
-) -> tuple[Fraction, Fraction]:
-    """The measure bracket divided by the window length 2r."""
-    mb = quotient_set_bounds(q, max_breakpoints=max_breakpoints)
-    two_r = 2 * q.r
-    return mb.lo / two_r, mb.hi / two_r
 
 
 def certify_lower(
@@ -270,7 +233,6 @@ def certify_lower(
     *,
     depth0: int,
     depth_cap: int = DEFAULT_DEPTH_CAP,
-    max_breakpoints: int = BREAKPOINT_CAP,
 ) -> tuple[Fraction, int, str]:
     """Escalate depth from ``depth0`` in steps of ``DEPTH_STEP`` until the
     certified lower bound reaches ``target``.
@@ -288,10 +250,7 @@ def certify_lower(
     depth_used = 0
     while depth <= depth_cap:
         try:
-            mb = quotient_set_bounds(
-                QuotientQuery(x, r, alpha, direction, depth),
-                max_breakpoints=max_breakpoints,
-            )
+            mb = quotient_set_bounds(QuotientQuery(x, r, alpha, direction, depth))
         except BreakpointLimitError:
             break
         depth_used = depth

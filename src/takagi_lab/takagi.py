@@ -46,7 +46,7 @@ DEFAULT_DEPTH = 64
 
 @dataclass(frozen=True)
 class Enclosure:
-    """Certified interval [lo, hi] containing a real value."""
+    """Certified interval [lo, hi] containing a real value (T(x), or a measure)."""
 
     lo: Fraction
     hi: Fraction
@@ -60,6 +60,10 @@ class Enclosure:
 
     def __contains__(self, value) -> bool:
         return self.lo <= value <= self.hi
+
+    def __add__(self, other: "Enclosure") -> "Enclosure":
+        """Bracket for the measure of a disjoint union."""
+        return Enclosure(self.lo + other.lo, self.hi + other.hi)
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,9 @@ from takagi_lab.measure import (
     BREAKPOINT_CAP,
     BreakpointLimitError,
     Dir,
-    MeasureBound,
     QuotientQuery,
 )
-from takagi_lab.takagi import G, takagi_enclosure
+from takagi_lab.takagi import Enclosure, G, takagi_enclosure
 
 
 def brute_g(k: int, x: Fraction) -> Fraction:
@@ -424,7 +423,7 @@ def _window_plf(x: Fraction, rf: Fraction, depth: int, max_breakpoints: int):
 
 def uniform_quotient_set_sides(
     q: QuotientQuery, *, max_breakpoints: int = BREAKPOINT_CAP
-) -> tuple[MeasureBound, MeasureBound]:
+) -> tuple[Enclosure, Enclosure]:
     """Certified (left, right) half-window brackets, by the uniform engine."""
     x = q.x
     rf = q.r.as_fraction()
@@ -453,6 +452,6 @@ def uniform_quotient_set_sides(
         in_r, out_r = below.clip(*right), above.clip(*right)
         in_l, out_l = above.clip(*left), below.clip(*left)
 
-    left_bound = MeasureBound(in_l.measure(), rf - out_l.measure())
-    right_bound = MeasureBound(in_r.measure(), rf - out_r.measure())
+    left_bound = Enclosure(in_l.measure(), rf - out_l.measure())
+    right_bound = Enclosure(in_r.measure(), rf - out_r.measure())
     return left_bound, right_bound

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -93,8 +92,7 @@ class TestMeasure:
         assert parse_rat(payload["result"]["bound"]["lo"]) >= F(1, 128)
 
     def test_cell_budget_exhausted_is_one_line(self, capsys, monkeypatch):
-        tiny = functools.partial(measure.quotient_set_sides, max_breakpoints=3)
-        monkeypatch.setattr(measure, "quotient_set_sides", tiny)
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
         code, out, err = invoke(
             capsys, "measure", "--x", "1/3", "--r", "1/8", "--alpha", "1/2",
             "--dir", "ge", "--depth", "20",
@@ -209,6 +207,14 @@ class TestOtherReports:
         code, out, err = invoke(capsys, "refute", "--x", "1/3", "--n", "6")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "unexpected certificate directions" in err
+
+    @pytest.mark.parametrize("command", ["classify", "refute"])
+    @pytest.mark.parametrize("x", ["1/2", "1/3"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_horizon_must_be_positive(self, capsys, command, x, n):
+        # at a dyadic point as at any other
+        code, out, err = invoke(capsys, command, "--x", x, "--n", n)
+        assert (code, out, err) == (1, "", "error: horizon must be positive\n")
 
     def test_refute_insufficient_horizon(self, capsys):
         code, out, _ = invoke(capsys, "refute", "--x", "1/3", "--n", "1",
@@ -413,6 +419,30 @@ class TestUsage:
     def test_missing_argument(self, capsys):
         code, _, err = invoke(capsys, "lemma", "--x", "1/3")
         assert code == 1
+
+    def test_horizon_has_one_spelling(self, capsys):
+        code, out, err = invoke(capsys, "classify", "--x", "1/3", "--N", "4")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: takagi-lab classify") and err.count("error:") == 1
+
+    def test_direction_is_lower_case(self, capsys):
+        code, out, err = invoke(capsys, "measure", "--x", "1/3", "--r", "1/8",
+                                "--alpha", "1/2", "--dir", "GE", "--depth", "4")
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "invalid choice: 'GE'" in err
+
+    # 2**70: a shift by it overflows at once, where a loop over it would never end
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--x", "1/3", "--r", "1/8", "--alpha", "1/2", "--dir", "ge",
+         "--depth", str(1 << 70)],
+        ["neighbors", "--x", "1/3", "--n", str(1 << 70)],
+        ["lemma", "--x", "1/3", "--n", str(1 << 70)],
+        ["blowup", "--x", "1/2", "--n", str(1 << 70)],
+    ])
+    def test_huge_integer_is_one_line(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_depth_cap_only_where_read(self, capsys):
         # measure runs at the given --depth; a depth cap would be ignored

@@ -11,7 +11,6 @@ from takagi_lab.analysis import blowup_check
 from takagi_lab.exactnum import (
     Dyadic,
     as_dyadic,
-    bit_at,
     dyadic_level,
     dyadic_neighbors,
     format_rat,
@@ -68,8 +67,6 @@ class TestDyadicArithmetic:
     def test_scaling_and_pow2(self):
         assert Dyadic.pow2(-3) == F(1, 8)
         assert Dyadic.pow2(2) == 4
-        assert Dyadic(3, 2).scale2(3) == 6
-        assert Dyadic(3, 2).scale2(-1) == F(3, 8)
 
     def test_floats_refused(self):
         with pytest.raises(TypeError):
@@ -115,27 +112,6 @@ class TestParseFormat:
     def test_dyadic_formats_like_rational(self):
         assert format_rat(Dyadic(3, 2)) == "3/4"
         assert format_rat(Dyadic(5, 0)) == "5"
-
-
-class TestBitAt:
-    def test_examples(self):
-        assert bit_at(F(1, 3), 1) == 0
-        assert bit_at(F(1, 3), 2) == 1
-        assert bit_at(F(1, 4), 2) == 1
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            bit_at(F(4, 3), 1)
-        with pytest.raises(ValueError):
-            bit_at(F(-1, 3), 1)
-        with pytest.raises(ValueError):
-            bit_at(F(1, 3), 0)
-
-    @given(st.integers(1, 997), st.integers(2, 997), st.integers(1, 60))
-    def test_digits_reconstruct_the_number(self, p, q, K):
-        x = F(p % q, q)
-        partial = sum(F(bit_at(x, k), 1 << k) for k in range(1, K + 1))
-        assert 0 <= x - partial < F(1, 1 << K)
 
 
 class TestNeighbors:

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import grid_measure_bracket
+from takagi_lab import measure
 from takagi_lab.exactnum import Dyadic
 from takagi_lab.measure import (
     CERTIFIED,
     UNDECIDED,
     BreakpointLimitError,
     Dir,
-    MeasureBound,
     QuotientQuery,
     certify_lower,
-    density_bounds,
     quotient_set_bounds,
     quotient_set_sides,
 )
@@ -33,10 +32,7 @@ class TestQueryValidation:
         with pytest.raises(TypeError):
             q(F(1, 2), F(1, 16), F(1), Dir.GE, 4)
         with pytest.raises(ValueError):
-            MeasureBound(F(1), F(0))
-        assert Dir.from_string("GE") is Dir.GE
-        with pytest.raises(ValueError):
-            Dir.from_string("above")
+            Dir("above")
 
 
 class TestBlowupInstance:
@@ -143,16 +139,16 @@ class TestBracketProperties:
 
 
 class TestDensity:
+    # the measure bracket over the window length 2r
     def test_full_window(self):
-        lo_density, hi_density = density_bounds(
-            q(F(1, 3), Dyadic(1, 3), F(-(1 << 40)), Dir.GE, 8)
-        )
-        assert hi_density == 1
-        assert lo_density > F(999, 1000)
+        query = q(F(1, 3), Dyadic(1, 3), F(-(1 << 40)), Dir.GE, 8)
+        bound = quotient_set_bounds(query)
+        assert bound.hi == 2 * query.r
+        assert bound.lo > F(999, 1000) * 2 * query.r
 
     def test_blowup_density(self):
-        lo_density, _ = density_bounds(q(F(1, 2), Dyadic(1, 4), F(3), Dir.GE, 8))
-        assert lo_density == F(1, 2)
+        bound = quotient_set_bounds(q(F(1, 2), Dyadic(1, 4), F(3), Dir.GE, 8))
+        assert bound.lo == F(1, 16)  # half of the window 2r = 1/8
 
 
 class TestEscalation:
@@ -169,25 +165,27 @@ class TestEscalation:
         )
         assert status == UNDECIDED and lo < 2
 
-    def test_budget_exhaustion_is_undecided(self):
+    def test_budget_exhaustion_is_undecided(self, monkeypatch):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2000)
         lo, _, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2),
-            depth0=6, depth_cap=64, max_breakpoints=2000,
+            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth0=6, depth_cap=64
         )
         assert status == UNDECIDED
 
 
-def cells_needed(query):
+def cells_needed(query, monkeypatch):
     """Smallest cell budget under which the query completes."""
     lo, hi = 1, 1 << 16
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            quotient_set_bounds(query, max_breakpoints=mid)
-        except BreakpointLimitError:
-            lo = mid + 1
-        else:
-            hi = mid
+    with monkeypatch.context() as patch:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            patch.setattr(measure, "BREAKPOINT_CAP", mid)
+            try:
+                quotient_set_bounds(query)
+            except BreakpointLimitError:
+                lo = mid + 1
+            else:
+                hi = mid
     return lo
 
 
@@ -196,34 +194,39 @@ class TestCellBudget:
     def query(self, depth):
         return q(F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, depth)
 
-    def test_tiny_budget_raises(self):
+    def test_tiny_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
         with pytest.raises(BreakpointLimitError):
-            quotient_set_bounds(self.query(10), max_breakpoints=3)
+            quotient_set_bounds(self.query(10))
         with pytest.raises(BreakpointLimitError):
-            quotient_set_sides(self.query(10), max_breakpoints=3)
+            quotient_set_sides(self.query(10))
 
-    def test_depth_64_fits_a_small_budget(self):
+    def test_depth_64_fits_a_small_budget(self, monkeypatch):
         # the uniform engine would need 2**65 breakpoints here
-        bound = quotient_set_bounds(self.query(64), max_breakpoints=2000)
+        with monkeypatch.context() as patch:
+            patch.setattr(measure, "BREAKPOINT_CAP", 2000)
+            bound = quotient_set_bounds(self.query(64))
         assert bound.lo >= F(1, 128)
         assert bound == quotient_set_bounds(self.query(64))
 
-    def test_exhausted_budget_reports_last_completed_rung(self):
-        budget = cells_needed(self.query(10))
-        assert cells_needed(self.query(14)) > budget
-        lo, depth_used, status = certify_lower(
-            F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(2),
-            depth0=10, depth_cap=64, max_breakpoints=budget,
-        )
+    def test_exhausted_budget_reports_last_completed_rung(self, monkeypatch):
+        budget = cells_needed(self.query(10), monkeypatch)
+        assert cells_needed(self.query(14), monkeypatch) > budget
+        with monkeypatch.context() as patch:
+            patch.setattr(measure, "BREAKPOINT_CAP", budget)
+            lo, depth_used, status = certify_lower(
+                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(2), depth0=10, depth_cap=64
+            )
         assert status == UNDECIDED
         assert depth_used == 10
         assert lo == quotient_set_bounds(self.query(10)).lo
 
-    def test_no_rung_completed_reports_depth_zero(self):
-        assert certify_lower(
-            F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128),
-            depth0=10, max_breakpoints=3,
-        ) == (0, 0, UNDECIDED)
+    def test_no_rung_completed_reports_depth_zero(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(measure, "BREAKPOINT_CAP", 3)
+            assert certify_lower(
+                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128), depth0=10
+            ) == (0, 0, UNDECIDED)
         assert certify_lower(
             F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128),
             depth0=10, depth_cap=9,
