@@ -14,7 +14,9 @@ function T:
   g_n'(x) = -1).  Certification runs the measure engine with depth
   escalation: the 2/5 margin is exactly tight against worst-case
   tails (6/15), so the engine needs the real tail's slack, which only
-  appears at higher depth.
+  appears at higher depth.  The ladder starts at depth ``n + 8`` and
+  climbs at most ``measure.DEPTH_SPAN`` above it, so its bound moves
+  with the scale and every n gets the same five rungs.
 * :func:`refute` packages such certificates into horizon-N evidence:
   for slope sums oscillating on a bounded range it emits LE/GE pairs
   whose thresholds differ by exactly 1/5 with densities >= 2**-6 on
@@ -39,13 +41,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .exactnum import Dyadic, as_dyadic, dyadic_level, format_rat, is_dyadic, _to_fraction
-from .measure import (
-    CERTIFIED,
-    DEFAULT_DEPTH_CAP,
-    Dir,
-    UNDECIDED,
-    certify_lower,
-)
+from .measure import CERTIFIED, Dir, UNDECIDED, certify_lower
 from .takagi import SlopeSeq, slope, slope_seq, slope_sum
 
 __all__ = [
@@ -192,18 +188,13 @@ class RefutationEvidence:
     detail: str = ""
 
 
-def verify_lemma(
-    x,
-    n: int,
-    *,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> LemmaReport:
+def verify_lemma(x, n: int) -> LemmaReport:
     """Certify the one-scale measure estimate at (x, n).
 
     Runs the LE query at ``G_{n-1}'(x) + 2/5`` when ``g_n'(x) = +1``,
     the GE query at ``G_{n-1}'(x) - 2/5`` when ``g_n'(x) = -1``, both
-    at radius ``2**-n``, and escalates depth until the certified lower
-    bound reaches ``2**-(n+5)`` or the cap is hit.
+    at radius ``2**-n``, and escalates depth from ``n + 8`` until the
+    certified lower bound reaches ``2**-(n+5)`` or the ladder ends.
     """
     xf = _to_fraction(x)
     if is_dyadic(xf):
@@ -226,7 +217,6 @@ def verify_lemma(
         direction,
         required,
         depth0=n + _LEMMA_DEPTH_HEADROOM,
-        depth_cap=depth_cap,
     )
     return LemmaReport(
         x=xf,
@@ -241,9 +231,9 @@ def verify_lemma(
     )
 
 
-def certificate(x, n: int, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> DensityCertificate:
+def certificate(x, n: int) -> DensityCertificate:
     """Package :func:`verify_lemma` as a density bound at radius 2**-n."""
-    report = verify_lemma(x, n, depth_cap=depth_cap)
+    report = verify_lemma(x, n)
     r = Dyadic.pow2(-n)
     return DensityCertificate(
         x=report.x,
@@ -301,7 +291,7 @@ def classify(x, N: int) -> ClassificationReport:
     )
 
 
-def blowup_check(x: Dyadic, n: int, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> BlowupReport:
+def blowup_check(x: Dyadic, n: int) -> BlowupReport:
     """Certify the quotient blow-up around a dyadic point.
 
     With ``n0 = max(dyadic_level(x), 0)`` and ``n > 2*n0``, every y with
@@ -327,10 +317,10 @@ def blowup_check(x: Dyadic, n: int, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> Bl
     required = Fraction(1, 1 << (n + 2))
     depth0 = n + 4
     lo_ge, depth_ge, status_ge = certify_lower(
-        x, r, Fraction(threshold), Dir.GE, required, depth0=depth0, depth_cap=depth_cap
+        x, r, Fraction(threshold), Dir.GE, required, depth0=depth0
     )
     lo_le, depth_le, status_le = certify_lower(
-        x, r, Fraction(-threshold), Dir.LE, required, depth0=depth0, depth_cap=depth_cap
+        x, r, Fraction(-threshold), Dir.LE, required, depth0=depth0
     )
     return BlowupReport(
         x=x,
@@ -352,7 +342,7 @@ def _certified(cert: DensityCertificate) -> bool:
 
 
 def _bounded_pairs(
-    xf: Fraction, report: ClassificationReport, depth_cap: int
+    xf: Fraction, report: ClassificationReport
 ) -> tuple[list[CertificatePair], list[int]]:
     """LE/GE pairs at indices where the slope sums revisit their minimum.
 
@@ -382,8 +372,8 @@ def _bounded_pairs(
                 f"{before}->{lowest}->{after}; expected {lowest + 1} on both sides"
             )
         n_k = j + 1
-        le = certificate(xf, n_k, depth_cap=depth_cap)
-        ge = certificate(xf, n_k - 1, depth_cap=depth_cap)
+        le = certificate(xf, n_k)
+        ge = certificate(xf, n_k - 1)
         if le.direction is not Dir.LE or ge.direction is not Dir.GE:
             raise RuntimeError(f"unexpected certificate directions at n={n_k}")
         if ge.alpha - le.alpha != Fraction(1, 5):
@@ -396,7 +386,7 @@ def _bounded_pairs(
 
 
 def _divergent_singles(
-    xf: Fraction, report: ClassificationReport, depth_cap: int
+    xf: Fraction, report: ClassificationReport
 ) -> tuple[list[DensityCertificate], list[int]]:
     """One-sided certificates at record values followed by a reversal.
 
@@ -416,7 +406,7 @@ def _divergent_singles(
             best = v
             step_out = vals[j] - v
             if (upward and step_out == -1) or (not upward and step_out == 1):
-                cert = certificate(xf, j + 1, depth_cap=depth_cap)
+                cert = certificate(xf, j + 1)
                 if _certified(cert):
                     singles.append(cert)
                 else:
@@ -424,16 +414,14 @@ def _divergent_singles(
     return singles, uncertified
 
 
-def _dyadic_singles(
-    x: Dyadic, depth_cap: int
-) -> tuple[list[DensityCertificate], list[int], str]:
+def _dyadic_singles(x: Dyadic) -> tuple[list[DensityCertificate], list[int], str]:
     """Blow-up certificates with unboundedly growing thresholds."""
     n0 = max(dyadic_level(x), 0)
     singles: list[DensityCertificate] = []
     uncertified: list[int] = []
     first = 2 * n0 + 1
     for n in range(first, first + _DYADIC_BLOWUPS):
-        rep = blowup_check(x, n, depth_cap=depth_cap)
+        rep = blowup_check(x, n)
         cert = DensityCertificate(
             x=x,
             r=rep.radius,
@@ -451,12 +439,7 @@ def _dyadic_singles(
     return singles, uncertified, detail
 
 
-def refute(
-    x,
-    horizon: int,
-    *,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> RefutationEvidence:
+def refute(x, horizon: int) -> RefutationEvidence:
     """Horizon-N evidence that no approximate derivative exists at x.
 
     Bounded-oscillation evidence yields LE/GE certificate pairs with a
@@ -471,13 +454,13 @@ def refute(
     report = classify(xf, horizon)
     case = report.case_hint
     if case == CASE_DYADIC:
-        singles, uncertified, detail = _dyadic_singles(as_dyadic(xf), depth_cap)
+        singles, uncertified, detail = _dyadic_singles(as_dyadic(xf))
         status = UNDECIDED if uncertified else CERTIFIED
     else:
         if case == CASE_BOUNDED:
-            pairs, uncertified = _bounded_pairs(xf, report, depth_cap)
+            pairs, uncertified = _bounded_pairs(xf, report)
         else:
-            singles, uncertified = _divergent_singles(xf, report, depth_cap)
+            singles, uncertified = _divergent_singles(xf, report)
         status = CERTIFIED
         if pairs:
             detail = (

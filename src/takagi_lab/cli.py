@@ -9,9 +9,7 @@ and takes only the shared flags that handler reads:
 * ``--format text|json``: every subcommand except ``sample``, which
   always writes UTF-8 CSV with a header row;
 * ``--approx``: ``eval``, ``enclose``, ``measure`` and ``sample``; it
-  adds decimal convenience values that are explicitly non-authoritative;
-* ``--depth-cap``: ``lemma``, ``blowup``, ``refute`` and ``verify-all``,
-  the commands that escalate depth; the cap is 64 without it.
+  adds decimal convenience values that are explicitly non-authoritative.
 
 All machine output is exact: JSON carries rationals as ``"p/q"``
 strings under a versioned ``"schema": "takagi-lab/1"`` key.
@@ -19,8 +17,8 @@ strings under a versioned ``"schema": "takagi-lab/1"`` key.
 Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
 precondition errors, on an integer argument too large to compute with,
-on a query over its cell budget and on a failed internal invariant,
-each reported as one ``error:`` line.
+on an exact result too long to print, on a query over its cell budget
+and on a failed internal invariant, each reported as one ``error:`` line.
 ``verify-all`` runs its entries in order in one process; its ``--jobs``
 must be 1.
 """
@@ -78,10 +76,8 @@ def _parse_dyadic(text: str) -> Dyadic:
 # and corpus entries; ``analysis`` is looked up on each call, so a patched
 # or wrapped report function is the one that runs
 _CHECKS = {
-    "lemma": (parse_rat,
-              lambda x, n, cap: analysis.verify_lemma(x, n, depth_cap=cap)),
-    "blowup": (_parse_dyadic,
-               lambda x, n, cap: analysis.blowup_check(x, n, depth_cap=cap)),
+    "lemma": (parse_rat, lambda x, n: analysis.verify_lemma(x, n)),
+    "blowup": (_parse_dyadic, lambda x, n: analysis.blowup_check(x, n)),
 }
 
 
@@ -91,7 +87,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="takagi-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add(name, handler, help_text, *, fmt=True, approx=False, depth_cap=False):
+    def add(name, handler, help_text, *, fmt=True, approx=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=handler, parser=p)
         if fmt:
@@ -100,9 +96,6 @@ def _build_parser() -> _Parser:
         if approx:
             p.add_argument("--approx", action="store_true",
                            help="add non-authoritative decimal values to the output")
-        if depth_cap:
-            p.add_argument("--depth-cap", type=int, default=measure.DEFAULT_DEPTH_CAP,
-                           help="maximum escalation depth (default %(default)s)")
         return p
 
     p = add("eval", _eval, "exact T(x) at a dyadic point", approx=True)
@@ -131,13 +124,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--dir", required=True, choices=("ge", "le"))
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("lemma", _check, "certify the one-scale measure estimate at (x, n)",
-            depth_cap=True)
+    p = add("lemma", _check, "certify the one-scale measure estimate at (x, n)")
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("blowup", _check, "certify the quotient blow-up at a dyadic point",
-            depth_cap=True)
+    p = add("blowup", _check, "certify the quotient blow-up at a dyadic point")
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True)
 
@@ -145,8 +136,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True, help="horizon N")
 
-    p = add("refute", _refute, "emit certificates against approximate derivability",
-            depth_cap=True)
+    p = add("refute", _refute, "emit certificates against approximate derivability")
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, default=20, help="horizon N")
 
@@ -158,8 +148,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--classical", action="store_true")
 
-    p = add("verify-all", _verify_all, "run a corpus of lemma/blowup checks",
-            depth_cap=True)
+    p = add("verify-all", _verify_all, "run a corpus of lemma/blowup checks")
     p.add_argument("--corpus", default=None, help="file with '<kind> <x> <n>' lines")
     p.add_argument("--jobs", type=int, default=1,
                    help="must be 1: corpus entries run in one process")
@@ -282,7 +271,7 @@ def _verify_all(args) -> int:
     results = []
     for index, (lineno, kind, x_text, x, n) in enumerate(_parse_corpus(text)):
         try:
-            report = _CHECKS[kind][1](x, n, args.depth_cap)
+            report = _CHECKS[kind][1](x, n)
         except ValueError as exc:
             raise ValueError(f"corpus line {lineno}: {exc}") from None
         results.append({"index": index, "kind": kind, "x": x_text, "n": n,
@@ -347,9 +336,9 @@ def _measure(args) -> int:
 
 
 def _check(args) -> int:
-    """``lemma`` and ``blowup``: one check at (x, n), escalating up to the cap."""
+    """``lemma`` and ``blowup``: one check at (x, n), escalating depth."""
     parse, check = _CHECKS[args.command]
-    report = check(parse(args.x), args.n, args.depth_cap)
+    report = check(parse(args.x), args.n)
     _emit(args, report)
     return _exit_code(report.status)
 
@@ -360,7 +349,7 @@ def _classify(args) -> int:
 
 
 def _refute(args) -> int:
-    evidence = analysis.refute(parse_rat(args.x), args.n, depth_cap=args.depth_cap)
+    evidence = analysis.refute(parse_rat(args.x), args.n)
     _emit(args, evidence)
     return _exit_code(evidence.status)
 

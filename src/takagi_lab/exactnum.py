@@ -18,6 +18,7 @@ scientific notation are rejected rather than silently rounded.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -53,8 +54,17 @@ def parse_rat(text: str) -> Fraction:
 
 
 def format_rat(value) -> str:
-    """Render a rational (or Dyadic, or int) as ``"p/q"``, or ``"p"`` if integral."""
-    return str(Fraction(value))
+    """Render a rational (or Dyadic, or int) as ``"p/q"``, or ``"p"`` if integral.
+
+    A numerator or denominator longer than the interpreter's limit on
+    integer-to-text conversion (4300 digits by default, which also guards
+    the parsing of input) raises ``ValueError`` with a message that says so.
+    """
+    try:
+        return str(Fraction(value))
+    except ValueError:
+        raise ValueError(f"exact value has more than {sys.get_int_max_str_digits()} "
+                         "decimal digits, too many to print") from None
 
 
 def _to_fraction(x) -> Fraction:

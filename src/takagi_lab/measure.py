@@ -59,7 +59,7 @@ __all__ = [
     "BreakpointLimitError",
     "CERTIFIED",
     "UNDECIDED",
-    "DEFAULT_DEPTH_CAP",
+    "DEPTH_SPAN",
     "DEPTH_STEP",
     "Dir",
     "QuotientQuery",
@@ -71,8 +71,10 @@ __all__ = [
 CERTIFIED = "certified"
 UNDECIDED = "undecided"
 
-DEFAULT_DEPTH_CAP = 64
 DEPTH_STEP = 4
+# How far the escalation ladder climbs above its first rung (five rungs);
+# read per call, like BREAKPOINT_CAP.
+DEPTH_SPAN = 16
 
 # Cell budget per query: far above what any query near the level line
 # needs.  It bounds the cells a pathological query visits, not its time:
@@ -232,23 +234,20 @@ def certify_lower(
     target,
     *,
     depth0: int,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> tuple[Fraction, int, str]:
-    """Escalate depth from ``depth0`` in steps of ``DEPTH_STEP`` until the
-    certified lower bound reaches ``target``.
+    """Escalate depth through ``depth0, depth0 + DEPTH_STEP, ...,
+    depth0 + DEPTH_SPAN`` until the certified lower bound reaches ``target``.
 
     Returns ``(best_lo, depth_used, status)``, where ``depth_used`` is
-    the depth of the last rung that ran to completion, or 0 when none
-    did (``depth0`` above the cap, or the first rung over the cell
-    budget).  The loop stops at the depth cap or when a query blows the
-    cell budget; the distinguished ``UNDECIDED`` status is an outcome,
-    not an error.
+    the depth of the last rung that ran to completion, or 0 when the
+    first rung was over the cell budget.  The loop stops after the last
+    rung or when a query blows the cell budget; the distinguished
+    ``UNDECIDED`` status is an outcome, not an error.
     """
     target = _to_fraction(target)
     best = Fraction(0)
-    depth = depth0
     depth_used = 0
-    while depth <= depth_cap:
+    for depth in range(depth0, depth0 + DEPTH_SPAN + 1, DEPTH_STEP):
         try:
             mb = quotient_set_bounds(QuotientQuery(x, r, alpha, direction, depth))
         except BreakpointLimitError:
@@ -258,5 +257,4 @@ def certify_lower(
             best = mb.lo
         if best >= target:
             return best, depth, CERTIFIED
-        depth += DEPTH_STEP
     return best, depth_used, UNDECIDED

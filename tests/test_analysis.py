@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from takagi_lab import analysis
+from takagi_lab import analysis, measure
 from takagi_lab.exactnum import Dyadic, parse_rat
 from takagi_lab.analysis import (
     CASE_BOUNDED,
@@ -49,14 +49,16 @@ class TestVerifyLemma:
         with pytest.raises(ValueError):
             verify_lemma(F(3, 8), 2)
 
-    def test_tiny_cap_gives_undecided(self):
-        report = verify_lemma(F(1, 3), 2, depth_cap=4)
+    def test_tiny_cap_gives_undecided(self, monkeypatch):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+        report = verify_lemma(F(1, 3), 2)
         assert report.status == "undecided"
 
-    def test_depth_used_is_the_last_rung_run(self):
-        # the first rung (depth n + 8 = 10) is above the cap: nothing ran
-        assert verify_lemma(F(1, 3), 2, depth_cap=1).depth_used == 0
+    def test_depth_used_is_the_last_rung_run(self, monkeypatch):
         assert verify_lemma(F(1, 3), 2).depth_used == 10
+        # the first rung (depth n + 8 = 10) is over the cell budget: nothing ran
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+        assert verify_lemma(F(1, 3), 2).depth_used == 0
 
 
 class TestClassify:
@@ -161,8 +163,9 @@ class TestRefute:
         assert thresholds == [F(n) for n in range(1, 9)]  # unbounded growth
         assert all(cert.density_lo == F(1, 2) for cert in evidence.singles)
 
-    def test_dyadic_status_follows_the_certificates(self):
-        evidence = refute(F(1, 2), 5, depth_cap=1)
+    def test_dyadic_status_follows_the_certificates(self, monkeypatch):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+        evidence = refute(F(1, 2), 5)
         assert evidence.status == UNDECIDED
         assert all(cert.density_lo == 0 for cert in evidence.singles)
         assert "did not certify" in evidence.detail
@@ -183,7 +186,8 @@ class TestRefute:
         assert evidence.status == INSUFFICIENT_HORIZON
         assert evidence.pairs == ()
 
-    @pytest.mark.parametrize("x, horizon, cap, expected", [
+    # budget_bits: the cell budget is 2**budget_bits; 2 cells stop every query
+    @pytest.mark.parametrize("x, horizon, budget_bits, expected", [
         (F(1, 3), 12, 64, (CASE_BOUNDED, CERTIFIED,
                            "6 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
         (F(1, 3), 12, 1, (CASE_BOUNDED, UNDECIDED,
@@ -200,9 +204,13 @@ class TestRefute:
         (F(1, 2), 5, 64, (CASE_DYADIC, CERTIFIED, "thresholds n - 0 for n = 1..8")),
         (F(1, 2), 5, 1, (CASE_DYADIC, UNDECIDED,
                          "blow-ups at n = [1, 2, 3, 4, 5, 6, 7, 8] did not certify")),
+        # all 30 revisits, indices 2..60: the lemma's ladder starts at n + 8
+        (F(1, 3), 60, 64, (CASE_BOUNDED, CERTIFIED,
+                           "30 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
     ])
-    def test_status_and_detail(self, x, horizon, cap, expected):
-        evidence = refute(x, horizon, depth_cap=cap)
+    def test_status_and_detail(self, monkeypatch, x, horizon, budget_bits, expected):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 1 << budget_bits)
+        evidence = refute(x, horizon)
         assert (evidence.case_hint, evidence.status, evidence.detail) == expected
 
 

@@ -53,6 +53,13 @@ class TestEnclose:
         assert lo <= F(1, 3) <= hi
         assert hi - lo == F(1, 512)
 
+    def test_too_long_to_print_is_one_line(self, capsys):
+        # the bracket's denominator 2**15001 has more digits than str() may write
+        code, out, err = invoke(capsys, "enclose", "--x", "1/3", "--depth", "15000")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "too many to print" in err and "set_int_max_str_digits" not in err
+
 
 class TestSlopesAndNeighbors:
     def test_slopes_text(self, capsys):
@@ -129,21 +136,30 @@ class TestLemma:
         assert parse_rat(result["alpha"]) == F(-3, 5)
         assert parse_rat(result["bound_certified"]) >= parse_rat(result["bound_required"])
 
-    def test_undecided_exit_code(self, capsys):
+    def test_undecided_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
         code, out, _ = invoke(
-            capsys, "lemma", "--x", "1/3", "--n", "2",
-            "--depth-cap", "4", "--format", "json",
+            capsys, "lemma", "--x", "1/3", "--n", "2", "--format", "json",
         )
         assert code == 2
         assert json.loads(out)["result"]["status"] == "undecided"
 
-    def test_depth_used_when_no_rung_ran(self, capsys):
+    def test_depth_used_when_no_rung_ran(self, capsys, monkeypatch):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
         code, out, _ = invoke(capsys, "lemma", "--x", "1/3", "--n", "2",
-                              "--depth-cap", "1", "--format", "json")
+                              "--format", "json")
         assert code == 2
         assert json.loads(out)["result"]["depth_used"] == 0
 
-    # --depth-cap is the only way to set the cap: TAKAGI_DEPTH_CAP is not read
+    def test_large_scale_certifies(self, capsys):
+        # the ladder's first rung is depth n + 8 = 65, at any n
+        code, out, _ = invoke(capsys, "lemma", "--x", "1/3", "--n", "57",
+                              "--format", "json")
+        result = json.loads(out)["result"]
+        assert code == 0
+        assert (result["status"], result["depth_used"]) == ("certified", 65)
+
+    # the ladder's bound follows from n: TAKAGI_DEPTH_CAP is not read
 
     @pytest.mark.parametrize("value", ["abc", "", "4.5"])
     def test_bad_depth_cap_env_is_one_line(self, capsys, monkeypatch, value):
@@ -160,13 +176,6 @@ class TestLemma:
         code, out, err = invoke(capsys, *argv)
         assert code == 0 and err == ""
         assert (code, out, err) == expected
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TAKAGI_DEPTH_CAP", "64")
-        code, out, _ = invoke(capsys, "lemma", "--x", "1/3", "--n", "2",
-                              "--depth-cap", "4", "--format", "json")
-        assert code == 2
-        assert json.loads(out)["result"]["status"] == "undecided"
 
 
 class TestOtherReports:
@@ -190,14 +199,15 @@ class TestOtherReports:
         assert code == 0
         assert len(payload["result"]["pairs"]) >= 3
 
-    def test_refute_dyadic_undecided(self, capsys):
+    def test_refute_dyadic_undecided(self, capsys, monkeypatch):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
         code, out, _ = invoke(capsys, "refute", "--x", "1/2", "--n", "5",
-                              "--depth-cap", "1", "--format", "json")
+                              "--format", "json")
         assert code == 2
         assert json.loads(out)["result"]["status"] == "undecided"
 
     def test_invariant_failure_is_one_line(self, capsys, monkeypatch):
-        def wrong_direction(x, n, *, depth_cap):
+        def wrong_direction(x, n):
             return analysis.DensityCertificate(
                 x=F(x), r=Dyadic.pow2(-n), alpha=F(0), direction=measure.Dir.GE,
                 density_lo=F(1),
@@ -286,11 +296,12 @@ class TestVerifyAll:
         assert invoke(capsys, "verify-all", "--corpus", str(corpus),
                       "--jobs", "1", "--format", "json") == plain
 
-    def test_failure_exit_code(self, capsys, tmp_path):
+    def test_failure_exit_code(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("lemma 1/3 2\n")
         code, out, _ = invoke(capsys, "verify-all", "--corpus", str(corpus),
-                              "--depth-cap", "4", "--format", "json")
+                              "--format", "json")
         assert code == 2
         assert json.loads(out)["certified"] is False
 
@@ -444,11 +455,18 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
-    def test_depth_cap_only_where_read(self, capsys):
-        # measure runs at the given --depth; a depth cap would be ignored
-        code, out, err = invoke(capsys, "measure", "--x", "1/3", "--r", "1/8",
-                                "--alpha", "1/2", "--dir", "ge", "--depth", "6",
-                                "--depth-cap", "4")
+    # no command takes a depth cap: the escalating ones bound their ladder
+    # from n, and measure runs at its given --depth
+    @pytest.mark.parametrize("argv", [
+        ["lemma", "--x", "1/3", "--n", "2"],
+        ["blowup", "--x", "1/2", "--n", "3"],
+        ["refute", "--x", "1/3", "--n", "4"],
+        ["verify-all"],
+        ["measure", "--x", "1/3", "--r", "1/8", "--alpha", "1/2", "--dir", "ge",
+         "--depth", "6"],
+    ], ids=lambda argv: argv[0])
+    def test_depth_cap_is_not_a_flag(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--depth-cap", "4")
         assert code == 1 and out == ""
         assert err.count("error:") == 1 and "--depth-cap" in err
 

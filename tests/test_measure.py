@@ -161,14 +161,25 @@ class TestEscalation:
     def test_undecided_when_capped(self):
         # an unreachable target: more than the whole window
         lo, _, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth0=6, depth_cap=10
+            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth0=6
         )
         assert status == UNDECIDED and lo < 2
+
+    def test_ladder_ends_depth_span_above_first_rung(self, monkeypatch):
+        # an unreachable target runs every rung: depth0, depth0 + DEPTH_STEP, ...
+        def last_rung():
+            return certify_lower(
+                F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth0=6
+            )[1]
+
+        assert last_rung() == 6 + measure.DEPTH_SPAN == 22
+        monkeypatch.setattr(measure, "DEPTH_SPAN", 8)
+        assert last_rung() == 14
 
     def test_budget_exhaustion_is_undecided(self, monkeypatch):
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2000)
         lo, _, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth0=6, depth_cap=64
+            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth0=6
         )
         assert status == UNDECIDED
 
@@ -215,7 +226,7 @@ class TestCellBudget:
         with monkeypatch.context() as patch:
             patch.setattr(measure, "BREAKPOINT_CAP", budget)
             lo, depth_used, status = certify_lower(
-                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(2), depth0=10, depth_cap=64
+                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(2), depth0=10
             )
         assert status == UNDECIDED
         assert depth_used == 10
@@ -227,10 +238,6 @@ class TestCellBudget:
             assert certify_lower(
                 F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128), depth0=10
             ) == (0, 0, UNDECIDED)
-        assert certify_lower(
-            F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128),
-            depth0=10, depth_cap=9,
-        ) == (0, 0, UNDECIDED)
 
 
 class TestGridOracleSweep:
