@@ -43,7 +43,7 @@ from .exactnum import (
     is_dyadic,
     parse_rat,
 )
-from .takagi import slope_seq, takagi_enclosure, takagi_exact
+from .takagi import DEFAULT_DEPTH, slope_seq, takagi_enclosure, takagi_exact
 
 SCHEMA = "takagi-lab/1"
 
@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
 
     p = add("enclose", _enclose, "certified enclosure of T(x)", approx=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--depth", type=int, default=64)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--classical", action="store_true")
 
     p = add("slopes", _slopes, "slope sums G_1'(x)..G_N'(x)")
@@ -247,7 +247,7 @@ def _default_corpus() -> str:
     lines = [f"lemma {format_rat(x)} {n}"
              for x in analysis.NONDYADIC_CORPUS for n in range(2, 6)]
     for x in analysis.DYADIC_CORPUS:
-        first = 2 * max(x.exp - 1, 0) + 1
+        first = analysis._first_blowup_scale(x)
         lines.extend(f"blowup {format_rat(x)} {n}" for n in range(first, first + 4))
     return "\n".join(lines)
 
@@ -336,7 +336,7 @@ def _measure(args) -> int:
 
 
 def _check(args) -> int:
-    """``lemma`` and ``blowup``: one check at (x, n), escalating depth."""
+    """``lemma`` and ``blowup``: one check at (x, n), at the depth ``analysis`` sets."""
     parse, check = _CHECKS[args.command]
     report = check(parse(args.x), args.n)
     _emit(args, report)

@@ -36,8 +36,10 @@ cell per level, so memory does not grow with the window.
 ``BREAKPOINT_CAP`` caps the number of cells one query may visit (both
 sets together); a query over the cap raises
 :class:`BreakpointLimitError`, which :func:`certify_lower` turns into an
-undecided outcome.  Brackets are :class:`~takagi_lab.takagi.Enclosure`
-values, the same type that encloses T(x).
+undecided outcome.  :func:`certify_lower` runs one query at the depth
+its caller chooses; :mod:`takagi_lab.analysis` sets the depth of each
+certificate.  Brackets are :class:`~takagi_lab.takagi.Enclosure` values,
+the same type that encloses T(x).
 
 The punctured centre point and interval endpoints are measure zero and
 are handled with closed intervals throughout.  Radii are restricted to
@@ -59,8 +61,6 @@ __all__ = [
     "BreakpointLimitError",
     "CERTIFIED",
     "UNDECIDED",
-    "DEPTH_SPAN",
-    "DEPTH_STEP",
     "Dir",
     "QuotientQuery",
     "quotient_set_bounds",
@@ -70,11 +70,6 @@ __all__ = [
 
 CERTIFIED = "certified"
 UNDECIDED = "undecided"
-
-DEPTH_STEP = 4
-# How far the escalation ladder climbs above its first rung (five rungs);
-# read per call, like BREAKPOINT_CAP.
-DEPTH_SPAN = 16
 
 # Cell budget per query: far above what any query near the level line
 # needs.  It bounds the cells a pathological query visits, not its time:
@@ -233,28 +228,16 @@ def certify_lower(
     direction: Dir,
     target,
     *,
-    depth0: int,
+    depth: int,
 ) -> tuple[Fraction, int, str]:
-    """Escalate depth through ``depth0, depth0 + DEPTH_STEP, ...,
-    depth0 + DEPTH_SPAN`` until the certified lower bound reaches ``target``.
+    """Check whether the certified lower bound at ``depth`` reaches ``target``.
 
-    Returns ``(best_lo, depth_used, status)``, where ``depth_used`` is
-    the depth of the last rung that ran to completion, or 0 when the
-    first rung was over the cell budget.  The loop stops after the last
-    rung or when a query blows the cell budget; the distinguished
-    ``UNDECIDED`` status is an outcome, not an error.
+    Returns ``(lo, depth, status)`` from one :func:`quotient_set_bounds`
+    query, or ``(0, 0, UNDECIDED)`` when that query is over the cell
+    budget; the ``UNDECIDED`` status is an outcome, not an error.
     """
-    target = _to_fraction(target)
-    best = Fraction(0)
-    depth_used = 0
-    for depth in range(depth0, depth0 + DEPTH_SPAN + 1, DEPTH_STEP):
-        try:
-            mb = quotient_set_bounds(QuotientQuery(x, r, alpha, direction, depth))
-        except BreakpointLimitError:
-            break
-        depth_used = depth
-        if mb.lo > best:
-            best = mb.lo
-        if best >= target:
-            return best, depth, CERTIFIED
-    return best, depth_used, UNDECIDED
+    try:
+        lo = quotient_set_bounds(QuotientQuery(x, r, alpha, direction, depth)).lo
+    except BreakpointLimitError:
+        return Fraction(0), 0, UNDECIDED
+    return lo, depth, CERTIFIED if lo >= _to_fraction(target) else UNDECIDED

@@ -1,10 +1,11 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from takagi_lab import analysis, measure
-from takagi_lab.exactnum import Dyadic, parse_rat
+from takagi_lab.exactnum import Dyadic, is_dyadic, parse_rat
 from takagi_lab.analysis import (
     CASE_BOUNDED,
     CASE_DIVERGENT,
@@ -17,7 +18,13 @@ from takagi_lab.analysis import (
     to_jsonable,
     verify_lemma,
 )
-from takagi_lab.measure import CERTIFIED, UNDECIDED, Dir
+from takagi_lab.measure import (
+    CERTIFIED,
+    UNDECIDED,
+    Dir,
+    QuotientQuery,
+    quotient_set_bounds,
+)
 from takagi_lab.takagi import slope_seq
 
 
@@ -56,7 +63,7 @@ class TestVerifyLemma:
 
     def test_depth_used_is_the_last_rung_run(self, monkeypatch):
         assert verify_lemma(F(1, 3), 2).depth_used == 10
-        # the first rung (depth n + 8 = 10) is over the cell budget: nothing ran
+        # the one query (depth n + 8 = 10) is over the cell budget: nothing ran
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
         assert verify_lemma(F(1, 3), 2).depth_used == 0
 
@@ -127,6 +134,33 @@ class TestBlowup:
             blowup_check(Dyadic(1, 1), 0)
         with pytest.raises(ValueError):
             blowup_check(Dyadic(3, 2), 2)
+
+
+class TestOneDepthSuffices:
+    """Each certificate runs one query; these pin why one depth suffices."""
+
+    def test_lemma_certifies_seven_levels_below_its_depth(self):
+        rng = random.Random(9)
+        checked = 0
+        while checked < 200:
+            x = F(rng.randrange(1, 10**6), rng.randrange(3, 10**6))
+            if is_dyadic(x):
+                continue
+            n = rng.randrange(1, 61)
+            report = verify_lemma(x, n)
+            assert (report.status, report.depth_used) == (CERTIFIED, n + 8), (x, n)
+            shallow = quotient_set_bounds(QuotientQuery(
+                x, Dyadic.pow2(-n), report.alpha, report.direction, n + 1))
+            assert shallow.lo >= report.bound_required, (x, n)
+            checked += 1
+
+    def test_blowup_halves_are_exact_at_every_scale(self):
+        for level in range(6):
+            for k in range(1, 1 << (level + 1), 2):
+                x = Dyadic(k, level + 1)
+                for n in range(2 * level + 1, 2 * level + 9):
+                    report = blowup_check(x, n)
+                    assert report.lo_one_sided == report.lo_mirror == report.radius, (x, n)
 
 
 class TestCertificate:
@@ -204,7 +238,7 @@ class TestRefute:
         (F(1, 2), 5, 64, (CASE_DYADIC, CERTIFIED, "thresholds n - 0 for n = 1..8")),
         (F(1, 2), 5, 1, (CASE_DYADIC, UNDECIDED,
                          "blow-ups at n = [1, 2, 3, 4, 5, 6, 7, 8] did not certify")),
-        # all 30 revisits, indices 2..60: the lemma's ladder starts at n + 8
+        # all 30 revisits, indices 2..60: the lemma's query runs at depth n + 8
         (F(1, 3), 60, 64, (CASE_BOUNDED, CERTIFIED,
                            "30 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
     ])

@@ -152,14 +152,14 @@ class TestLemma:
         assert json.loads(out)["result"]["depth_used"] == 0
 
     def test_large_scale_certifies(self, capsys):
-        # the ladder's first rung is depth n + 8 = 65, at any n
+        # the lemma's query runs at depth n + 8 = 65: no cap applies at any n
         code, out, _ = invoke(capsys, "lemma", "--x", "1/3", "--n", "57",
                               "--format", "json")
         result = json.loads(out)["result"]
         assert code == 0
         assert (result["status"], result["depth_used"]) == ("certified", 65)
 
-    # the ladder's bound follows from n: TAKAGI_DEPTH_CAP is not read
+    # the query depth follows from n: TAKAGI_DEPTH_CAP is not read
 
     @pytest.mark.parametrize("value", ["abc", "", "4.5"])
     def test_bad_depth_cap_env_is_one_line(self, capsys, monkeypatch, value):
@@ -455,7 +455,7 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
-    # no command takes a depth cap: the escalating ones bound their ladder
+    # no command takes a depth cap: the certifying ones set their query depth
     # from n, and measure runs at its given --depth
     @pytest.mark.parametrize("argv", [
         ["lemma", "--x", "1/3", "--n", "2"],

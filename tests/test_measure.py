@@ -154,32 +154,37 @@ class TestDensity:
 class TestEscalation:
     def test_certifies_with_escalation(self):
         lo, depth, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(1, 128), depth0=10
+            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(1, 128), depth=10
         )
         assert status == CERTIFIED and lo >= F(1, 128) and depth >= 10
 
     def test_undecided_when_capped(self):
         # an unreachable target: more than the whole window
         lo, _, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth0=6
+            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth=6
         )
         assert status == UNDECIDED and lo < 2
 
-    def test_ladder_ends_depth_span_above_first_rung(self, monkeypatch):
-        # an unreachable target runs every rung: depth0, depth0 + DEPTH_STEP, ...
-        def last_rung():
-            return certify_lower(
-                F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth0=6
-            )[1]
+    def test_one_query_at_the_given_depth(self, monkeypatch):
+        # an unreachable target runs one query, at the given depth
+        depths = []
 
-        assert last_rung() == 6 + measure.DEPTH_SPAN == 22
-        monkeypatch.setattr(measure, "DEPTH_SPAN", 8)
-        assert last_rung() == 14
+        def counting(query):
+            depths.append(query.depth)
+            return quotient_set_bounds(query)
+
+        monkeypatch.setattr(measure, "quotient_set_bounds", counting)
+        lo, depth, status = certify_lower(
+            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth=6
+        )
+        assert depths == [6]
+        assert (depth, status) == (6, UNDECIDED)
+        assert lo == quotient_set_bounds(q(F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, 6)).lo
 
     def test_budget_exhaustion_is_undecided(self, monkeypatch):
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2000)
         lo, _, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth0=6
+            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth=6
         )
         assert status == UNDECIDED
 
@@ -226,7 +231,7 @@ class TestCellBudget:
         with monkeypatch.context() as patch:
             patch.setattr(measure, "BREAKPOINT_CAP", budget)
             lo, depth_used, status = certify_lower(
-                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(2), depth0=10
+                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(2), depth=10
             )
         assert status == UNDECIDED
         assert depth_used == 10
@@ -236,7 +241,7 @@ class TestCellBudget:
         with monkeypatch.context() as patch:
             patch.setattr(measure, "BREAKPOINT_CAP", 3)
             assert certify_lower(
-                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128), depth0=10
+                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128), depth=10
             ) == (0, 0, UNDECIDED)
 
 

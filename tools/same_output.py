@@ -4,11 +4,12 @@ Usage: python tools/same_output.py REV
 
 Exports REV with ``git archive`` into a temporary directory, generates
 every op of the three benchmark workloads for seeds 1-3 with
-``bench/workloads.generate`` (writing the corpus files they read), and
-runs each op through ``takagi_lab.cli.run`` in-process, once in a fresh
-interpreter per tree.  Prints every op whose (exit code, stdout, stderr)
-differs between REV and the working tree, and exits 1 if any does.
-Nothing under ``bench/`` is changed.
+``bench/workloads.generate`` (writing the corpus files they read), adds
+the text-mode ops of ``TEXT_OPS``, and runs each op through
+``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree.
+Prints every op whose (exit code, stdout, stderr) differs between REV
+and the working tree, and exits 1 if any does.  Nothing under ``bench/``
+is changed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+
+# Text-mode output, which no benchmark op asks for: the README's CLI
+# examples (``sample`` to stdout, ``verify-all`` on its built-in corpus),
+# the text rendering of ``--approx``, and ``enclose`` at its default depth.
+TEXT_OPS = (
+    ["eval", "--x", "1/4"],
+    ["enclose", "--x", "1/3", "--depth", "40"],
+    ["slopes", "--x", "1/3", "--n", "8"],
+    ["neighbors", "--x", "5/7", "--n", "3"],
+    ["measure", "--x", "1/2", "--r", "1/16", "--alpha", "3", "--dir", "ge", "--depth", "12"],
+    ["lemma", "--x", "1/3", "--n", "2", "--format", "json"],
+    ["blowup", "--x", "1/2", "--n", "3"],
+    ["classify", "--x", "1/7", "--n", "30"],
+    ["refute", "--x", "1/3", "--n", "20"],
+    ["sample", "--a", "0", "--b", "1", "--count", "257", "--depth", "24"],
+    ["verify-all"],
+    ["measure", "--x", "1/2", "--r", "1/16", "--alpha", "3", "--dir", "ge", "--depth", "12",
+     "--approx"],
+    ["enclose", "--x", "1/3", "--depth", "40", "--approx"],
+    ["enclose", "--x", "1/3"],
+)
 
 # Runs in a child interpreter with one tree's src/ on PYTHONPATH: reads a
 # JSON list of argvs on stdin, writes [code, stdout, stderr] for each.
@@ -42,8 +64,8 @@ json.dump({"module": cli.__file__, "results": results}, sys.stdout)
 """
 
 
-def generate_ops(workdir: Path) -> list[tuple[str, int, int, list[str]]]:
-    """(workload, seed, index, argv) for every op, corpus files written under workdir."""
+def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) for every op, corpus files written under workdir."""
     sys.dont_write_bytecode = True  # leave bench/ as it is
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import WORKLOADS, generate
@@ -56,7 +78,9 @@ def generate_ops(workdir: Path) -> list[tuple[str, int, int, list[str]]]:
             op_list, files = generate(workload, seed, str(opdir))
             for name, text in files.items():
                 (opdir / name).write_text(text, encoding="utf-8")
-            ops.extend((workload, seed, i, op["argv"]) for i, op in enumerate(op_list))
+            ops.extend((f"{workload} seed {seed} op {i}", op["argv"])
+                       for i, op in enumerate(op_list))
+    ops.extend((f"text op {i}", list(argv)) for i, argv in enumerate(TEXT_OPS))
     return ops
 
 
@@ -81,15 +105,15 @@ def main(rev: str) -> int:
         workdir = Path(tmp) / "work"
         workdir.mkdir()
         ops = generate_ops(workdir)
-        argvs = [argv for *_, argv in ops]
+        argvs = [argv for _, argv in ops]
         before, after = run_tree(base, argvs), run_tree(ROOT, argvs)
     differing = 0
-    for (workload, seed, index, argv), old, new in zip(ops, before, after):
+    for (label, argv), old, new in zip(ops, before, after):
         if old != new:
             differing += 1
             parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
                      if a != b]
-            print(f"{workload} seed {seed} op {index}: {', '.join(parts)} differ: "
+            print(f"{label}: {', '.join(parts)} differ: "
                   f"takagi-lab {' '.join(argv)}")
     print(f"{len(ops) - differing} of {len(ops)} ops identical to {rev}")
     return 1 if differing else 0
