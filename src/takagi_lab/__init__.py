@@ -2,8 +2,8 @@
 
 The package is organised bottom-up:
 
-* :mod:`takagi_lab.exactnum` -- exact dyadic/rational arithmetic and
-  binary-grid geometry (neighbours, levels);
+* :mod:`takagi_lab.exactnum` -- exact rational parsing and printing
+  and binary-grid geometry (dyadic checks, neighbours, levels);
 * :mod:`takagi_lab.takagi` -- the function T, its partial sums and
   slope sums, exact values at dyadic points and enclosures elsewhere;
 * :mod:`takagi_lab.measure` -- certified two-sided bounds on measures
@@ -15,8 +15,6 @@ The package is organised bottom-up:
 """
 
 from .exactnum import (
-    Dyadic,
-    as_dyadic,
     dyadic_level,
     dyadic_neighbors,
     format_rat,

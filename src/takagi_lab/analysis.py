@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exactnum import Dyadic, as_dyadic, dyadic_level, format_rat, is_dyadic, _to_fraction
+from .exactnum import dyadic_level, format_rat, is_dyadic, _to_fraction
 from .measure import CERTIFIED, Dir, UNDECIDED, certify_lower
 from .takagi import SlopeSeq, slope, slope_seq, slope_sum
 
@@ -84,13 +84,7 @@ NONDYADIC_CORPUS = (
     Fraction(3, 7),
     Fraction(1, 11),
 )
-DYADIC_CORPUS = (
-    Dyadic(0),
-    Dyadic(1, 1),
-    Dyadic(1, 2),
-    Dyadic(3, 2),
-    Dyadic(5, 3),
-)
+DYADIC_CORPUS = tuple(Fraction(j, 1 << m) for j, m in ((0, 0), (1, 1), (1, 2), (3, 2), (5, 3)))
 
 _LEMMA_DEPTH_HEADROOM = 8
 # Blow-up certificates that :func:`refute` emits at a dyadic point.
@@ -134,7 +128,7 @@ class DensityCertificate:
     """A certified density lower bound at one scale and threshold."""
 
     x: Fraction
-    r: Dyadic
+    r: Fraction
     alpha: Fraction
     direction: Dir
     density_lo: Fraction
@@ -163,11 +157,11 @@ class BlowupReport:
     be the full punctured ball ``2**-n``.
     """
 
-    x: Dyadic
+    x: Fraction
     n: int
     base_level: int
     threshold: int
-    radius: Dyadic
+    radius: Fraction
     bound_required: Fraction
     lo_one_sided: Fraction
     lo_mirror: Fraction
@@ -211,14 +205,8 @@ def verify_lemma(x, n: int) -> LemmaReport:
         direction = Dir.GE
         alpha = base - SLOPE_MARGIN
     required = Fraction(1, 1 << (n + 5))
-    lo, depth_used, status = certify_lower(
-        xf,
-        Dyadic.pow2(-n),
-        alpha,
-        direction,
-        required,
-        depth=n + _LEMMA_DEPTH_HEADROOM,
-    )
+    lo, depth_used, status = certify_lower(xf, Fraction(1, 1 << n), alpha, direction,
+                                           required, depth=n + _LEMMA_DEPTH_HEADROOM)
     return LemmaReport(
         x=xf,
         n=n,
@@ -235,7 +223,7 @@ def verify_lemma(x, n: int) -> LemmaReport:
 def certificate(x, n: int) -> DensityCertificate:
     """Package :func:`verify_lemma` as a density bound at radius 2**-n."""
     report = verify_lemma(x, n)
-    r = Dyadic.pow2(-n)
+    r = Fraction(1, 1 << n)
     return DensityCertificate(
         x=report.x,
         r=r,
@@ -292,7 +280,7 @@ def classify(x, N: int) -> ClassificationReport:
     )
 
 
-def blowup_check(x: Dyadic, n: int) -> BlowupReport:
+def blowup_check(x, n: int) -> BlowupReport:
     """Certify the quotient blow-up around a dyadic point.
 
     With ``n0 = max(dyadic_level(x), 0)`` and ``n > 2*n0``, every y with
@@ -315,7 +303,7 @@ def blowup_check(x: Dyadic, n: int) -> BlowupReport:
     if n <= 2 * n0:
         raise ValueError(f"need n > {2 * n0} at {x} (level floor {n0})")
     threshold = n - 2 * n0
-    r = Dyadic.pow2(-(n + 1))
+    r = Fraction(1, 1 << (n + 1))
     required = Fraction(1, 1 << (n + 2))
     depth = n + 4
     lo_ge, depth_ge, status_ge = certify_lower(
@@ -416,12 +404,12 @@ def _divergent_singles(
     return singles, uncertified
 
 
-def _first_blowup_scale(x: Dyadic) -> int:
+def _first_blowup_scale(x: Fraction) -> int:
     """Smallest n that :func:`blowup_check` accepts at x: ``2*n0 + 1``."""
     return 2 * max(dyadic_level(x), 0) + 1
 
 
-def _dyadic_singles(x: Dyadic) -> tuple[list[DensityCertificate], list[int], str]:
+def _dyadic_singles(x: Fraction) -> tuple[list[DensityCertificate], list[int], str]:
     """Blow-up certificates with unboundedly growing thresholds."""
     singles: list[DensityCertificate] = []
     uncertified: list[int] = []
@@ -460,7 +448,7 @@ def refute(x, horizon: int) -> RefutationEvidence:
     report = classify(xf, horizon)
     case = report.case_hint
     if case == CASE_DYADIC:
-        singles, uncertified, detail = _dyadic_singles(as_dyadic(xf))
+        singles, uncertified, detail = _dyadic_singles(xf)
         status = UNDECIDED if uncertified else CERTIFIED
     else:
         if case == CASE_BOUNDED:
@@ -497,8 +485,8 @@ def refute(x, horizon: int) -> RefutationEvidence:
 def to_jsonable(obj):
     """Recursively convert reports to JSON-ready data.
 
-    Rationals (Fraction, Dyadic included) become exact ``"p/q"`` strings;
-    no floats ever appear.
+    Rationals (``Fraction``, so every dyadic value too) become exact
+    ``"p/q"`` strings; no floats ever appear.
     """
     if isinstance(obj, Fraction):
         return format_rat(obj)

@@ -32,17 +32,12 @@ import io
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, measure
-from .exactnum import (
-    Dyadic,
-    as_dyadic,
-    dyadic_neighbors,
-    format_rat,
-    is_dyadic,
-    parse_rat,
-)
+from .exactnum import (_to_fraction, check_printable, dyadic_neighbors, format_rat,
+                       is_dyadic, parse_rat)
 from .takagi import DEFAULT_DEPTH, slope_seq, takagi_enclosure, takagi_exact
 
 SCHEMA = "takagi-lab/1"
@@ -65,20 +60,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_dyadic(text: str) -> Dyadic:
+def _parse_dyadic(text: str) -> Fraction:
     value = parse_rat(text)
     if not is_dyadic(value):
         raise ValueError(f"{text!r} is not dyadic (denominator must be a power of two)")
-    return as_dyadic(value)
+    return value
 
 
-# check kind -> (centre parser, report function), for ``lemma``, ``blowup``
-# and corpus entries; ``analysis`` is looked up on each call, so a patched
-# or wrapped report function is the one that runs
+# check kind -> (centre parser, report function, k), for ``lemma``, ``blowup``
+# and corpus entries, whose report at scale n prints ``2**-(n + k)``; the
+# report function is looked up on ``analysis`` per call, so a patched one runs
 _CHECKS = {
-    "lemma": (parse_rat, lambda x, n: analysis.verify_lemma(x, n)),
-    "blowup": (_parse_dyadic, lambda x, n: analysis.blowup_check(x, n)),
+    "lemma": (parse_rat, lambda x, n: analysis.verify_lemma(x, n), 5),
+    "blowup": (_parse_dyadic, lambda x, n: analysis.blowup_check(x, n), 2),
 }
+
 
 
 @functools.cache
@@ -203,18 +199,24 @@ def _exit_code(status: str) -> int:
     return 0 if status == measure.CERTIFIED else 2
 
 
-def sample_rows(a: Dyadic, b: Dyadic, count: int, depth: int,
+def sample_rows(a, b, count: int, depth: int,
                 *, approx: bool = False, classical: bool = False) -> list[list[str]]:
-    """Enclosure rows "y,lo,hi" at equally spaced points of [a, b]."""
+    """Enclosure rows "y,lo,hi" at equally spaced points of the dyadic range [a, b]."""
+    a, b = _to_fraction(a), _to_fraction(b)
+    if not (is_dyadic(a) and is_dyadic(b)):
+        raise ValueError(f"sample range [{a}, {b}] must have dyadic ends")
     if not a < b:
         raise ValueError("need a < b")
     if count < 2:
         raise ValueError("need at least two sample points")
-    af, bf = a.as_fraction(), b.as_fraction()
-    step = (bf - af) / (count - 1)
+    step = (b - a) / (count - 1)
+    if not is_dyadic(step):
+        # a + step is then not dyadic: one end of its enclosure has a
+        # denominator that is a multiple of 2**(depth + 1)
+        check_printable(depth + 1)
     rows = []
     for i in range(count):
-        y = af + i * step
+        y = a + i * step
         enc = takagi_enclosure(y, depth, classical=classical)
         row = [format_rat(y), format_rat(enc.lo), format_rat(enc.hi)]
         if approx:
@@ -225,7 +227,8 @@ def sample_rows(a: Dyadic, b: Dyadic, count: int, depth: int,
 
 # -- corpus runner ----------------------------------------------------
 
-def _parse_corpus(text: str) -> list[tuple[int, str, str, object, int]]:
+def _parse_corpus(text: str, *, check_printable_reports: bool
+                  ) -> list[tuple[int, str, str, object, int]]:
     """``(line number, kind, x as written, parsed x, n)`` for each entry line."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,7 +240,11 @@ def _parse_corpus(text: str) -> list[tuple[int, str, str, object, int]]:
             if len(parts) != 3 or parts[0] not in _CHECKS:
                 raise ValueError("want '<lemma|blowup> <x> <n>'")
             kind, x_text, n_text = parts
-            entries.append((lineno, kind, x_text, _CHECKS[kind][0](x_text), int(n_text)))
+            parse, _, k = _CHECKS[kind]
+            x, n = parse(x_text), int(n_text)
+            if check_printable_reports:
+                check_printable(n + k)
+            entries.append((lineno, kind, x_text, x, n))
         except ValueError as exc:
             raise ValueError(f"corpus line {lineno}: {exc}") from None
     return entries
@@ -269,7 +276,9 @@ def _verify_all(args) -> int:
     else:
         text = _default_corpus()
     results = []
-    for index, (lineno, kind, x_text, x, n) in enumerate(_parse_corpus(text)):
+    # only JSON output carries the reports; text shows their statuses
+    entries = _parse_corpus(text, check_printable_reports=args.fmt == "json")
+    for index, (lineno, kind, x_text, x, n) in enumerate(entries):
         try:
             report = _CHECKS[kind][1](x, n)
         except ValueError as exc:
@@ -297,6 +306,10 @@ def _eval(args) -> int:
 
 def _enclose(args) -> int:
     x = parse_rat(args.x)
+    if not is_dyadic(x):
+        # one end of the enclosure has a denominator that is a multiple of
+        # 2**(depth + 1): the tail term's, unless G_depth(x) has it already
+        check_printable(args.depth + 1)
     enc = takagi_enclosure(x, args.depth, classical=args.classical)
     approx = {"mid": float((enc.lo + enc.hi) / 2)} if args.approx else None
     suffix = f"  (~{approx['mid']})" if approx else ""
@@ -337,8 +350,10 @@ def _measure(args) -> int:
 
 def _check(args) -> int:
     """``lemma`` and ``blowup``: one check at (x, n), at the depth ``analysis`` sets."""
-    parse, check = _CHECKS[args.command]
-    report = check(parse(args.x), args.n)
+    parse, check, k = _CHECKS[args.command]
+    x = parse(args.x)
+    check_printable(args.n + k)
+    report = check(x, args.n)
     _emit(args, report)
     return _exit_code(report.status)
 

@@ -53,7 +53,7 @@ from enum import Enum
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .exactnum import Dyadic, _to_fraction
+from .exactnum import _to_fraction, is_dyadic
 from .takagi import Enclosure, takagi_enclosure
 
 __all__ = [
@@ -93,16 +93,16 @@ class QuotientQuery:
     """One level-set measurement request."""
 
     x: Fraction
-    r: Dyadic
+    r: Fraction
     alpha: Fraction
     direction: Dir
     depth: int
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _to_fraction(self.x))
-        object.__setattr__(self, "alpha", _to_fraction(self.alpha))
-        if not isinstance(self.r, Dyadic):
-            raise TypeError("radius must be Dyadic")
+        for name in ("x", "r", "alpha"):
+            object.__setattr__(self, name, _to_fraction(getattr(self, name)))
+        if not is_dyadic(self.r):
+            raise ValueError("radius must be dyadic")
         if not self.r > 0:
             raise ValueError("radius must be positive")
         if not isinstance(self.direction, Dir):
@@ -191,9 +191,7 @@ def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
 
 def quotient_set_sides(q: QuotientQuery) -> tuple[Enclosure, Enclosure]:
     """Certified (left, right) half-window brackets for the query's set."""
-    x = q.x
-    rf = _to_fraction(q.r)  # plain Fraction: no Dyadic reaches the cell loop
-    n = q.depth
+    x, rf, n = q.x, q.r, q.depth
     tau = Fraction(1, 1 << (n + 1))
 
     enc = takagi_enclosure(x, n)  # a point at dyadic x, at any depth
@@ -221,15 +219,8 @@ def quotient_set_bounds(q: QuotientQuery) -> Enclosure:
     return left + right
 
 
-def certify_lower(
-    x,
-    r: Dyadic,
-    alpha,
-    direction: Dir,
-    target,
-    *,
-    depth: int,
-) -> tuple[Fraction, int, str]:
+def certify_lower(x, r, alpha, direction: Dir, target, *,
+                  depth: int) -> tuple[Fraction, int, str]:
     """Check whether the certified lower bound at ``depth`` reaches ``target``.
 
     Returns ``(lo, depth, status)`` from one :func:`quotient_set_bounds`

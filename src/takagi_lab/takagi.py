@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Dyadic, as_dyadic, is_dyadic, _to_fraction
+from .exactnum import dyadic_level, is_dyadic, _to_fraction
 
 __all__ = [
     "DEFAULT_DEPTH",
@@ -113,9 +113,12 @@ def G(n: int, x, *, classical: bool = False) -> Fraction:
     return Fraction(acc, q << n)
 
 
-def takagi_exact(x: Dyadic, *, classical: bool = False) -> Dyadic:
-    """T(x) at a dyadic point, where the series terminates."""
-    return as_dyadic(takagi_enclosure(as_dyadic(x), classical=classical).lo)
+def takagi_exact(x, *, classical: bool = False) -> Fraction:
+    """T(x) at a dyadic point: ``G_m(x)`` for ``x`` in D_m, where the series stops.
+
+    A non-dyadic ``x`` raises ``ValueError``.
+    """
+    return G(dyadic_level(x) + 1, x, classical=classical)
 
 
 def takagi_enclosure(x, depth: int = DEFAULT_DEPTH, *, classical: bool = False) -> Enclosure:
@@ -146,10 +149,11 @@ def slope(k: int, x) -> int:
     if k < 1:
         raise ValueError("grid index starts at 1")
     r, q = _orbit(x)
-    digits, rest = divmod(r << (k + 1), q)
+    # r_k = 2**k * r mod q by modular power: the cost grows with log k, not k
+    digit, rest = divmod((r * pow(2, k, q) % q) << 1, q)
     if rest == 0:
         raise ValueError(f"g_{k} has a corner at {x}")
-    return 1 - 2 * (digits & 1)
+    return 1 - 2 * digit
 
 
 def slope_seq(x, N: int) -> SlopeSeq:

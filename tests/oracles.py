@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from takagi_lab.exactnum import Dyadic, _to_fraction, dyadic_neighbors, frac_part, is_dyadic
+from takagi_lab.exactnum import _to_fraction, dyadic_neighbors, frac_part, is_dyadic
 from takagi_lab.measure import (
     BREAKPOINT_CAP,
     BreakpointLimitError,
@@ -68,10 +68,9 @@ def fraction_G(n: int, x, *, classical: bool = False) -> Fraction:
     return total
 
 
-def brute_T_dyadic(x: Dyadic) -> Fraction:
+def brute_T_dyadic(x: Fraction) -> Fraction:
     """Finite summation of the series at a dyadic point (it terminates)."""
-    xf = x.as_fraction()
-    return brute_G(x.exp + 1, xf)
+    return brute_G(x.denominator.bit_length(), x)
 
 
 def _phi(u: Fraction) -> Fraction:
@@ -107,7 +106,7 @@ def takagi_periodic(x) -> Fraction:
 def fd_slope(k: int, x: Fraction) -> Fraction:
     """Exact finite difference of g_k inside the level-(k+1) cell of x."""
     lo, hi = dyadic_neighbors(x, k + 1)
-    x_prime = (x + hi.as_fraction()) / 2
+    x_prime = (x + hi) / 2
     return (brute_g(k, x_prime) - brute_g(k, x)) / (x_prime - x)
 
 
@@ -130,7 +129,7 @@ def grid_measure_bracket(
     2r minus (no_count - no_runs) cells.
     """
     x = q.x
-    rf = q.r.as_fraction()
+    rf = q.r
     cell = 2 * rf / samples
     y0 = x - rf + cell / 2
 
@@ -245,11 +244,11 @@ class PLF:
         self.slopes = slps
 
     @property
-    def a(self) -> Dyadic:
+    def a(self) -> Fraction:
         return self.breakpoints[0]
 
     @property
-    def b(self) -> Dyadic:
+    def b(self) -> Fraction:
         return self.breakpoints[-1]
 
     def __neg__(self) -> "PLF":
@@ -264,7 +263,7 @@ class PLF:
         i = bisect_right(self.breakpoints, yf) - 1
         if i == len(self.slopes):  # y == right endpoint
             return self.values[-1]
-        return self.values[i] + self.slopes[i] * (yf - self.breakpoints[i].as_fraction())
+        return self.values[i] + self.slopes[i] * (yf - self.breakpoints[i])
 
     __call__ = eval
 
@@ -273,7 +272,7 @@ class PLF:
         for i in range(len(self.breakpoints) - 1):
             if not self.breakpoints[i] < self.breakpoints[i + 1]:
                 raise AssertionError("breakpoints not strictly increasing")
-            gap = self.breakpoints[i + 1].as_fraction() - self.breakpoints[i].as_fraction()
+            gap = self.breakpoints[i + 1] - self.breakpoints[i]
             if self.values[i] + self.slopes[i] * gap != self.values[i + 1]:
                 raise AssertionError(f"value/slope mismatch on segment {i}")
 
@@ -290,15 +289,15 @@ def _cell_slope(j: int, n: int) -> int:
     return n - 2 * ((m >> 1).bit_count())
 
 
-def build_Gn(a: Dyadic, b: Dyadic, n: int, *, max_breakpoints: int = BREAKPOINT_CAP) -> PLF:
+def build_Gn(a: Fraction, b: Fraction, n: int, *, max_breakpoints: int = BREAKPOINT_CAP) -> PLF:
     """Exact polyline equal to G_n on [a, b].
 
     Breakpoints are the points of D_{n+1} inside [a, b] together with
     the endpoints, so the count is at most ``2**(n+1) * (b - a) + 2``.
     Raises :class:`BreakpointLimitError` beyond ``max_breakpoints``.
     """
-    if not isinstance(a, Dyadic) or not isinstance(b, Dyadic):
-        raise TypeError("domain endpoints must be Dyadic")
+    if not (is_dyadic(a) and is_dyadic(b)):
+        raise ValueError("domain endpoints must be dyadic")
     if not a < b:
         raise ValueError("empty domain: need a < b")
     if n < 0:
@@ -306,14 +305,13 @@ def build_Gn(a: Dyadic, b: Dyadic, n: int, *, max_breakpoints: int = BREAKPOINT_
 
     level = n + 1
     scale = 1 << level
-    af, bf = a.as_fraction(), b.as_fraction()
     # grid indices of D_{n+1} points inside [a, b]
-    j0 = -((-af.numerator * scale) // af.denominator)  # ceil(a * scale)
-    j1 = (bf.numerator * scale) // bf.denominator      # floor(b * scale)
+    j0 = -((-a.numerator * scale) // a.denominator)  # ceil(a * scale)
+    j1 = (b.numerator * scale) // b.denominator      # floor(b * scale)
 
     inner = j1 - j0 + 1 if j1 >= j0 else 0
-    head = 1 if (inner == 0 or af * scale != j0) else 0
-    tail = 1 if (inner == 0 or bf * scale != j1) else 0
+    head = 1 if (inner == 0 or a * scale != j0) else 0
+    tail = 1 if (inner == 0 or b * scale != j1) else 0
     if inner + head + tail > max_breakpoints:
         raise BreakpointLimitError(
             f"G_{n} on [{a}, {b}] needs {inner + head + tail} breakpoints "
@@ -322,9 +320,9 @@ def build_Gn(a: Dyadic, b: Dyadic, n: int, *, max_breakpoints: int = BREAKPOINT_
 
     if inner == 0:
         # both endpoints inside one grid cell
-        s = _cell_slope(af.numerator * scale // af.denominator, n)
-        va = G(n, af)
-        return PLF([a, b], [va, va + s * (bf - af)], [s])
+        s = _cell_slope(a.numerator * scale // a.denominator, n)
+        va = G(n, a)
+        return PLF([a, b], [va, va + s * (b - a)], [s])
 
     h = Fraction(1, scale)
     base = G(n, Fraction(j0, scale))
@@ -337,21 +335,21 @@ def build_Gn(a: Dyadic, b: Dyadic, n: int, *, max_breakpoints: int = BREAKPOINT_
         v += s
         grid_vals.append(v)
 
-    bps: list[Dyadic] = []
+    bps: list[Fraction] = []
     vals: list[Fraction] = []
     slopes: list[int] = []
     if head:
         s = _cell_slope(j0 - 1, n)
         bps.append(a)
-        vals.append(Fraction(grid_vals[0], scale) - s * (Fraction(j0, scale) - af))
+        vals.append(Fraction(grid_vals[0], scale) - s * (Fraction(j0, scale) - a))
         slopes.append(s)
-    bps.extend(Dyadic(j, level) for j in range(j0, j1 + 1))
+    bps.extend(Fraction(j, 1 << level) for j in range(j0, j1 + 1))
     vals.extend(Fraction(gv, scale) for gv in grid_vals)
     slopes.extend(grid_slopes)
     if tail:
         s = _cell_slope(j1, n)
         bps.append(b)
-        vals.append(Fraction(grid_vals[-1], scale) + s * (bf - Fraction(j1, scale)))
+        vals.append(Fraction(grid_vals[-1], scale) + s * (b - Fraction(j1, scale)))
         slopes.append(s)
     return PLF(bps, vals, slopes)
 
@@ -369,21 +367,16 @@ def solve_affine_ge(f: PLF, c0, c1) -> IntervalSet:
     vals = f.values
     slopes = f.slopes
 
-    t = bps[0].as_fraction()
+    t = bps[0]
     d = vals[0] - (c0 + c1 * t)
     inc_cache: dict[tuple[int, int, int], Fraction] = {}
-    gap_cache: dict[tuple[int, int], Fraction] = {}
 
     pieces: list[tuple[Fraction, Fraction]] = []
     run_start: Fraction | None = t if d.numerator >= 0 else None
 
     for i, s in enumerate(slopes):
-        gap_d = bps[i + 1] - bps[i]
-        gkey = (gap_d.num, gap_d.exp)
-        gap = gap_cache.get(gkey)
-        if gap is None:
-            gap = gap_cache[gkey] = gap_d.as_fraction()
-        ikey = (s, gap_d.num, gap_d.exp)
+        gap = bps[i + 1] - bps[i]
+        ikey = (s, gap.numerator, gap.denominator)
         inc = inc_cache.get(ikey)
         if inc is None:
             inc = inc_cache[ikey] = (s - c1) * gap
@@ -416,8 +409,8 @@ def _window_plf(x: Fraction, rf: Fraction, depth: int, max_breakpoints: int):
     scale = 1 << (depth + 1)
     lo = x - rf
     hi = x + rf
-    a = Dyadic((lo.numerator * scale) // lo.denominator, depth + 1)
-    b = Dyadic(-((-hi.numerator * scale) // hi.denominator), depth + 1)
+    a = Fraction((lo.numerator * scale) // lo.denominator, 1 << (depth + 1))
+    b = Fraction(-((-hi.numerator * scale) // hi.denominator), 1 << (depth + 1))
     return build_Gn(a, b, depth, max_breakpoints=max_breakpoints)
 
 
@@ -426,7 +419,7 @@ def uniform_quotient_set_sides(
 ) -> tuple[Enclosure, Enclosure]:
     """Certified (left, right) half-window brackets, by the uniform engine."""
     x = q.x
-    rf = q.r.as_fraction()
+    rf = q.r
     n = q.depth
     tau = Fraction(1, 1 << (n + 1))
 

@@ -19,7 +19,7 @@ from oracles import (
     grid_measure_bracket,
     takagi_periodic,
 )
-from takagi_lab.exactnum import Dyadic, dyadic_neighbors
+from takagi_lab.exactnum import dyadic_neighbors
 from takagi_lab.analysis import (
     DYADIC_CORPUS,
     NONDYADIC_CORPUS,
@@ -46,8 +46,8 @@ def test_criterion_1_exactness_vs_brute_force():
     for _ in range(10_000):
         exp = rng.randrange(0, 21)
         num = rng.randrange(-(1 << 22), (1 << 22) + 1)
-        point = Dyadic(num, exp)
-        if takagi_exact(point).as_fraction() != brute_T_dyadic(point):
+        point = F(num, 1 << exp)
+        if takagi_exact(point) != brute_T_dyadic(point):
             ok = False
             break
         checked += 1
@@ -106,7 +106,7 @@ def test_criterion_5_blowup_full_ball():
     failures = []
     count = 0
     for x in DYADIC_CORPUS:
-        first = 2 * max(x.exp - 1, 0) + 1
+        first = 2 * max(x.denominator.bit_length() - 2, 0) + 1
         for n in range(first, 17):
             report = blowup_check(x, n)
             count += 1
@@ -126,7 +126,7 @@ def test_criterion_6_grid_oracle_sandwich():
     for i in range(50):
         den = rng.randrange(2, 60)
         x = F(rng.randrange(1, den), den)
-        r = Dyadic.pow2(-rng.randrange(2, 8))
+        r = F(1, 1 << rng.randrange(2, 8))
         alpha = F(rng.randrange(-12, 13), rng.choice([1, 2, 3, 5]))
         direction = rng.choice([Dir.GE, Dir.LE])
         query = QuotientQuery(x, r, alpha, direction, 12)
@@ -165,7 +165,7 @@ def test_criterion_8_local_linearity():
         k = rng.randrange(1, n)
         lo, hi = dyadic_neighbors(x, n)
         t = F(rng.randrange(0, 257), 256)
-        x_prime = lo.as_fraction() + t * (hi.as_fraction() - lo.as_fraction())
+        x_prime = lo + t * (hi - lo)
         if g(k, x_prime) - g(k, x) != slope(k, x) * (x_prime - x):
             bad += 1
     _gate(8, "piecewise exact linearity on neighbour intervals", bad == 0,

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from takagi_lab import analysis, measure
-from takagi_lab.exactnum import Dyadic, is_dyadic, parse_rat
+from takagi_lab.exactnum import is_dyadic, parse_rat
 from takagi_lab.analysis import (
     CASE_BOUNDED,
     CASE_DIVERGENT,
@@ -93,7 +93,7 @@ class TestClassify:
 
 class TestBlowup:
     def test_half_level_point(self):
-        report = blowup_check(Dyadic(1, 1), 3)
+        report = blowup_check(F(1, 2), 3)
         assert report.status == CERTIFIED
         assert report.threshold == 3
         assert report.lo_one_sided >= F(1, 32)  # required quarter-ball
@@ -101,7 +101,7 @@ class TestBlowup:
         assert report.lo_full == F(1, 8)  # the whole punctured ball
 
     def test_deeper_point(self):
-        report = blowup_check(Dyadic(3, 2), 4)
+        report = blowup_check(F(3, 4), 4)
         assert report.base_level == 1 and report.threshold == 2
         assert report.status == CERTIFIED
         assert report.lo_one_sided >= F(1, 64)
@@ -110,7 +110,7 @@ class TestBlowup:
     def test_integer_point_uses_clamped_level(self):
         # at integers only n distance terms move, so the supported
         # threshold is n, and with it the full ball still certifies
-        report = blowup_check(Dyadic(0), 2)
+        report = blowup_check(F(0), 2)
         assert report.base_level == 0 and report.threshold == 2
         assert report.status == CERTIFIED
         assert report.lo_full == F(1, 4)
@@ -124,16 +124,16 @@ class TestBlowup:
             return real(x, r, alpha, direction, target, **kwargs)
 
         monkeypatch.setattr(analysis, "certify_lower", le_half_fails)
-        report = blowup_check(Dyadic(1, 1), 3)
+        report = blowup_check(F(1, 2), 3)
         assert report.lo_one_sided == F(1, 16)  # the GE half alone certifies
-        assert report.lo_full < report.radius.as_fraction() * 2
+        assert report.lo_full < report.radius * 2
         assert report.status == UNDECIDED
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            blowup_check(Dyadic(1, 1), 0)
+            blowup_check(F(1, 2), 0)
         with pytest.raises(ValueError):
-            blowup_check(Dyadic(3, 2), 2)
+            blowup_check(F(3, 4), 2)
 
 
 class TestOneDepthSuffices:
@@ -150,14 +150,14 @@ class TestOneDepthSuffices:
             report = verify_lemma(x, n)
             assert (report.status, report.depth_used) == (CERTIFIED, n + 8), (x, n)
             shallow = quotient_set_bounds(QuotientQuery(
-                x, Dyadic.pow2(-n), report.alpha, report.direction, n + 1))
+                x, F(1, 1 << n), report.alpha, report.direction, n + 1))
             assert shallow.lo >= report.bound_required, (x, n)
             checked += 1
 
     def test_blowup_halves_are_exact_at_every_scale(self):
         for level in range(6):
             for k in range(1, 1 << (level + 1), 2):
-                x = Dyadic(k, level + 1)
+                x = F(k, 1 << (level + 1))
                 for n in range(2 * level + 1, 2 * level + 9):
                     report = blowup_check(x, n)
                     assert report.lo_one_sided == report.lo_mirror == report.radius, (x, n)
@@ -167,7 +167,7 @@ class TestCertificate:
     def test_density_constant(self):
         cert = certificate(F(1, 3), 2)
         assert cert.direction is Dir.LE
-        assert cert.r == Dyadic(1, 2)
+        assert cert.r == F(1, 4)
         assert cert.density_lo >= F(1, 64)
 
     def test_mirrored_direction(self):
@@ -187,7 +187,7 @@ class TestRefute:
             assert pair.le.alpha == F(-3, 5) and pair.ge.alpha == F(-2, 5)
             assert pair.le.density_lo >= F(1, 64)
             assert pair.ge.density_lo >= F(1, 64)
-            assert pair.le.r.as_fraction() * 2 == pair.ge.r.as_fraction()
+            assert pair.le.r * 2 == pair.ge.r
 
     def test_dyadic_blowup_certificates(self):
         evidence = refute(F(1, 2), 20)  # any positive horizon: none is used at a dyadic point

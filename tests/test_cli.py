@@ -9,7 +9,7 @@ import pytest
 
 from takagi_lab import analysis, cli, measure
 from takagi_lab.cli import run, sample_rows
-from takagi_lab.exactnum import Dyadic, parse_rat
+from takagi_lab.exactnum import parse_rat
 
 
 def invoke(capsys, *argv):
@@ -59,6 +59,65 @@ class TestEnclose:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "too many to print" in err and "set_int_max_str_digits" not in err
+
+
+class TestUnprintableFailsFast:
+    """Output that provably cannot print fails before any work is done."""
+
+    @staticmethod
+    def never(*args, **kwargs):
+        raise AssertionError("computed an output that cannot be printed")
+
+    @pytest.mark.parametrize("argv, patched", [
+        # one end of a non-dyadic enclosure has a multiple of 2**(depth+1) below it
+        (["enclose", "--x", "1/3", "--depth", "1000000"], (cli, "takagi_enclosure")),
+        (["enclose", "--x", "1/3", "--depth", "15000", "--format", "json"],
+         (cli, "takagi_enclosure")),
+        # a non-dyadic step puts a non-dyadic point on the grid
+        (["sample", "--a", "0", "--b", "1", "--count", "4", "--depth", "1000000"],
+         (cli, "takagi_enclosure")),
+        # the reports print 2**-(n+5) and 2**-(n+2)
+        (["lemma", "--x", "1/3", "--n", "15000"], (analysis, "verify_lemma")),
+        (["blowup", "--x", "1/2", "--n", "15000"], (analysis, "blowup_check")),
+    ], ids=["enclose", "enclose-json", "sample", "lemma", "blowup"])
+    def test_one_line_and_nothing_computed(self, capsys, monkeypatch, argv, patched):
+        monkeypatch.setattr(*patched, self.never)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "too many to print" in err
+
+    def test_corpus_entry_fails_at_parse_time_in_json(self, capsys, monkeypatch, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("lemma 1/3 2\nlemma 1/3 15000\n")
+        monkeypatch.setattr(analysis, "verify_lemma", self.never)
+        code, out, err = invoke(capsys, "verify-all", "--corpus", str(corpus),
+                                "--format", "json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: corpus line 2: ") and "too many to print" in err
+
+    def test_printable_output_still_runs(self, capsys, monkeypatch, tmp_path):
+        # dyadic sample points collapse at any depth, and text-mode verify-all
+        # prints statuses, not the reports
+        code, out, _ = invoke(capsys, "sample", "--a", "0", "--b", "1", "--count", "3",
+                              "--depth", "1000000")
+        assert (code, out) == (0, "y,lo,hi\n0,0,0\n1/2,0,0\n1,0,0\n")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("lemma 1/3 15000\n")
+        monkeypatch.setattr(analysis, "verify_lemma",
+                            lambda x, n: analysis.LemmaReport(
+                                x, n, 1, measure.Dir.LE, F(0), F(0), F(0), 0, "certified"))
+        code, out, _ = invoke(capsys, "verify-all", "--corpus", str(corpus))
+        assert code == 0 and out.endswith("all certified (1 entries)\n")
+
+    def test_no_limit_prints(self, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = invoke(capsys, "enclose", "--x", "1/3", "--depth", "15000")
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 0 and len(out) > 2 * 4300
 
 
 class TestSlopesAndNeighbors:
@@ -209,7 +268,7 @@ class TestOtherReports:
     def test_invariant_failure_is_one_line(self, capsys, monkeypatch):
         def wrong_direction(x, n):
             return analysis.DensityCertificate(
-                x=F(x), r=Dyadic.pow2(-n), alpha=F(0), direction=measure.Dir.GE,
+                x=F(x), r=F(1, 1 << n), alpha=F(0), direction=measure.Dir.GE,
                 density_lo=F(1),
             )
 
@@ -259,7 +318,7 @@ class TestSample:
         assert len(lines[1].split(",")) == 4
 
     def test_sample_rows_non_dyadic_grid(self):
-        rows = sample_rows(Dyadic(0), Dyadic(1), 4, 12)
+        rows = sample_rows(F(0), F(1), 4, 12)
         assert rows[1][0] == "1/3"
         assert parse_rat(rows[1][2]) - parse_rat(rows[1][1]) == F(1, 1 << 13)
 
@@ -380,7 +439,7 @@ class TestMachineOutputExactness:
          '{\n  "schema": "takagi-lab/1",\n  "command": "enclose",\n  "result": {\n'
          '    "x": "1/3",\n    "depth": 8,\n    "lo": "85/256",\n    "hi": "171/512"\n'
          '  },\n  "approx": {\n    "mid": 0.3330078125\n  }\n}\n'),
-        # reports whose x and radius fields are Dyadic, and CSV rows from Dyadic ends
+        # reports whose x and radius fields are dyadic, and CSV rows from dyadic ends
         (("blowup", "--x", "3/8", "--n", "5", "--format", "json"),
          '{\n  "schema": "takagi-lab/1",\n  "command": "blowup",\n  "result": {\n'
          '    "x": "3/8",\n    "n": 5,\n    "base_level": 2,\n    "threshold": 1,\n'

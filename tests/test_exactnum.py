@@ -1,16 +1,16 @@
 import copy
 import pickle
 import random
-from decimal import Decimal
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from takagi_lab.analysis import blowup_check
+from takagi_lab.cli import sample_rows
 from takagi_lab.exactnum import (
-    Dyadic,
-    as_dyadic,
+    check_printable,
     dyadic_level,
     dyadic_neighbors,
     format_rat,
@@ -18,82 +18,53 @@ from takagi_lab.exactnum import (
     is_dyadic,
     parse_rat,
 )
-
-
-class TestCanonicalize:
-    def test_examples(self):
-        assert Dyadic(4, 2) == Dyadic(1, 0)
-        assert Dyadic(6, 3) == Dyadic(3, 2)
-        assert Dyadic(0, 5) == Dyadic(0, 0)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            Dyadic(1, -1)
-
-    @given(st.integers(-10**12, 10**12), st.integers(0, 80))
-    def test_canonical_invariant(self, num, exp):
-        d = Dyadic(num, exp)
-        assert d.exp == 0 or d.num % 2 == 1
-        assert d.as_fraction() == F(num, 1 << exp)
+from takagi_lab.measure import Dir, QuotientQuery, certify_lower
+from takagi_lab.takagi import takagi_exact
 
 
 class TestDyadicArithmetic:
-    @given(st.integers(-10**9, 10**9), st.integers(0, 40),
-           st.integers(-10**9, 10**9), st.integers(0, 40))
-    def test_ring_ops_match_fraction_oracle(self, n1, e1, n2, e2):
-        a, b = Dyadic(n1, e1), Dyadic(n2, e2)
-        fa, fb = F(n1, 1 << e1), F(n2, 1 << e2)
-        assert (a + b).as_fraction() == fa + fb
-        assert (a - b).as_fraction() == fa - fb
-        assert (a * b).as_fraction() == fa * fb
-        assert (-a).as_fraction() == -fa
-        assert (a < b) == (fa < fb)
-        assert (a <= b) == (fa <= fb)
-        assert (a == b) == (fa == fb)
-
-    def test_mixed_operands(self):
-        d = Dyadic(3, 2)
-        assert d + 1 == Dyadic(7, 2)
-        assert 1 - d == Dyadic(1, 2)
-        assert d * 4 == Dyadic(3, 0)
-        assert d + F(1, 3) == F(13, 12)
-        assert F(1, 3) + d == F(13, 12)
-        assert d < F(7, 8) and d > F(1, 3)
-
-    def test_hash_consistent_with_fraction(self):
-        assert hash(Dyadic(3, 2)) == hash(F(3, 4))
-        assert {Dyadic(1, 1), F(1, 2)} == {F(1, 2)}
-
-    def test_scaling_and_pow2(self):
-        assert Dyadic.pow2(-3) == F(1, 8)
-        assert Dyadic.pow2(2) == 4
-
     def test_floats_refused(self):
-        with pytest.raises(TypeError):
-            Dyadic(1, 0) + 0.5  # noqa: intentional type error
-        with pytest.raises(TypeError):
-            as_dyadic(0.5)
+        for helper in (is_dyadic, frac_part, dyadic_level):
+            with pytest.raises(TypeError):
+                helper(0.5)  # noqa: intentional type error
 
 
 class TestDyadicIsAFraction:
     def test_pickle_and_copies_keep_value_and_type(self):
-        for d in (Dyadic(3, 2), Dyadic(0), Dyadic(-7, 5)):
-            for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
-                assert type(clone) is Dyadic
-                assert (clone.num, clone.exp) == (d.num, d.exp)
-                assert clone == d
-        report = blowup_check(Dyadic(1, 2), 3)
-        assert pickle.loads(pickle.dumps(report)) == report
-        assert isinstance(Dyadic(1, 1), F)
-        assert Dyadic(3, 2) / 3 == F(1, 4)
+        # dyadic values are plain Fractions, so a report holding them
+        # pickles and copies as it is
+        report = blowup_check(F(1, 4), 3)
+        for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                      copy.deepcopy(report)):
+            assert clone == report
+            assert type(clone.x) is type(clone.radius) is F
 
-    def test_float_comparisons_and_conversions_are_exact(self):
-        # Fraction compares with a float through from_float
-        assert Dyadic(1, 1) < 0.7 and Dyadic(1, 1) == 0.5 and not Dyadic(1, 1) == 0.3
-        for made in (Dyadic.from_float(-0.375), Dyadic.from_decimal(Decimal("-0.375"))):
-            assert type(made) is Dyadic and made == Dyadic(-3, 3)
-        with pytest.raises(ValueError):
-            Dyadic.from_decimal(Decimal("0.1"))
+
+# Every entry point that takes a dyadic value refuses a float (even a
+# dyadic-valued one) with TypeError and an exact value outside its domain
+# with ValueError: a non-dyadic rational, or, for dyadic_neighbors, whose
+# normal input is non-dyadic, a point on the grid.
+DYADIC_ENTRY_POINTS = [
+    ("QuotientQuery", lambda r: QuotientQuery(F(1, 3), r, F(0), Dir.GE, 4), F(1, 3)),
+    ("certify_lower",
+     lambda r: certify_lower(F(1, 3), r, F(0), Dir.GE, F(0), depth=4), F(1, 3)),
+    ("blowup_check", lambda x: blowup_check(x, 9), F(1, 3)),
+    ("takagi_exact", takagi_exact, F(1, 3)),
+    ("dyadic_level", dyadic_level, F(1, 3)),
+    ("dyadic_neighbors", lambda x: dyadic_neighbors(x, 2), F(1, 4)),
+    ("sample_rows_a", lambda a: sample_rows(a, F(1), 3, 4), F(1, 3)),
+    ("sample_rows_b", lambda b: sample_rows(F(0), b, 3, 4), F(1, 3)),
+]
+
+
+@pytest.mark.parametrize("call, rejected", [(call, rejected) for _, call, rejected
+                                             in DYADIC_ENTRY_POINTS],
+                         ids=[name for name, _, _ in DYADIC_ENTRY_POINTS])
+def test_dyadic_entry_point_refuses_float_and_non_dyadic(call, rejected):
+    with pytest.raises(TypeError):
+        call(0.5)
+    with pytest.raises(ValueError):
+        call(rejected)
 
 
 class TestParseFormat:
@@ -110,15 +81,40 @@ class TestParseFormat:
             parse_rat(bad)
 
     def test_dyadic_formats_like_rational(self):
-        assert format_rat(Dyadic(3, 2)) == "3/4"
-        assert format_rat(Dyadic(5, 0)) == "5"
+        assert format_rat(F(3, 4)) == "3/4"
+        assert format_rat(F(5)) == "5"
+
+
+class TestCheckPrintable:
+    @pytest.mark.parametrize("limit", [640, 4300, 12345, 100_000])
+    def test_exact_at_the_limit(self, limit):
+        first = (10 ** limit).bit_length()  # smallest e with 2**e above 10**limit
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            assert len(format_rat(1 << (first - 1))) == limit
+            check_printable(first - 1)
+            with pytest.raises(ValueError, match="too many to print"):
+                format_rat(1 << first)
+            with pytest.raises(ValueError, match=f"more than {limit} decimal digits"):
+                check_printable(first)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_zero_limit_means_none(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            check_printable(1 << 70)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestNeighbors:
     def test_examples(self):
-        assert dyadic_neighbors(F(1, 3), 2) == (Dyadic(1, 2), Dyadic(1, 1))
-        assert dyadic_neighbors(F(1, 3), 1) == (Dyadic(0), Dyadic(1, 1))
-        assert dyadic_neighbors(F(5, 7), 3) == (Dyadic(5, 3), Dyadic(3, 2))
+        assert dyadic_neighbors(F(1, 3), 2) == (F(1, 4), F(1, 2))
+        assert dyadic_neighbors(F(1, 3), 1) == (F(0), F(1, 2))
+        assert dyadic_neighbors(F(5, 7), 3) == (F(5, 8), F(3, 4))
 
     def test_on_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -144,18 +140,18 @@ class TestNeighbors:
 
 class TestDyadicLevel:
     def test_examples(self):
-        assert dyadic_level(Dyadic(1, 1)) == 0
-        assert dyadic_level(Dyadic(3, 2)) == 1
-        assert dyadic_level(Dyadic(0)) == -1
-        assert dyadic_level(Dyadic(-7)) == -1
+        assert dyadic_level(F(1, 2)) == 0
+        assert dyadic_level(F(3, 4)) == 1
+        assert dyadic_level(F(0)) == -1
+        assert dyadic_level(-7) == -1
 
     @given(st.integers(-10**6, 10**6), st.integers(0, 40))
     def test_level_characterisation(self, num, exp):
-        d = Dyadic(num, exp)
+        d = F(num, 1 << exp)
         m = dyadic_level(d) + 1
-        assert (d.as_fraction() * (1 << m)).denominator == 1
+        assert (d * (1 << m)).denominator == 1
         if m >= 1:
-            assert (d.as_fraction() * (1 << (m - 1))).denominator != 1
+            assert (d * (1 << (m - 1))).denominator != 1
 
     def test_misc_predicates(self):
         assert is_dyadic(F(3, 8)) and not is_dyadic(F(1, 3))

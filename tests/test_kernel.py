@@ -8,7 +8,6 @@ import random
 from fractions import Fraction as F
 
 from oracles import _cell_slope, uniform_quotient_set_sides
-from takagi_lab.exactnum import Dyadic
 from takagi_lab.measure import Dir, QuotientQuery, quotient_set_sides
 
 QUERIES = 336
@@ -47,7 +46,7 @@ def seeded_queries(seed=2024, count=QUERIES):
         x = _centre(rng, i % 3)
         # keep the reference's breakpoint count 2**(depth+2)*r at most 7*2**12
         exp = rng.randrange(max(1, depth - 8), max(1, depth - 8) + 5)
-        r = Dyadic(rng.choice(RADIUS_NUMERATORS), exp)
+        r = F(rng.choice(RADIUS_NUMERATORS), 1 << exp)
         alpha = _threshold(rng, (i // 3) % 5, x, depth)
         direction = Dir.GE if (i // 14) % 2 else Dir.LE
         yield QuotientQuery(x, r, alpha, direction, depth)
@@ -61,7 +60,7 @@ def test_seeded_queries_cover_the_required_mix():
     assert any(q.x < 0 for q in queries)
     assert any(q.x.denominator & (q.x.denominator - 1) for q in queries)  # non-dyadic
     assert any(q.x.denominator & (q.x.denominator - 1) == 0 for q in queries)
-    assert any(q.r == Dyadic(3, 3) for q in queries)  # 3/8
+    assert any(q.r == F(3, 8) for q in queries)  # 3/8
     alphas = {q.alpha for q in queries}
     assert {F(0), F(10**6), F(-(1 << 40))} <= alphas
     assert any(a < 0 for a in alphas if a != F(-(1 << 40)))
@@ -81,10 +80,10 @@ def test_wide_and_exact_queries():
     # windows wider than one unit interval, exact blow-up halves and
     # centres on the window's own grid
     for query in (
-        QuotientQuery(F(1, 2), Dyadic(3, 0), F(1, 3), Dir.GE, 6),
-        QuotientQuery(F(-5, 3), Dyadic(5, 1), F(-2), Dir.LE, 5),
-        QuotientQuery(F(1, 2), Dyadic(1, 4), F(3), Dir.GE, 8),
-        QuotientQuery(F(1, 2), Dyadic(1, 4), F(-3), Dir.LE, 8),
-        QuotientQuery(F(0), Dyadic(1, 2), F(2), Dir.GE, 9),
+        QuotientQuery(F(1, 2), F(3), F(1, 3), Dir.GE, 6),
+        QuotientQuery(F(-5, 3), F(5, 2), F(-2), Dir.LE, 5),
+        QuotientQuery(F(1, 2), F(1, 16), F(3), Dir.GE, 8),
+        QuotientQuery(F(1, 2), F(1, 16), F(-3), Dir.LE, 8),
+        QuotientQuery(F(0), F(1, 4), F(2), Dir.GE, 9),
     ):
         assert quotient_set_sides(query) == uniform_quotient_set_sides(query)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import grid_measure_bracket
 from takagi_lab import measure
-from takagi_lab.exactnum import Dyadic
 from takagi_lab.measure import (
     CERTIFIED,
     UNDECIDED,
@@ -26,11 +25,13 @@ def q(x, r, alpha, direction, depth):
 class TestQueryValidation:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            q(F(1, 2), Dyadic(0), F(1), Dir.GE, 4)
+            q(F(1, 2), F(0), F(1), Dir.GE, 4)
         with pytest.raises(ValueError):
-            q(F(1, 2), Dyadic(1, 4), F(1), Dir.GE, 0)
+            q(F(1, 2), F(1, 16), F(1), Dir.GE, 0)
+        with pytest.raises(ValueError, match="dyadic"):
+            q(F(1, 2), F(1, 3), F(1), Dir.GE, 4)
         with pytest.raises(TypeError):
-            q(F(1, 2), F(1, 16), F(1), Dir.GE, 4)
+            q(F(1, 2), 0.0625, F(1), Dir.GE, 4)
         with pytest.raises(ValueError):
             Dir("above")
 
@@ -40,22 +41,22 @@ class TestBlowupInstance:
     # 1/16-ball and <= -3 on the whole left half, so the GE set at +3 is
     # exactly the right half and the two one-sided sets tile the ball
     def test_right_half_exactly(self):
-        bound = quotient_set_bounds(q(F(1, 2), Dyadic(1, 4), F(3), Dir.GE, 8))
+        bound = quotient_set_bounds(q(F(1, 2), F(1, 16), F(3), Dir.GE, 8))
         assert bound.lo == bound.hi == F(1, 16)
 
     def test_mirror_and_full_ball(self):
-        ge = quotient_set_bounds(q(F(1, 2), Dyadic(1, 4), F(3), Dir.GE, 8))
-        le = quotient_set_bounds(q(F(1, 2), Dyadic(1, 4), F(-3), Dir.LE, 8))
+        ge = quotient_set_bounds(q(F(1, 2), F(1, 16), F(3), Dir.GE, 8))
+        le = quotient_set_bounds(q(F(1, 2), F(1, 16), F(-3), Dir.LE, 8))
         assert le.lo == le.hi == F(1, 16)
         assert ge.lo + le.lo == F(1, 8)  # the full punctured ball
 
     def test_sides_breakdown(self):
-        left, right = quotient_set_sides(q(F(1, 2), Dyadic(1, 4), F(3), Dir.GE, 8))
+        left, right = quotient_set_sides(q(F(1, 2), F(1, 16), F(3), Dir.GE, 8))
         assert (left.lo, left.hi) == (0, 0)
         assert (right.lo, right.hi) == (F(1, 16), F(1, 16))
 
     def test_grid_oracle_agrees(self):
-        query = q(F(1, 2), Dyadic(1, 4), F(3), Dir.GE, 8)
+        query = q(F(1, 2), F(1, 16), F(3), Dir.GE, 8)
         bound = quotient_set_bounds(query)
         emp_lo, emp_hi, _ = grid_measure_bracket(query, samples=20_000)
         assert emp_lo <= bound.hi and bound.lo <= emp_hi
@@ -65,14 +66,14 @@ class TestHugeThreshold:
     def test_upper_bound_collapses(self):
         # at a fixed scale the quotient near 1/4 is bounded, so a huge
         # threshold leaves only the tail-band sliver around the centre
-        bound = quotient_set_bounds(q(F(1, 4), Dyadic(1, 3), F(10**6), Dir.GE, 20))
+        bound = quotient_set_bounds(q(F(1, 4), F(1, 8), F(10**6), Dir.GE, 20))
         assert bound.lo == 0
         assert bound.hi <= F(1, 1 << 20)
 
 
 class TestOneScaleInstance:
     def test_certified_lower_bound(self):
-        bound = quotient_set_bounds(q(F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, 16))
+        bound = quotient_set_bounds(q(F(1, 3), F(1, 4), F(-3, 5), Dir.LE, 16))
         assert bound.lo >= F(1, 128)
 
 
@@ -80,7 +81,7 @@ class TestSandwichAndMonotonicity:
     def test_depth_improves_bounds(self):
         base = None
         for depth in (6, 7, 8, 12):
-            bound = quotient_set_bounds(q(F(1, 3), Dyadic(1, 3), F(1, 2), Dir.GE, depth))
+            bound = quotient_set_bounds(q(F(1, 3), F(1, 8), F(1, 2), Dir.GE, depth))
             assert bound.lo <= bound.hi
             if base is not None:
                 assert bound.lo >= base.lo and bound.hi <= base.hi
@@ -90,7 +91,7 @@ class TestSandwichAndMonotonicity:
         previous = None
         for i in range(-6, 7):
             bound = quotient_set_bounds(
-                q(F(1, 3), Dyadic(1, 3), F(i, 2), Dir.GE, 10)
+                q(F(1, 3), F(1, 8), F(i, 2), Dir.GE, 10)
             )
             if previous is not None:
                 assert bound.lo <= previous.lo and bound.hi <= previous.hi
@@ -98,8 +99,8 @@ class TestSandwichAndMonotonicity:
 
     def test_complementarity(self):
         for alpha in (F(-1), F(0), F(2, 5), F(3)):
-            ge = quotient_set_bounds(q(F(2, 7), Dyadic(1, 4), alpha, Dir.GE, 10))
-            le = quotient_set_bounds(q(F(2, 7), Dyadic(1, 4), alpha, Dir.LE, 10))
+            ge = quotient_set_bounds(q(F(2, 7), F(1, 16), alpha, Dir.GE, 10))
+            le = quotient_set_bounds(q(F(2, 7), F(1, 16), alpha, Dir.LE, 10))
             assert ge.hi + le.hi >= F(1, 8)
 
 
@@ -113,7 +114,7 @@ centres = st.one_of(
 queries = st.builds(
     q,
     centres,
-    st.builds(Dyadic.pow2, st.integers(-6, -1)),
+    st.builds(lambda k: F(1, 1 << k), st.integers(1, 6)),
     st.builds(F, st.integers(-40, 40), st.integers(1, 7)),
     st.sampled_from(Dir),
     st.integers(1, 13),
@@ -141,27 +142,27 @@ class TestBracketProperties:
 class TestDensity:
     # the measure bracket over the window length 2r
     def test_full_window(self):
-        query = q(F(1, 3), Dyadic(1, 3), F(-(1 << 40)), Dir.GE, 8)
+        query = q(F(1, 3), F(1, 8), F(-(1 << 40)), Dir.GE, 8)
         bound = quotient_set_bounds(query)
         assert bound.hi == 2 * query.r
         assert bound.lo > F(999, 1000) * 2 * query.r
 
     def test_blowup_density(self):
-        bound = quotient_set_bounds(q(F(1, 2), Dyadic(1, 4), F(3), Dir.GE, 8))
+        bound = quotient_set_bounds(q(F(1, 2), F(1, 16), F(3), Dir.GE, 8))
         assert bound.lo == F(1, 16)  # half of the window 2r = 1/8
 
 
 class TestEscalation:
     def test_certifies_with_escalation(self):
         lo, depth, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(1, 128), depth=10
+            F(1, 3), F(1, 4), F(-3, 5), Dir.LE, F(1, 128), depth=10
         )
         assert status == CERTIFIED and lo >= F(1, 128) and depth >= 10
 
     def test_undecided_when_capped(self):
         # an unreachable target: more than the whole window
         lo, _, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth=6
+            F(1, 3), F(1, 4), F(-3, 5), Dir.LE, F(2), depth=6
         )
         assert status == UNDECIDED and lo < 2
 
@@ -175,16 +176,16 @@ class TestEscalation:
 
         monkeypatch.setattr(measure, "quotient_set_bounds", counting)
         lo, depth, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth=6
+            F(1, 3), F(1, 4), F(-3, 5), Dir.LE, F(2), depth=6
         )
         assert depths == [6]
         assert (depth, status) == (6, UNDECIDED)
-        assert lo == quotient_set_bounds(q(F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, 6)).lo
+        assert lo == quotient_set_bounds(q(F(1, 3), F(1, 4), F(-3, 5), Dir.LE, 6)).lo
 
     def test_budget_exhaustion_is_undecided(self, monkeypatch):
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2000)
         lo, _, status = certify_lower(
-            F(1, 3), Dyadic(1, 2), F(-3, 5), Dir.LE, F(2), depth=6
+            F(1, 3), F(1, 4), F(-3, 5), Dir.LE, F(2), depth=6
         )
         assert status == UNDECIDED
 
@@ -208,7 +209,7 @@ def cells_needed(query, monkeypatch):
 class TestCellBudget:
     # the TestEscalation query: 1/3, r = 1/2, LE at -3/5
     def query(self, depth):
-        return q(F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, depth)
+        return q(F(1, 3), F(1, 2), F(-3, 5), Dir.LE, depth)
 
     def test_tiny_budget_raises(self, monkeypatch):
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
@@ -231,7 +232,7 @@ class TestCellBudget:
         with monkeypatch.context() as patch:
             patch.setattr(measure, "BREAKPOINT_CAP", budget)
             lo, depth_used, status = certify_lower(
-                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(2), depth=10
+                F(1, 3), F(1, 2), F(-3, 5), Dir.LE, F(2), depth=10
             )
         assert status == UNDECIDED
         assert depth_used == 10
@@ -241,7 +242,7 @@ class TestCellBudget:
         with monkeypatch.context() as patch:
             patch.setattr(measure, "BREAKPOINT_CAP", 3)
             assert certify_lower(
-                F(1, 3), Dyadic(1, 1), F(-3, 5), Dir.LE, F(1, 128), depth=10
+                F(1, 3), F(1, 2), F(-3, 5), Dir.LE, F(1, 128), depth=10
             ) == (0, 0, UNDECIDED)
 
 
@@ -251,7 +252,7 @@ class TestGridOracleSweep:
         for _ in range(8):
             den = rng.randrange(2, 40)
             x = F(rng.randrange(1, den), den)
-            r = Dyadic.pow2(-rng.randrange(2, 7))
+            r = F(1, 1 << rng.randrange(2, 7))
             alpha = F(rng.randrange(-12, 13), rng.choice([1, 2, 3, 5]))
             direction = rng.choice([Dir.GE, Dir.LE])
             query = q(x, r, alpha, direction, 12)

@@ -10,43 +10,42 @@ from oracles import (
     solve_affine_ge,
     solve_affine_le,
 )
-from takagi_lab.exactnum import Dyadic
 from takagi_lab.takagi import G
 
 
 def tent():
-    return build_Gn(Dyadic(0), Dyadic(1, 1), 1)
+    return build_Gn(F(0), F(1, 2), 1)
 
 
 class TestBuild:
     def test_single_tent(self):
         f = tent()
-        assert [b.as_fraction() for b in f.breakpoints] == [0, F(1, 4), F(1, 2)]
+        assert list(f.breakpoints) == [0, F(1, 4), F(1, 2)]
         assert list(f.values) == [0, F(1, 4), 0]
         assert list(f.slopes) == [1, -1]
         f.validate()
 
     def test_empty_sum_is_constant_zero(self):
-        f = build_Gn(Dyadic(0), Dyadic(1), 0)
+        f = build_Gn(F(0), F(1), 0)
         assert all(v == 0 for v in f.values)
         assert all(s == 0 for s in f.slopes)
 
     def test_depth_two_piece(self):
-        f = build_Gn(Dyadic(1, 2), Dyadic(1, 1), 2)
-        assert [b.as_fraction() for b in f.breakpoints] == [F(1, 4), F(3, 8), F(1, 2)]
+        f = build_Gn(F(1, 4), F(1, 2), 2)
+        assert list(f.breakpoints) == [F(1, 4), F(3, 8), F(1, 2)]
         assert list(f.values) == [F(1, 4), F(1, 4), 0]
         assert list(f.slopes) == [0, -2]
 
     def test_off_grid_endpoints(self):
-        a, b = Dyadic(1, 5), Dyadic(27, 5)  # 1/32 and 27/32, deeper than D_3
+        a, b = F(1, 32), F(27, 32)  # 1/32 and 27/32, deeper than D_3
         f = build_Gn(a, b, 2)
         f.validate()
         assert f.breakpoints[0] == a and f.breakpoints[-1] == b
-        assert f.eval(a) == G(2, a.as_fraction())
-        assert f.eval(b) == G(2, b.as_fraction())
+        assert f.eval(a) == G(2, a)
+        assert f.eval(b) == G(2, b)
 
     def test_both_endpoints_in_one_cell(self):
-        f = build_Gn(Dyadic(1, 6), Dyadic(3, 6), 1)  # [1/64, 3/64] inside [0, 1/4]
+        f = build_Gn(F(1, 64), F(3, 64), 1)  # [1/64, 3/64] inside [0, 1/4]
         f.validate()
         assert len(f.breakpoints) == 2
         assert f.slopes == (1,)
@@ -55,41 +54,43 @@ class TestBuild:
         rng = random.Random(13)
         for _ in range(40):
             n = rng.randrange(0, 8)
-            a = Dyadic(rng.randrange(-16, 16), rng.randrange(0, 6))
-            b = a + Dyadic(rng.randrange(1, 32), rng.randrange(0, 6))
+            a = F(rng.randrange(-16, 16), 1 << rng.randrange(0, 6))
+            b = a + F(rng.randrange(1, 32), 1 << rng.randrange(0, 6))
             f = build_Gn(a, b, n)
-            width = b.as_fraction() - a.as_fraction()
+            width = b - a
             assert len(f.breakpoints) <= (1 << (n + 1)) * width + 2
 
     def test_budget_enforced(self):
         with pytest.raises(BreakpointLimitError):
-            build_Gn(Dyadic(0), Dyadic(1), 10, max_breakpoints=100)
+            build_Gn(F(0), F(1), 10, max_breakpoints=100)
 
     def test_slope_range_and_parity(self):
         for n in (1, 2, 3, 5):
-            f = build_Gn(Dyadic(0), Dyadic(1), n)
+            f = build_Gn(F(0), F(1), n)
             for s in f.slopes:
                 assert -n <= s <= n and (s - n) % 2 == 0
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            build_Gn(Dyadic(1, 1), Dyadic(1, 1), 2)
+            build_Gn(F(1, 2), F(1, 2), 2)
+        with pytest.raises(ValueError):
+            build_Gn(F(1, 3), F(1), 2)
         with pytest.raises(TypeError):
-            build_Gn(F(1, 2), Dyadic(1), 2)
+            build_Gn(0.5, F(1), 2)
 
 
 class TestEval:
     def test_examples(self):
         assert tent().eval(F(1, 8)) == F(1, 8)
-        assert build_Gn(Dyadic(0), Dyadic(1), 2).eval(F(1, 3)) == G(2, F(1, 3)) == F(1, 4)
-        f = build_Gn(Dyadic(1, 2), Dyadic(1, 1), 2)
+        assert build_Gn(F(0), F(1), 2).eval(F(1, 3)) == G(2, F(1, 3)) == F(1, 4)
+        f = build_Gn(F(1, 4), F(1, 2), 2)
         for bp, value in zip(f.breakpoints, f.values):
-            assert f.eval(bp.as_fraction()) == value
+            assert f.eval(bp) == value
 
     def test_matches_partial_sums_everywhere(self):
         rng = random.Random(14)
         for n in (0, 1, 3, 6):
-            f = build_Gn(Dyadic(-3, 2), Dyadic(9, 2), n)
+            f = build_Gn(F(-3, 4), F(9, 4), n)
             for _ in range(1000):
                 y = F(rng.randrange(-3 * 1024, 9 * 1024 + 1), 4096)
                 assert f.eval(y) == G(n, y)
@@ -118,7 +119,7 @@ class TestSolve:
         rng = random.Random(15)
         for _ in range(40)            :
             n = rng.randrange(0, 7)
-            f = build_Gn(Dyadic(0), Dyadic(1), n)
+            f = build_Gn(F(0), F(1), n)
             # non-integer slope c1 rules out whole tied segments
             c1 = F(rng.randrange(-8, 8), 3)
             c0 = F(rng.randrange(-16, 16), 16)
@@ -127,7 +128,7 @@ class TestSolve:
             assert ge.measure() + le.measure() == 1
 
     def test_monotone_in_offset(self):
-        f = build_Gn(Dyadic(0), Dyadic(1), 4)
+        f = build_Gn(F(0), F(1), 4)
         previous = None
         for i in range(-4, 12):
             m = solve_affine_ge(f, F(i, 16), F(1, 3)).measure()

@@ -5,8 +5,8 @@ Usage: python tools/same_output.py REV
 Exports REV with ``git archive`` into a temporary directory, generates
 every op of the three benchmark workloads for seeds 1-3 with
 ``bench/workloads.generate`` (writing the corpus files they read), adds
-the text-mode ops of ``TEXT_OPS``, and runs each op through
-``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree.
+the text-mode ops of ``TEXT_OPS`` and the failing ops of ``ERROR_OPS``,
+and runs each op through ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does.  Nothing under ``bench/``
 is changed.
@@ -45,6 +45,28 @@ TEXT_OPS = (
     ["enclose", "--x", "1/3"],
 )
 
+# Error paths: dyadic input refused or out of domain, and exact outputs too
+# long to print (which fail with the same message before or after the work).
+ERROR_OPS = (
+    ["measure", "--x", "1/2", "--r", "1/3", "--alpha", "1", "--dir", "ge", "--depth", "6"],
+    ["measure", "--x", "1/3", "--r", "3/10", "--alpha", "0", "--dir", "le", "--depth", "4",
+     "--format", "json"],
+    ["measure", "--x", "1/3", "--r", "0", "--alpha", "0", "--dir", "ge", "--depth", "4"],
+    ["blowup", "--x", "1/3", "--n", "3"],
+    ["blowup", "--x", "-5/6", "--n", "4", "--format", "json"],
+    ["blowup", "--x", "3/4", "--n", "2"],
+    ["eval", "--x", "1/3"],
+    ["eval", "--x", "2/3", "--format", "json"],
+    ["neighbors", "--x", "1/4", "--n", "2"],
+    ["neighbors", "--x", "3", "--n", "0", "--format", "json"],
+    ["sample", "--a", "1/3", "--b", "1", "--count", "3"],
+    ["sample", "--a", "0", "--b", "2/3", "--count", "3"],
+    ["sample", "--a", "1", "--b", "0", "--count", "3"],
+    ["sample", "--a", "1/2", "--b", "1/2", "--count", "2"],
+    ["enclose", "--x", "1/3", "--depth", "15000"],
+    ["lemma", "--x", "1/3", "--n", "15000"],
+)
+
 # Runs in a child interpreter with one tree's src/ on PYTHONPATH: reads a
 # JSON list of argvs on stdin, writes [code, stdout, stderr] for each.
 RUNNER = """
@@ -81,6 +103,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
             ops.extend((f"{workload} seed {seed} op {i}", op["argv"])
                        for i, op in enumerate(op_list))
     ops.extend((f"text op {i}", list(argv)) for i, argv in enumerate(TEXT_OPS))
+    ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
     return ops
 
 
