@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exactnum import dyadic_level, format_rat, is_dyadic, _to_fraction
+from .exactnum import check_printable, dyadic_level, format_rat, is_dyadic, _to_fraction
 from .measure import CERTIFIED, Dir, UNDECIDED, certify_lower
 from .takagi import SlopeSeq, slope, slope_seq, slope_sum
 
@@ -331,10 +331,8 @@ def _certified(cert: DensityCertificate) -> bool:
     return cert.density_lo >= Fraction(1, 64)
 
 
-def _bounded_pairs(
-    xf: Fraction, report: ClassificationReport
-) -> tuple[list[CertificatePair], list[int]]:
-    """LE/GE pairs at indices where the slope sums revisit their minimum.
+def _pair_scales(report: ClassificationReport) -> list[int]:
+    """Scales ``j + 1`` at the indices j where the slope sums revisit their minimum.
 
     A revisit of the running minimum I at index j >= 2 forces
     ``G_{j-1}' = I + 1`` and ``G_{j+1}' = I + 1`` (unit steps that may
@@ -347,8 +345,7 @@ def _bounded_pairs(
     vals = report.seq.values
     N = report.horizon
     lowest = report.running_min
-    pairs: list[CertificatePair] = []
-    uncertified: list[int] = []
+    scales: list[int] = []
     for j in report.min_hits:
         if j + 1 > N:
             continue  # the step out of the hit is beyond the horizon
@@ -361,7 +358,17 @@ def _bounded_pairs(
                 f"slope steps around minimum revisit at n={j} are "
                 f"{before}->{lowest}->{after}; expected {lowest + 1} on both sides"
             )
-        n_k = j + 1
+        scales.append(j + 1)
+    return scales
+
+
+def _bounded_pairs(
+    xf: Fraction, scales: list[int]
+) -> tuple[list[CertificatePair], list[int]]:
+    """LE/GE pairs at the scales of :func:`_pair_scales`."""
+    pairs: list[CertificatePair] = []
+    uncertified: list[int] = []
+    for n_k in scales:
         le = certificate(xf, n_k)
         ge = certificate(xf, n_k - 1)
         if le.direction is not Dir.LE or ge.direction is not Dir.GE:
@@ -375,10 +382,8 @@ def _bounded_pairs(
     return pairs, uncertified
 
 
-def _divergent_singles(
-    xf: Fraction, report: ClassificationReport
-) -> tuple[list[DensityCertificate], list[int]]:
-    """One-sided certificates at record values followed by a reversal.
+def _record_scales(report: ClassificationReport) -> list[int]:
+    """Scales ``j + 1`` at record values followed by a reversal.
 
     For upward drift: indices j where ``G_j'`` is a strict running
     maximum and the next step is -1 give GE certificates at thresholds
@@ -386,8 +391,7 @@ def _divergent_singles(
     """
     vals = report.seq.values
     upward = vals[-1] - vals[0] >= 0
-    singles: list[DensityCertificate] = []
-    uncertified: list[int] = []
+    scales: list[int] = []
     best = None
     for j in range(1, report.horizon):
         v = vals[j - 1]
@@ -396,11 +400,22 @@ def _divergent_singles(
             best = v
             step_out = vals[j] - v
             if (upward and step_out == -1) or (not upward and step_out == 1):
-                cert = certificate(xf, j + 1)
-                if _certified(cert):
-                    singles.append(cert)
-                else:
-                    uncertified.append(j + 1)
+                scales.append(j + 1)
+    return scales
+
+
+def _divergent_singles(
+    xf: Fraction, scales: list[int]
+) -> tuple[list[DensityCertificate], list[int]]:
+    """One-sided certificates at the scales of :func:`_record_scales`."""
+    singles: list[DensityCertificate] = []
+    uncertified: list[int] = []
+    for n in scales:
+        cert = certificate(xf, n)
+        if _certified(cert):
+            singles.append(cert)
+        else:
+            uncertified.append(n)
     return singles, uncertified
 
 
@@ -441,6 +456,13 @@ def refute(x, horizon: int) -> RefutationEvidence:
     one-sided certificates at growing thresholds; dyadic points yield
     blow-up certificates.  When no qualifying index exists below the
     horizon the status is ``insufficient-horizon``.
+
+    The largest radius exponent the report prints is known from the slope
+    sums alone: the largest qualifying scale, or the last blow-up's
+    ``n + 1``.  When ``2**-exp`` is too long to print, the ``ValueError``
+    of :func:`~takagi_lab.exactnum.check_printable` is raised before any
+    measure query.  At a non-dyadic point the report prints that radius
+    only if its certificate certifies, as every lemma measured so far has.
     """
     xf = _to_fraction(x)
     pairs: list[CertificatePair] = []
@@ -448,13 +470,19 @@ def refute(x, horizon: int) -> RefutationEvidence:
     report = classify(xf, horizon)
     case = report.case_hint
     if case == CASE_DYADIC:
+        # the last blow-up, at n = first + _DYADIC_BLOWUPS - 1, prints 2**-(n+1)
+        check_printable(_first_blowup_scale(xf) + _DYADIC_BLOWUPS)
         singles, uncertified, detail = _dyadic_singles(xf)
         status = UNDECIDED if uncertified else CERTIFIED
     else:
-        if case == CASE_BOUNDED:
-            pairs, uncertified = _bounded_pairs(xf, report)
+        bounded = case == CASE_BOUNDED
+        scales = _pair_scales(report) if bounded else _record_scales(report)
+        if scales:  # a certificate at scale n prints its radius 2**-n
+            check_printable(scales[-1])
+        if bounded:
+            pairs, uncertified = _bounded_pairs(xf, scales)
         else:
-            singles, uncertified = _divergent_singles(xf, report)
+            singles, uncertified = _divergent_singles(xf, scales)
         status = CERTIFIED
         if pairs:
             detail = (

@@ -29,9 +29,16 @@ split; at level n the exact affine crossing is solved.  The result is
 the exact Lebesgue measure of each set, the same rationals a full
 polyline of G_n would give, while the cells visited follow the level
 line instead of filling the window.  Inside the walk everything is an
-integer: cell index, and ``D*(G_m - line)`` at the cell ends for one
-common denominator D.  The depth-first stack holds at most one pending
-cell per level, so memory does not grow with the window.
+integer: cell index, and ``w = D*(G_m - line)`` at the cell ends for
+one common denominator D.  A level-n crossing lies at ``j + w0/d`` with
+``d = w0 - w1 = (D >> (n+1))*(alpha - s)``, where s is the slope of G_n
+on the cell, so a band has at most n + 1 denominators: the crossing
+pieces inside one half of the window are summed as integer numerators
+per denominator, and one ``Fraction`` per denominator is built at the
+end.  Only cells that straddle ``x - r``, ``x`` or ``x + r`` (at most
+three per level) are clipped in ``Fraction``.  The depth-first stack
+holds at most one pending cell per level, so memory does not grow with
+the window.
 
 ``BREAKPOINT_CAP`` caps the number of cells one query may visit (both
 sets together); a query over the cap raises
@@ -73,7 +80,9 @@ UNDECIDED = "undecided"
 
 # Cell budget per query: far above what any query near the level line
 # needs.  It bounds the cells a pathological query visits, not its time:
-# every cell carries integers of about n + 1 bits at depth n.
+# a cell costs a few operations on integers of about n + 1 bits at depth
+# n, and only the few cells that straddle the window's ends or centre
+# build a Fraction.
 BREAKPOINT_CAP = 1 << 24
 
 
@@ -140,7 +149,11 @@ def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
     out = []
     for c, ge in bands:
         dc = c.numerator * (big // c.denominator)
-        left = right = 0
+        left = right = 0  # whole cells in one half, in units
+        # crossings in one half: numerators summed per denominator w0 - w1
+        parts_l: dict[int, int] = {}
+        parts_r: dict[int, int] = {}
+        cut_l = cut_r = 0  # cells that straddle lo, mid or hi, clipped
         for root in roots:
             stack = [(0, root, -dc - step0 * root, -dc - step0 * (root + 1))]
             while stack:
@@ -177,15 +190,30 @@ def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
                     if right_in[0] <= p0 and p1 <= right_in[1]:
                         right += p1 - p0
                         continue
-                else:  # level n: G_n is affine here, cut at the crossing
-                    cross = j + Fraction(w0, w0 - w1)
-                    if (w0 >= 0 if ge else w0 <= 0):
+                else:
+                    # level n: G_n is affine here and crosses the line at
+                    # j + w0/d; the piece is [j, j + w0/d], or [j + w0/d, j + 1]
+                    # of length 1 - w0/d = -w1/d
+                    d = w0 - w1
+                    from_j = w0 >= 0 if ge else w0 <= 0
+                    num = w0 if from_j else -w1
+                    if left_in[0] <= p0 and p1 <= left_in[1]:
+                        parts_l[d] = parts_l.get(d, 0) + num
+                        continue
+                    if right_in[0] <= p0 and p1 <= right_in[1]:
+                        parts_r[d] = parts_r.get(d, 0) + num
+                        continue
+                    cross = j + Fraction(w0, d)
+                    if from_j:
                         p1 = cross
                     else:
                         p0 = cross
-                left += max(0, min(p1, mid) - max(p0, lo))
-                right += max(0, min(p1, hi) - max(p0, mid))
-        out.append((Fraction(left) / unit, Fraction(right) / unit))
+                cut_l += max(0, min(p1, mid) - max(p0, lo))
+                cut_r += max(0, min(p1, hi) - max(p0, mid))
+        out.append(tuple(
+            Fraction(whole + cut + sum(Fraction(num, d) for d, num in parts.items()), unit)
+            for whole, cut, parts in ((left, cut_l, parts_l), (right, cut_r, parts_r))
+        ))
     return out
 
 

@@ -179,9 +179,19 @@ def slope_seq(x, N: int) -> SlopeSeq:
 
 
 def slope_sum(x, n: int) -> int:
-    """``G_n'(x)`` as a single integer; n = 0 gives the empty sum 0."""
+    """``G_n'(x)`` as a single integer; n = 0 gives the empty sum 0.
+
+    No walk: ``g_k'(x) = 1 - 2*b_{k+1}(x)``, so the sum is ``n`` minus
+    twice the number of ones among the digits ``b_2 .. b_{n+1}``, which
+    are the low n bits of ``floor(2**(n+1) * (x mod 1))``.  A dyadic x
+    raises the same ``ValueError`` as :func:`slope_seq`.
+    """
     if n < 0:
         raise ValueError("slope-sum order must be non-negative")
     if n == 0:
         return 0
-    return slope_seq(x, n).values[-1]
+    xf = _to_fraction(x)
+    if is_dyadic(xf):
+        raise ValueError(f"slopes are eventually undefined at dyadic {xf}")
+    r, q = _orbit(xf)
+    return n - 2 * ((r << (n + 1)) // q & ((1 << n) - 1)).bit_count()

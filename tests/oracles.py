@@ -12,14 +12,19 @@ The uniform polyline engine (``PLF``, ``build_Gn``, ``solve_affine_ge``,
 are the measure engine the library used before its adaptive kernel: they
 materialise every breakpoint of G_n in the window and solve segment by
 segment.  They stay here as the reference the adaptive kernel must match
-exactly.  Likewise :func:`fraction_G` is the partial sum the library
-computed before its integer orbit kernel, one ``Fraction`` per term.
+exactly.  :func:`fraction_band_measures` is the adaptive kernel as it
+was before it summed its crossings per denominator: one ``Fraction``
+per level-n crossing, clipped against the window.  It is the reference
+at depths the uniform engine cannot reach.  Likewise :func:`fraction_G`
+is the partial sum the library computed before its integer orbit
+kernel, one ``Fraction`` per term.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from math import ceil, floor, lcm
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -448,3 +453,81 @@ def uniform_quotient_set_sides(
     left_bound = Enclosure(in_l.measure(), rf - out_l.measure())
     right_bound = Enclosure(in_r.measure(), rf - out_r.measure())
     return left_bound, right_bound
+
+
+def fraction_band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
+                            bands) -> list[tuple[Fraction, Fraction]]:
+    """(left, right) measures of ``{y : G_n(y) >= c + alpha*y}`` per band.
+
+    ``bands`` holds ``(c, ge)`` pairs; ``ge=False`` asks for ``<=``.
+    Left is the part in ``[x - r, x]``, right the part in ``[x, x + r]``.
+    Positions are counted in units of ``2**-(n+1)``; ``w0, w1`` are
+    ``D*(G_m - line)`` at the two ends of a level-m cell.
+    """
+    unit = 1 << (n + 1)
+    big = lcm(alpha.denominator * unit, *(c.denominator for c, _ in bands))
+    step0 = alpha.numerator * (big // alpha.denominator) >> 1  # D*alpha/2
+    tail_n = big >> (n + 1)
+    lo, mid, hi = (x - rf) * unit, x * unit, (x + rf) * unit
+    a, b = floor(lo), ceil(hi)
+    # cells within these bounds lie in one half of the window
+    left_in, right_in = (ceil(lo), floor(mid)), (ceil(mid), floor(hi))
+    roots = range(a >> n, -(-b >> n))  # the level-0 cells meeting the window
+    max_cells = BREAKPOINT_CAP
+    over_budget = BreakpointLimitError(
+        f"depth-{n} query at x={x} needs more than {max_cells} cells"
+    )
+    if len(bands) * len(roots) > max_cells:  # every band visits every root
+        raise over_budget
+
+    cells = 0
+    out = []
+    for c, ge in bands:
+        dc = c.numerator * (big // c.denominator)
+        left = right = 0
+        for root in roots:
+            stack = [(0, root, -dc - step0 * root, -dc - step0 * (root + 1))]
+            while stack:
+                m, j, w0, w1 = stack.pop()
+                cells += 1
+                if cells > max_cells:
+                    raise over_budget
+                w_lo, w_hi = (w0, w1) if w0 <= w1 else (w1, w0)
+                # D*(2**-(m+1) - 2**-(n+1)) bounds D*(G_n - G_m) on the cell
+                tail = (big >> (m + 1)) - tail_n
+                if ge:
+                    inside, outside = w_lo >= 0, w_hi < -tail
+                else:
+                    inside, outside = w_hi <= -tail, w_lo > 0
+                if outside:
+                    continue
+                k = n - m
+                p0 = j << k
+                p1 = p0 + (1 << k)
+                if not inside and m < n:
+                    # exact: D*G_m and D*line are integers on the level-(m+1)
+                    # grid; g_{m+1} adds 2**-(m+2) at the midpoint
+                    wm = ((w0 + w1) >> 1) + (big >> (m + 2))
+                    pm = p0 + (1 << (k - 1))
+                    if pm < b:
+                        stack.append((m + 1, 2 * j + 1, wm, w1))
+                    if pm > a:
+                        stack.append((m + 1, 2 * j, w0, wm))
+                    continue
+                if inside:
+                    if left_in[0] <= p0 and p1 <= left_in[1]:
+                        left += p1 - p0
+                        continue
+                    if right_in[0] <= p0 and p1 <= right_in[1]:
+                        right += p1 - p0
+                        continue
+                else:  # level n: G_n is affine here, cut at the crossing
+                    cross = j + Fraction(w0, w0 - w1)
+                    if (w0 >= 0 if ge else w0 <= 0):
+                        p1 = cross
+                    else:
+                        p0 = cross
+                left += max(0, min(p1, mid) - max(p0, lo))
+                right += max(0, min(p1, hi) - max(p0, mid))
+        out.append((Fraction(left) / unit, Fraction(right) / unit))
+    return out

@@ -79,7 +79,14 @@ class TestUnprintableFailsFast:
         # the reports print 2**-(n+5) and 2**-(n+2)
         (["lemma", "--x", "1/3", "--n", "15000"], (analysis, "verify_lemma")),
         (["blowup", "--x", "1/2", "--n", "15000"], (analysis, "blowup_check")),
-    ], ids=["enclose", "enclose-json", "sample", "lemma", "blowup"])
+        # a refute report prints 2**-n at its largest qualifying scale n, or
+        # at the last blow-up's n + 1 = 2*7199 + 9 here
+        (["refute", "--x", "1/3", "--n", "15000"], (analysis, "certificate")),
+        (["refute", "--x", "1/7", "--n", "15000", "--format", "json"],
+         (analysis, "certificate")),
+        (["refute", "--x", f"1/{1 << 7200}"], (analysis, "blowup_check")),
+    ], ids=["enclose", "enclose-json", "sample", "lemma", "blowup", "refute-pairs",
+            "refute-singles", "refute-dyadic"])
     def test_one_line_and_nothing_computed(self, capsys, monkeypatch, argv, patched):
         monkeypatch.setattr(*patched, self.never)
         code, out, err = invoke(capsys, *argv)
@@ -109,6 +116,29 @@ class TestUnprintableFailsFast:
                                 x, n, 1, measure.Dir.LE, F(0), F(0), F(0), 0, "certified"))
         code, out, _ = invoke(capsys, "verify-all", "--corpus", str(corpus))
         assert code == 0 and out.endswith("all certified (1 entries)\n")
+
+    def test_refute_is_rejected_only_past_the_limit(self, capsys, monkeypatch):
+        # at the smallest limit, 640 digits, 2**2126 prints and 2**2127 does not
+        def fake(x, n):  # the 1/3 pairs pass their direction and gap checks
+            direction = measure.Dir.LE if n % 2 == 0 else measure.Dir.GE
+            return analysis.DensityCertificate(x, F(1, 1 << n), F(-n, 5), direction, F(1, 32))
+
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # the blow-ups print radii down to 2**-2125 here, 2**-2127 at 1/2**1060
+            assert invoke(capsys, "refute", "--x", f"1/{1 << 1059}")[0] == 0
+            monkeypatch.setattr(analysis, "blowup_check", self.never)
+            assert invoke(capsys, "refute", "--x", f"1/{1 << 1060}")[0] == 1
+            # the largest qualifying scale at 1/3 is the largest even n <= N
+            monkeypatch.setattr(analysis, "certificate", fake)
+            code, out, _ = invoke(capsys, "refute", "--x", "1/3", "--n", "2127")
+            assert code == 0 and f"1/{1 << 2126}" in out
+            monkeypatch.setattr(analysis, "certificate", self.never)
+            code, _, err = invoke(capsys, "refute", "--x", "1/3", "--n", "2128")
+            assert code == 1 and "too many to print" in err
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_no_limit_prints(self, capsys):
         old = sys.get_int_max_str_digits()

@@ -1,14 +1,18 @@
-"""The adaptive measure kernel against the uniform polyline reference.
+"""The adaptive measure kernel against its references.
 
-Both engines compute exact Lebesgue measures of the same closed sets,
-so every bracket must agree as rationals, not just overlap.
+Up to depth 14 the reference is the uniform polyline engine; from depth
+15 to 200, where that engine cannot run, it is the kernel with one
+``Fraction`` per crossing.  Every engine computes exact Lebesgue
+measures of the same closed sets, so results must agree as rationals,
+not just overlap.
 """
 
 import random
 from fractions import Fraction as F
 
-from oracles import _cell_slope, uniform_quotient_set_sides
-from takagi_lab.measure import Dir, QuotientQuery, quotient_set_sides
+from oracles import _cell_slope, fraction_band_measures, uniform_quotient_set_sides
+from takagi_lab.measure import Dir, QuotientQuery, _band_measures, quotient_set_sides
+from takagi_lab.takagi import takagi_enclosure
 
 QUERIES = 336
 # radii numerators: powers of two and dyadics that are not (3/8, 5/16, ...)
@@ -87,3 +91,51 @@ def test_wide_and_exact_queries():
         QuotientQuery(F(0), F(1, 4), F(2), Dir.GE, 9),
     ):
         assert quotient_set_sides(query) == uniform_quotient_set_sides(query)
+
+
+def _query_bands(x, depth, alpha):
+    """The two bands ``quotient_set_sides`` measures for a query at x."""
+    enc = takagi_enclosure(x, depth)
+    tau = F(1, 1 << (depth + 1))
+    return (enc.hi - alpha * x, True), (enc.lo - alpha * x - tau, False)
+
+
+def deep_band_cases(seed=2025, count=300):
+    """``_band_measures`` arguments at depths 15-200, with the two bands of a query."""
+    rng = random.Random(seed)
+    for i in range(count):
+        depth = rng.randrange(15, 201)
+        x = _centre(rng, i % 3)
+        if (i // 3) % 2:  # below 2**-(depth+1): the window sits in one level-n cell
+            exp = depth + 1 + rng.randrange(0, 4)
+        else:
+            exp = rng.randrange(depth - 12, depth + 1)
+        r = F(rng.choice(RADIUS_NUMERATORS), 1 << exp)
+        alpha = _threshold(rng, (i // 6) % 5, x, depth)
+        yield x, r, depth, alpha, _query_bands(x, depth, alpha)
+    # r = 1/2 at depth 200: about 140 000 cells, crossings over 21 denominators
+    yield F(1, 3), F(1, 2), 200, F(1, 2), _query_bands(F(1, 3), 200, F(1, 2))
+
+
+def test_deep_cases_cover_the_required_mix():
+    cases = list(deep_band_cases())
+    depths = {n for _, _, n, _, _ in cases}
+    assert min(depths) < 20 and max(depths) == 200
+    assert any(r < F(1, 1 << (n + 1)) for _, r, n, _, _ in cases)
+    assert any(x < 0 for x, *_ in cases)
+    assert any(x.denominator & (x.denominator - 1) for x, *_ in cases)  # non-dyadic
+    assert any(x.denominator & (x.denominator - 1) == 0 for x, *_ in cases)
+    alphas = {alpha for _, _, _, alpha, _ in cases}
+    assert F(10**6) in alphas
+    near = sum(alpha - _cell_slope((x.numerator << (n + 1)) // x.denominator, n)
+               in {F(1, 3), F(-1, 3), F(2, 5), F(-2, 5)} for x, _, n, alpha, _ in cases)
+    assert near >= 10
+
+
+def test_equal_to_the_per_crossing_fraction_kernel():
+    mismatches = []
+    for case in deep_band_cases():
+        got, want = _band_measures(*case), fraction_band_measures(*case)
+        if got != want:
+            mismatches.append((case, got, want))
+    assert mismatches == []

@@ -232,6 +232,31 @@ class TestSlopeSeq:
         with pytest.raises(ValueError):
             slope_seq(F(3, 8), 5)
 
+    def test_slope_sum_matches_the_walk(self):
+        # negative centres, even denominators, q up to 2**61 - 1, n up to 400
+        rng = random.Random(29)
+        dens = (3, 7, 997, 3 << 40, 997 << 7, (1 << 61) - 1)
+        for _ in range(400):
+            q = rng.choice(dens + (rng.randrange(3, 10**12),))
+            x = F(rng.randrange(-3 * q, 3 * q), q)
+            if is_dyadic(x):
+                continue
+            n = rng.randrange(0, 401)
+            assert slope_sum(x, n) == (slope_seq(x, n).values[-1] if n else 0)
+
+    def test_slope_sum_errors_match_the_walk(self):
+        for x in (F(3, 8), F(-5), F(1, 2)):
+            with pytest.raises(ValueError) as walk:
+                slope_seq(x, 3)
+            with pytest.raises(ValueError) as closed:
+                slope_sum(x, 3)
+            assert str(closed.value) == str(walk.value)
+            assert slope_sum(x, 0) == 0
+        with pytest.raises(ValueError, match="non-negative"):
+            slope_sum(F(1, 3), -1)
+        with pytest.raises(TypeError):
+            slope_sum(0.5, 2)
+
     def test_broken_invariants_raise(self, monkeypatch):
         monkeypatch.setattr(takagi, "slope", lambda k, x: 3 if k == 2 else 1)
         with pytest.raises(RuntimeError, match="unit steps"):

@@ -5,8 +5,9 @@ Usage: python tools/same_output.py REV
 Exports REV with ``git archive`` into a temporary directory, generates
 every op of the three benchmark workloads for seeds 1-3 with
 ``bench/workloads.generate`` (writing the corpus files they read), adds
-the text-mode ops of ``TEXT_OPS`` and the failing ops of ``ERROR_OPS``,
-and runs each op through ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree.
+the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS`` and the
+failing ops of ``ERROR_OPS``, and runs each op through
+``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does.  Nothing under ``bench/``
 is changed.
@@ -43,6 +44,15 @@ TEXT_OPS = (
      "--approx"],
     ["enclose", "--x", "1/3", "--depth", "40", "--approx"],
     ["enclose", "--x", "1/3"],
+)
+
+# Depth 200, past every benchmark op (depth 48 at most): each measure query
+# visits about 140 000 cells and sums its crossings over 21 denominators per
+# band, and the refute certifies 100 pairs.
+DEEP_OPS = (
+    ["measure", "--x", "1/3", "--r", "1/2", "--alpha", "1/2", "--dir", "ge", "--depth", "200"],
+    ["measure", "--x", "1/3", "--r", "1/2", "--alpha", "1/2", "--dir", "le", "--depth", "200"],
+    ["refute", "--x", "1/3", "--n", "200", "--format", "json"],
 )
 
 # Error paths: dyadic input refused or out of domain, and exact outputs too
@@ -103,6 +113,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
             ops.extend((f"{workload} seed {seed} op {i}", op["argv"])
                        for i, op in enumerate(op_list))
     ops.extend((f"text op {i}", list(argv)) for i, argv in enumerate(TEXT_OPS))
+    ops.extend((f"deep op {i}", list(argv)) for i, argv in enumerate(DEEP_OPS))
     ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
     return ops
 
