@@ -16,35 +16,39 @@ satisfies the condition, *certified out* when the optimistic side
 already fails it; both tests are affine comparisons against G_n.  ``lo``
 is the total certified-in length, ``hi`` is ``2r`` minus the
 certified-out length, and the true measure always lies in ``[lo, hi]``.
-Increasing the depth never worsens either bound.
+Increasing the depth never worsens either bound.  So a query is four
+*pieces*, one band line on one half of the window each: ``in_l`` and
+``out_l`` on ``[x - r, x]``, ``in_r`` and ``out_r`` on ``[x, x + r]``;
+:func:`certify_lower` needs only ``lo`` and measures the two ``in``
+pieces.  A piece ``(c, ge, s, e)`` is the measure of
+``{y in [s, e] : G_n(y) >= c + alpha*y}`` (``<=`` when ge is false).
 
-The two sets ``{G_n >= line}`` and ``{G_n <= line}`` are measured by an
-adaptive bisection over the dyadic cells ``[j/2**(m+1), (j+1)/2**(m+1)]``,
-on each of which G_m is affine.  Since
-``0 <= G_n - G_m <= 2**-(m+1) - 2**-(n+1)``, a cell is wholly in the GE
-set when ``G_m >= line`` at both of its ends and wholly out when
-``G_m + 2**-(m+1) - 2**-(n+1) < line`` at both ends (the LE set mirrors
-this with ``<=`` and ``>``).  Only cells that neither test settles are
-split; at level n the exact affine crossing is solved.  The result is
-the exact Lebesgue measure of each set, the same rationals a full
-polyline of G_n would give, while the cells visited follow the level
-line instead of filling the window.  Inside the walk everything is an
-integer: cell index, and ``w = D*(G_m - line)`` at the cell ends for
-one common denominator D.  A level-n crossing lies at ``j + w0/d`` with
-``d = w0 - w1 = (D >> (n+1))*(alpha - s)``, where s is the slope of G_n
-on the cell, so a band has at most n + 1 denominators: the crossing
-pieces inside one half of the window are summed as integer numerators
-per denominator, and one ``Fraction`` per denominator is built at the
-end.  Only cells that straddle ``x - r``, ``x`` or ``x + r`` (at most
-three per level) are clipped in ``Fraction``.  The depth-first stack
-holds at most one pending cell per level, so memory does not grow with
-the window.
+A piece is measured by an adaptive bisection over the dyadic cells
+``[j/2**(m+1), (j+1)/2**(m+1)]`` that meet ``[s, e]``, on each of which
+G_m is affine.  Since ``0 <= G_n - G_m <= 2**-(m+1) - 2**-(n+1)``, a
+cell is wholly in the GE set when ``G_m >= line`` at both of its ends
+and wholly out when ``G_m + 2**-(m+1) - 2**-(n+1) < line`` at both ends
+(the LE set mirrors this with ``<=`` and ``>``).  Only cells that
+neither test settles are split; at level n the exact affine crossing is
+solved.  The result is the exact Lebesgue measure of each set, the same
+rationals a full polyline of G_n would give, while the cells visited
+follow the level line instead of filling the interval.  Inside the
+walk everything is an integer: cell index, and ``w = D*(G_m - line)``
+at the cell ends for one common denominator D.  A level-n crossing lies
+at ``j + w0/d`` with ``d = w0 - w1 = (D >> (n+1))*(alpha - slope)``,
+where slope is that of G_n on the cell, so a piece has at most n + 1
+denominators: its crossings are summed as integer numerators per
+denominator.  The few cells that straddle ``s`` or ``e`` (at most two
+per level) are clipped in integers and summed the same way, so the walk
+builds no ``Fraction``; one per denominator is built at the end.  The
+depth-first stack holds at most one pending cell per level, so memory
+does not grow with the window.
 
-``BREAKPOINT_CAP`` caps the number of cells one query may visit (both
-sets together); a query over the cap raises
+``BREAKPOINT_CAP`` caps the cells one kernel call may visit, all its
+pieces together; a call over the cap raises
 :class:`BreakpointLimitError`, which :func:`certify_lower` turns into an
-undecided outcome.  :func:`certify_lower` runs one query at the depth
-its caller chooses; :mod:`takagi_lab.analysis` sets the depth of each
+undecided outcome.  :func:`certify_lower` runs one call at the depth its
+caller chooses; :mod:`takagi_lab.analysis` sets the depth of each
 certificate.  Brackets are :class:`~takagi_lab.takagi.Enclosure` values,
 the same type that encloses T(x).
 
@@ -58,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 
 from .exactnum import _to_fraction, is_dyadic
 from .takagi import Enclosure, takagi_enclosure
@@ -78,11 +82,10 @@ __all__ = [
 CERTIFIED = "certified"
 UNDECIDED = "undecided"
 
-# Cell budget per query: far above what any query near the level line
-# needs.  It bounds the cells a pathological query visits, not its time:
-# a cell costs a few operations on integers of about n + 1 bits at depth
-# n, and only the few cells that straddle the window's ends or centre
-# build a Fraction.
+# Cell budget per kernel call: far above what any query near the level
+# line needs.  It bounds the cells a pathological query visits, not its
+# time: a cell costs a few operations on integers of about n + 1 bits at
+# depth n, and no cell builds a Fraction.
 BREAKPOINT_CAP = 1 << 24
 
 
@@ -120,41 +123,39 @@ class QuotientQuery:
             raise ValueError("depth must be positive")
 
 
-def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
-                   bands) -> list[tuple[Fraction, Fraction]]:
-    """(left, right) measures of ``{y : G_n(y) >= c + alpha*y}`` per band.
+def _measures(n: int, alpha: Fraction, pieces) -> list[Fraction]:
+    """Measure of ``{y in [s, e] : G_n(y) >= c + alpha*y}`` per piece.
 
-    ``bands`` holds ``(c, ge)`` pairs; ``ge=False`` asks for ``<=``.
-    Left is the part in ``[x - r, x]``, right the part in ``[x, x + r]``.
-    Positions are counted in units of ``2**-(n+1)``; ``w0, w1`` are
-    ``D*(G_m - line)`` at the two ends of a level-m cell.
+    ``pieces`` holds ``(c, ge, s, e)``; ``ge=False`` asks for ``<=``.  All
+    pieces share one cell budget.  Positions are counted in units of
+    ``2**-(n+1)``; ``w0, w1`` are ``D*(G_m - line)`` at the two ends of a
+    level-m cell.
     """
     unit = 1 << (n + 1)
-    big = lcm(alpha.denominator * unit, *(c.denominator for c, _ in bands))
+    big = lcm(alpha.denominator * unit, *(c.denominator for c, *_ in pieces))
     step0 = alpha.numerator * (big // alpha.denominator) >> 1  # D*alpha/2
     tail_n = big >> (n + 1)
-    lo, mid, hi = (x - rf) * unit, x * unit, (x + rf) * unit
-    a, b = floor(lo), ceil(hi)
-    # cells within these bounds lie in one half of the window
-    left_in, right_in = (ceil(lo), floor(mid)), (ceil(mid), floor(hi))
-    roots = range(a >> n, -(-b >> n))  # the level-0 cells meeting the window
-    max_cells = BREAKPOINT_CAP  # read per query, so a patched cap applies
-    over_budget = BreakpointLimitError(
-        f"depth-{n} query at x={x} needs more than {max_cells} cells"
-    )
-    if len(bands) * len(roots) > max_cells:  # every band visits every root
+    # each piece as [lo/q, hi/q] in units, for one common denominator q
+    q = lcm(*(end.denominator for *_, s, e in pieces for end in (s, e)))
+    spans = [[end.numerator * (q // end.denominator) << (n + 1) for end in (s, e)]
+             for *_, s, e in pieces]
+    # the level-0 cells meeting each piece
+    roots = [range(lo // (q << n), -(-hi // (q << n))) for lo, hi in spans]
+    max_cells = BREAKPOINT_CAP  # read per call, so a patched cap applies
+    over_budget = BreakpointLimitError(f"needs more than {max_cells} cells")
+    if sum(map(len, roots)) > max_cells:  # every piece visits each of its roots
         raise over_budget
 
     cells = 0
     out = []
-    for c, ge in bands:
+    for (c, ge, _, _), (lo, hi), piece_roots in zip(pieces, spans, roots):
         dc = c.numerator * (big // c.denominator)
-        left = right = 0  # whole cells in one half, in units
-        # crossings in one half: numerators summed per denominator w0 - w1
-        parts_l: dict[int, int] = {}
-        parts_r: dict[int, int] = {}
-        cut_l = cut_r = 0  # cells that straddle lo, mid or hi, clipped
-        for root in roots:
+        a, b = lo // q, -(-hi // q)
+        first, last = -(-lo // q), hi // q  # cells within these lie in the piece
+        whole = 0  # whole cells, in units
+        # crossings and clipped cells, in units: numerators per denominator
+        parts: dict[int, int] = {}
+        for root in piece_roots:
             stack = [(0, root, -dc - step0 * root, -dc - step0 * (root + 1))]
             while stack:
                 m, j, w0, w1 = stack.pop()
@@ -183,62 +184,57 @@ def _band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
                     if pm > a:
                         stack.append((m + 1, 2 * j, w0, wm))
                     continue
+                within = first <= p0 and p1 <= last
                 if inside:
-                    if left_in[0] <= p0 and p1 <= left_in[1]:
-                        left += p1 - p0
+                    if within:
+                        whole += p1 - p0
                         continue
-                    if right_in[0] <= p0 and p1 <= right_in[1]:
-                        right += p1 - p0
-                        continue
+                    d = 1
                 else:
                     # level n: G_n is affine here and crosses the line at
-                    # j + w0/d; the piece is [j, j + w0/d], or [j + w0/d, j + 1]
-                    # of length 1 - w0/d = -w1/d
+                    # j + w0/d; the set meets the cell in [j, j + w0/d], or in
+                    # [j + w0/d, j + 1] of length 1 - w0/d = -w1/d
                     d = w0 - w1
                     from_j = w0 >= 0 if ge else w0 <= 0
-                    num = w0 if from_j else -w1
-                    if left_in[0] <= p0 and p1 <= left_in[1]:
-                        parts_l[d] = parts_l.get(d, 0) + num
+                    if within:
+                        parts[d] = parts.get(d, 0) + (w0 if from_j else -w1)
                         continue
-                    if right_in[0] <= p0 and p1 <= right_in[1]:
-                        parts_r[d] = parts_r.get(d, 0) + num
-                        continue
-                    cross = j + Fraction(w0, d)
-                    if from_j:
-                        p1 = cross
-                    else:
-                        p0 = cross
-                cut_l += max(0, min(p1, mid) - max(p0, lo))
-                cut_r += max(0, min(p1, hi) - max(p0, mid))
-        out.append(tuple(
-            Fraction(whole + cut + sum(Fraction(num, d) for d, num in parts.items()), unit)
-            for whole, cut, parts in ((left, cut_l, parts_l), (right, cut_r, parts_r))
-        ))
+                    # in units of 1/|d| the crossing is at j*|d| + |w0|
+                    d = abs(d)
+                    cross = j * d + abs(w0)
+                    p0, p1 = (p0 * d, cross) if from_j else (cross, p1 * d)
+                # the cell straddles lo or hi: clip it in units of 1/(q*d)
+                cut = min(p1 * q, hi * d) - max(p0 * q, lo * d)
+                parts[q * d] = parts.get(q * d, 0) + max(cut, 0)
+        rest = sum(Fraction(num, d) for d, num in parts.items())
+        out.append(Fraction(whole + rest, unit))
     return out
+
+
+def _pieces(q: QuotientQuery) -> list[tuple[Fraction, bool, Fraction, Fraction]]:
+    """The query's pieces ``in_l, out_l, in_r, out_r``."""
+    x, rf, n = q.x, q.r, q.depth
+    # before the enclosure: a depth too large to represent fails here at
+    # once, where the enclosure would loop over every level first
+    tau = Fraction(1, 1 << (n + 1))
+    enc = takagi_enclosure(x, n)  # a point at dyadic x, at any depth
+    # {y : G_n(y) >= Tx_hi + alpha*(y - x)}  — pessimistic lower line
+    above = (enc.hi - q.alpha * x, True)
+    # {y : G_n(y) + tau <= Tx_lo + alpha*(y - x)}  — optimistic upper line
+    below = (enc.lo - q.alpha * x - tau, False)
+    # right of x the set lies above the line for GE; left of x it flips
+    up, down = (above, below) if q.direction is Dir.GE else (below, above)
+    left, right = (x - rf, x), (x, x + rf)
+    return [(*down, *left), (*up, *left), (*up, *right), (*down, *right)]
 
 
 def quotient_set_sides(q: QuotientQuery) -> tuple[Enclosure, Enclosure]:
     """Certified (left, right) half-window brackets for the query's set."""
-    x, rf, n = q.x, q.r, q.depth
-    tau = Fraction(1, 1 << (n + 1))
-
-    enc = takagi_enclosure(x, n)  # a point at dyadic x, at any depth
-    tx_lo, tx_hi = enc.lo, enc.hi
-
-    (above_l, above_r), (below_l, below_r) = _band_measures(
-        x, rf, n, q.alpha,
-        (
-            # {y : G_n(y) >= Tx_hi + alpha*(y - x)}  — pessimistic lower line
-            (tx_hi - q.alpha * x, True),
-            # {y : G_n(y) + tau <= Tx_lo + alpha*(y - x)}  — optimistic upper line
-            (tx_lo - q.alpha * x - tau, False),
-        ),
-    )
-    if q.direction is Dir.GE:
-        in_r, out_r, in_l, out_l = above_r, below_r, below_l, above_l
-    else:
-        in_r, out_r, in_l, out_l = below_r, above_r, above_l, below_l
-    return Enclosure(in_l, rf - out_l), Enclosure(in_r, rf - out_r)
+    try:
+        in_l, out_l, in_r, out_r = _measures(q.depth, q.alpha, _pieces(q))
+    except BreakpointLimitError as err:
+        raise BreakpointLimitError(f"depth-{q.depth} query at x={q.x} {err}") from None
+    return Enclosure(in_l, q.r - out_l), Enclosure(in_r, q.r - out_r)
 
 
 def quotient_set_bounds(q: QuotientQuery) -> Enclosure:
@@ -251,12 +247,15 @@ def certify_lower(x, r, alpha, direction: Dir, target, *,
                   depth: int) -> tuple[Fraction, int, str]:
     """Check whether the certified lower bound at ``depth`` reaches ``target``.
 
-    Returns ``(lo, depth, status)`` from one :func:`quotient_set_bounds`
-    query, or ``(0, 0, UNDECIDED)`` when that query is over the cell
-    budget; the ``UNDECIDED`` status is an outcome, not an error.
+    Returns ``(lo, depth, status)`` from one kernel call on the query's
+    two certified-in pieces, or ``(0, 0, UNDECIDED)`` when that call is
+    over the cell budget; the ``UNDECIDED`` status is an outcome, not an
+    error.  ``lo`` equals the :func:`quotient_set_bounds` lower bound.
     """
+    q = QuotientQuery(x, r, alpha, direction, depth)
+    in_l, _, in_r, _ = _pieces(q)
     try:
-        lo = quotient_set_bounds(QuotientQuery(x, r, alpha, direction, depth)).lo
+        lo = sum(_measures(depth, q.alpha, (in_l, in_r)))
     except BreakpointLimitError:
         return Fraction(0), 0, UNDECIDED
     return lo, depth, CERTIFIED if lo >= _to_fraction(target) else UNDECIDED

@@ -198,7 +198,7 @@ class TestRefute:
         assert all(cert.density_lo == F(1, 2) for cert in evidence.singles)
 
     def test_dyadic_status_follows_the_certificates(self, monkeypatch):
-        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2)
         evidence = refute(F(1, 2), 5)
         assert evidence.status == UNDECIDED
         assert all(cert.density_lo == 0 for cert in evidence.singles)

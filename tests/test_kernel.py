@@ -9,9 +9,17 @@ not just overlap.
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 from oracles import _cell_slope, fraction_band_measures, uniform_quotient_set_sides
-from takagi_lab.measure import Dir, QuotientQuery, _band_measures, quotient_set_sides
+from takagi_lab.measure import (
+    Dir,
+    QuotientQuery,
+    _measures,
+    certify_lower,
+    quotient_set_bounds,
+    quotient_set_sides,
+)
 from takagi_lab.takagi import takagi_enclosure
 
 QUERIES = 336
@@ -101,7 +109,7 @@ def _query_bands(x, depth, alpha):
 
 
 def deep_band_cases(seed=2025, count=300):
-    """``_band_measures`` arguments at depths 15-200, with the two bands of a query."""
+    """Reference arguments at depths 15-200, with the two bands of a query."""
     rng = random.Random(seed)
     for i in range(count):
         depth = rng.randrange(15, 201)
@@ -133,9 +141,27 @@ def test_deep_cases_cover_the_required_mix():
 
 
 def test_equal_to_the_per_crossing_fraction_kernel():
+    # each band measured as two pieces, [x - r, x] and [x, x + r]
     mismatches = []
     for case in deep_band_cases():
-        got, want = _band_measures(*case), fraction_band_measures(*case)
+        x, r, depth, alpha, bands = case
+        pieces = [(c, ge, s, e) for c, ge in bands for s, e in ((x - r, x), (x, x + r))]
+        got = _measures(depth, alpha, pieces)
+        want = [half for sides in fraction_band_measures(*case) for half in sides]
         if got != want:
             mismatches.append((case, got, want))
+    assert mismatches == []
+
+
+def test_certified_lower_bound_is_the_bracket_lo():
+    # certify_lower measures only the two certified-in pieces
+    deep = [QuotientQuery(x, r, alpha, direction, depth)
+            for x, r, depth, alpha, _ in islice(deep_band_cases(), 50)
+            for direction in Dir]
+    mismatches = []
+    for query in [*seeded_queries(), *deep]:
+        lo, _, _ = certify_lower(query.x, query.r, query.alpha, query.direction, 0,
+                                 depth=query.depth)
+        if lo != quotient_set_bounds(query).lo:
+            mismatches.append(query)
     assert mismatches == []

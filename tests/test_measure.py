@@ -167,18 +167,20 @@ class TestEscalation:
         assert status == UNDECIDED and lo < 2
 
     def test_one_query_at_the_given_depth(self, monkeypatch):
-        # an unreachable target runs one query, at the given depth
-        depths = []
+        # an unreachable target runs one kernel call, at the given depth,
+        # on the two certified-in pieces
+        calls = []
+        kernel = measure._measures
 
-        def counting(query):
-            depths.append(query.depth)
-            return quotient_set_bounds(query)
+        def counting(n, alpha, pieces):
+            calls.append((n, len(pieces)))
+            return kernel(n, alpha, pieces)
 
-        monkeypatch.setattr(measure, "quotient_set_bounds", counting)
+        monkeypatch.setattr(measure, "_measures", counting)
         lo, depth, status = certify_lower(
             F(1, 3), F(1, 4), F(-3, 5), Dir.LE, F(2), depth=6
         )
-        assert depths == [6]
+        assert calls == [(6, 2)]
         assert (depth, status) == (6, UNDECIDED)
         assert lo == quotient_set_bounds(q(F(1, 3), F(1, 4), F(-3, 5), Dir.LE, 6)).lo
 
@@ -235,6 +237,19 @@ class TestCellBudget:
                 F(1, 3), F(1, 2), F(-3, 5), Dir.LE, F(2), depth=10
             )
         assert status == UNDECIDED
+        assert depth_used == 10
+        assert lo == quotient_set_bounds(self.query(10)).lo
+
+    def test_lower_bound_needs_fewer_cells_than_the_bracket(self, monkeypatch):
+        # the full depth-10 bracket needs more than 100 cells; its lower
+        # bound alone does not
+        with monkeypatch.context() as patch:
+            patch.setattr(measure, "BREAKPOINT_CAP", 100)
+            with pytest.raises(BreakpointLimitError):
+                quotient_set_bounds(self.query(10))
+            lo, depth_used, _ = certify_lower(
+                F(1, 3), F(1, 2), F(-3, 5), Dir.LE, F(2), depth=10
+            )
         assert depth_used == 10
         assert lo == quotient_set_bounds(self.query(10)).lo
 

@@ -7,8 +7,8 @@ every op of the three benchmark workloads for seeds 1-3 with
 ``bench/workloads.generate`` (writing the corpus files they read), adds
 the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS`` and the
 failing ops of ``ERROR_OPS``, and runs each op through
-``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree.
-Prints every op whose (exit code, stdout, stderr) differs between REV
+``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
+1 101 ops in all.  Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does.  Nothing under ``bench/``
 is changed.
 """
@@ -46,13 +46,18 @@ TEXT_OPS = (
     ["enclose", "--x", "1/3"],
 )
 
-# Depth 200, past every benchmark op (depth 48 at most): each measure query
-# visits about 140 000 cells and sums its crossings over 21 denominators per
-# band, and the refute certifies 100 pairs.
+# Past every benchmark op (depth 48 at most, blow-ups to n = 14): each
+# depth-200 measure query visits about 140 000 cells and sums its crossings
+# over 21 denominators per band, the refute certifies 100 pairs, and the
+# blow-ups (one dyadic centre negative) and the lemma run single
+# certificates at query depths 124, 204 and 308.
 DEEP_OPS = (
     ["measure", "--x", "1/3", "--r", "1/2", "--alpha", "1/2", "--dir", "ge", "--depth", "200"],
     ["measure", "--x", "1/3", "--r", "1/2", "--alpha", "1/2", "--dir", "le", "--depth", "200"],
     ["refute", "--x", "1/3", "--n", "200", "--format", "json"],
+    ["blowup", "--x", "3/8", "--n", "120", "--format", "json"],
+    ["blowup", "--x", "-5/4", "--n", "200", "--format", "json"],
+    ["lemma", "--x", "5/7", "--n", "300", "--format", "json"],
 )
 
 # Error paths: dyadic input refused or out of domain, and exact outputs too
