@@ -18,11 +18,14 @@ function T:
   smallest depth at which the query reaches the bound was ``n + 1``
   for a fifth of them and ``n`` or less for the rest; that is a
   measurement, not a proof, and the seven levels above it are headroom.
-* :func:`refute` packages such certificates into horizon-N evidence:
-  for slope sums oscillating on a bounded range it emits LE/GE pairs
-  whose thresholds differ by exactly 1/5 with densities >= 2**-6 on
-  both sides -- jointly incompatible with any single derivative value;
-  for drifting slope sums it emits one-sided certificates with
+* :func:`refute` packages such certificates into horizon-N evidence,
+  in one pipeline: :func:`classify` names the case, one scale list
+  follows from the slope sums, and each scale gets its certificates.
+  For slope sums oscillating on a bounded range it emits LE/GE pairs
+  at the revisits of their minimum, whose thresholds differ by exactly
+  1/5 with densities >= 2**-6 on both sides -- jointly incompatible
+  with any single derivative value; for drifting slope sums it emits
+  one-sided certificates at record-and-reversal indices, with
   unboundedly growing thresholds; at dyadic points it uses the
   blow-up of the one-sided quotients, and is certified only when every
   blow-up certificate reaches density 2**-6.
@@ -239,7 +242,8 @@ def classify(x, N: int) -> ClassificationReport:
     The horizon must be positive, at dyadic points too, which then
     short-circuit.  Otherwise the hint is ``bounded-oscillation`` when
     both running extrema stopped moving in the first half of the
-    horizon, else ``divergent``.
+    horizon, else ``divergent``: the last new extreme is the later of
+    the first indices where the minimum and the maximum are reached.
     """
     xf = _to_fraction(x)
     if N < 1:
@@ -259,15 +263,7 @@ def classify(x, N: int) -> ClassificationReport:
     running_min = min(vals)
     running_max = max(vals)
     min_hits = tuple(i + 1 for i, v in enumerate(vals) if v == running_min)
-    last_new_extreme = 1
-    lo = hi = vals[0]
-    for i, v in enumerate(vals[1:], start=2):
-        if v < lo:
-            lo = v
-            last_new_extreme = i
-        elif v > hi:
-            hi = v
-            last_new_extreme = i
+    last_new_extreme = max(vals.index(running_min), vals.index(running_max)) + 1
     hint = CASE_BOUNDED if 2 * last_new_extreme <= N else CASE_DIVERGENT
     return ClassificationReport(
         x=xf,
@@ -299,21 +295,22 @@ def blowup_check(x, n: int) -> BlowupReport:
     n of the first distance terms move and the supported threshold is
     n, not n + 2.
     """
-    n0 = max(dyadic_level(x), 0)
+    xf = _to_fraction(x)
+    n0 = max(dyadic_level(xf), 0)
     if n <= 2 * n0:
-        raise ValueError(f"need n > {2 * n0} at {x} (level floor {n0})")
+        raise ValueError(f"need n > {2 * n0} at {xf} (level floor {n0})")
     threshold = n - 2 * n0
     r = Fraction(1, 1 << (n + 1))
     required = Fraction(1, 1 << (n + 2))
     depth = n + 4
     lo_ge, depth_ge, status_ge = certify_lower(
-        x, r, Fraction(threshold), Dir.GE, required, depth=depth
+        xf, r, Fraction(threshold), Dir.GE, required, depth=depth
     )
     lo_le, depth_le, status_le = certify_lower(
-        x, r, Fraction(-threshold), Dir.LE, required, depth=depth
+        xf, r, Fraction(-threshold), Dir.LE, required, depth=depth
     )
     return BlowupReport(
-        x=x,
+        x=xf,
         n=n,
         base_level=n0,
         threshold=threshold,
@@ -327,187 +324,138 @@ def blowup_check(x, n: int) -> BlowupReport:
     )
 
 
-def _certified(cert: DensityCertificate) -> bool:
-    return cert.density_lo >= Fraction(1, 64)
-
-
-def _pair_scales(report: ClassificationReport) -> list[int]:
-    """Scales ``j + 1`` at the indices j where the slope sums revisit their minimum.
-
-    A revisit of the running minimum I at index j >= 2 forces
-    ``G_{j-1}' = I + 1`` and ``G_{j+1}' = I + 1`` (unit steps that may
-    not go below the minimum), i.e. a -1 step in and a +1 step out.
-    These step directions are asserted rather than assumed; an interior
-    violation would mean the index conventions have drifted and is
-    surfaced as an error.  The hit at j = 1 qualifies only when
-    ``G_0' = 0`` equals I + 1.
-    """
-    vals = report.seq.values
-    N = report.horizon
-    lowest = report.running_min
-    scales: list[int] = []
-    for j in report.min_hits:
-        if j + 1 > N:
-            continue  # the step out of the hit is beyond the horizon
-        before = vals[j - 2] if j >= 2 else 0
-        after = vals[j]
-        if j == 1 and before != lowest + 1:
-            continue  # the empty-sum boundary is not a qualifying revisit
-        if before != lowest + 1 or after != lowest + 1:
-            raise RuntimeError(
-                f"slope steps around minimum revisit at n={j} are "
-                f"{before}->{lowest}->{after}; expected {lowest + 1} on both sides"
-            )
-        scales.append(j + 1)
-    return scales
-
-
-def _bounded_pairs(
-    xf: Fraction, scales: list[int]
-) -> tuple[list[CertificatePair], list[int]]:
-    """LE/GE pairs at the scales of :func:`_pair_scales`."""
-    pairs: list[CertificatePair] = []
-    uncertified: list[int] = []
-    for n_k in scales:
-        le = certificate(xf, n_k)
-        ge = certificate(xf, n_k - 1)
-        if le.direction is not Dir.LE or ge.direction is not Dir.GE:
-            raise RuntimeError(f"unexpected certificate directions at n={n_k}")
-        if ge.alpha - le.alpha != Fraction(1, 5):
-            raise RuntimeError(f"threshold gap at n={n_k} is not 1/5")
-        if _certified(le) and _certified(ge):
-            pairs.append(CertificatePair(index=n_k, le=le, ge=ge))
-        else:
-            uncertified.append(n_k)
-    return pairs, uncertified
-
-
-def _record_scales(report: ClassificationReport) -> list[int]:
-    """Scales ``j + 1`` at record values followed by a reversal.
-
-    For upward drift: indices j where ``G_j'`` is a strict running
-    maximum and the next step is -1 give GE certificates at thresholds
-    ``G_j' - 2/5`` that grow without bound.  Downward drift mirrors.
-    """
-    vals = report.seq.values
-    upward = vals[-1] - vals[0] >= 0
-    scales: list[int] = []
-    best = None
-    for j in range(1, report.horizon):
-        v = vals[j - 1]
-        is_record = (best is None) or (v > best if upward else v < best)
-        if is_record:
-            best = v
-            step_out = vals[j] - v
-            if (upward and step_out == -1) or (not upward and step_out == 1):
-                scales.append(j + 1)
-    return scales
-
-
-def _divergent_singles(
-    xf: Fraction, scales: list[int]
-) -> tuple[list[DensityCertificate], list[int]]:
-    """One-sided certificates at the scales of :func:`_record_scales`."""
-    singles: list[DensityCertificate] = []
-    uncertified: list[int] = []
-    for n in scales:
-        cert = certificate(xf, n)
-        if _certified(cert):
-            singles.append(cert)
-        else:
-            uncertified.append(n)
-    return singles, uncertified
-
-
 def _first_blowup_scale(x: Fraction) -> int:
     """Smallest n that :func:`blowup_check` accepts at x: ``2*n0 + 1``."""
     return 2 * max(dyadic_level(x), 0) + 1
 
 
-def _dyadic_singles(x: Fraction) -> tuple[list[DensityCertificate], list[int], str]:
-    """Blow-up certificates with unboundedly growing thresholds."""
-    singles: list[DensityCertificate] = []
-    uncertified: list[int] = []
-    first = _first_blowup_scale(x)
-    for n in range(first, first + _DYADIC_BLOWUPS):
+def _scales(report: ClassificationReport) -> list[int]:
+    """The scales :func:`refute` certifies at, in increasing order.
+
+    * Bounded: ``j + 1`` at each index j where the slope sums revisit
+      their minimum I.  A revisit at j >= 2 forces ``G_{j-1}' = I + 1``
+      and ``G_{j+1}' = I + 1`` (unit steps may not go below the
+      minimum), i.e. a -1 step in and a +1 step out.  These step
+      directions are asserted rather than assumed; an interior violation
+      would mean the index conventions have drifted and is surfaced as
+      an error.  The hit at j = 1 qualifies only when ``G_0' = 0``
+      equals I + 1, and the hit at j = N has its step out beyond the
+      horizon.
+    * Divergent: ``j + 1`` at each index j < N where ``G_j'`` is a strict
+      running record in the direction of drift and the next step
+      reverses it.  For upward drift the GE certificates there have
+      thresholds ``G_j' - 2/5`` that grow without bound; downward drift
+      mirrors.
+    * Dyadic: eight blow-up scales from :func:`_first_blowup_scale`.
+    """
+    if report.case_hint == CASE_DYADIC:
+        first = _first_blowup_scale(report.x)
+        return list(range(first, first + _DYADIC_BLOWUPS))
+    sums = (0,) + report.seq.values  # sums[j] = G_j'
+    N = report.horizon
+    scales: list[int] = []
+    if report.case_hint == CASE_BOUNDED:
+        lowest = report.running_min
+        for j in report.min_hits:
+            if j == N or (j == 1 and sums[0] != lowest + 1):
+                continue
+            if sums[j - 1] != lowest + 1 or sums[j + 1] != lowest + 1:
+                raise RuntimeError(
+                    f"slope steps around minimum revisit at n={j} are "
+                    f"{sums[j - 1]}->{lowest}->{sums[j + 1]}; expected {lowest + 1} on both sides"
+                )
+            scales.append(j + 1)
+        return scales
+    drift = 1 if sums[N] >= sums[1] else -1
+    best = sums[1] - drift  # so that j = 1 is a record
+    for j in range(1, N):
+        if drift * (sums[j] - best) > 0:
+            best = sums[j]
+            if sums[j + 1] - best == -drift:
+                scales.append(j + 1)
+    return scales
+
+
+def _certificates(x: Fraction, case: str, n: int) -> list[DensityCertificate]:
+    """What :func:`refute` emits at scale n: ``[le, ge]``, ``[single]`` or ``[blow-up]``.
+
+    The LE certificate at n and the GE certificate at ``n - 1`` of a
+    minimum revisit have thresholds ``I + 2/5`` and ``I + 3/5``; their
+    directions and 1/5 gap are checked.  A blow-up is the GE half of
+    :func:`blowup_check`, as a density at threshold ``n - 2*n0``.
+    """
+    if case == CASE_DYADIC:
         rep = blowup_check(x, n)
-        cert = DensityCertificate(
-            x=x,
-            r=rep.radius,
-            alpha=Fraction(rep.threshold),
-            direction=Dir.GE,
-            density_lo=rep.lo_one_sided / (2 * rep.radius),
-        )
-        singles.append(cert)
-        if not _certified(cert):
-            uncertified.append(n)
-    if uncertified:
-        detail = f"blow-ups at n = {uncertified} did not certify"
-    else:
-        detail = f"thresholds n - {first - 1} for n = {first}..{first + _DYADIC_BLOWUPS - 1}"
-    return singles, uncertified, detail
+        return [DensityCertificate(x=x, r=rep.radius, alpha=Fraction(rep.threshold),
+                                   direction=Dir.GE,
+                                   density_lo=rep.lo_one_sided / (2 * rep.radius))]
+    if case == CASE_DIVERGENT:
+        return [certificate(x, n)]
+    le, ge = certificate(x, n), certificate(x, n - 1)
+    if le.direction is not Dir.LE or ge.direction is not Dir.GE:
+        raise RuntimeError(f"unexpected certificate directions at n={n}")
+    if ge.alpha - le.alpha != Fraction(1, 5):
+        raise RuntimeError(f"threshold gap at n={n} is not 1/5")
+    return [le, ge]
 
 
 def refute(x, horizon: int) -> RefutationEvidence:
     """Horizon-N evidence that no approximate derivative exists at x.
 
-    Bounded-oscillation evidence yields LE/GE certificate pairs with a
+    One pipeline for every case: :func:`classify` gives the case,
+    :func:`_scales` the scales, and :func:`_certificates` the
+    certificates at each scale.  A scale counts as certified when every
+    certificate at it has density at least 2**-6.  Bounded-oscillation
+    evidence yields the LE/GE pairs of its certified scales, with a
     forbidden threshold gap of exactly 1/5; divergent evidence yields
-    one-sided certificates at growing thresholds; dyadic points yield
-    blow-up certificates.  When no qualifying index exists below the
-    horizon the status is ``insufficient-horizon``.
+    the one-sided certificates of its certified scales, at growing
+    thresholds; a dyadic point yields all its blow-up certificates, and
+    is certified only when every one of them certifies.  A non-dyadic
+    point is certified when any scale certifies, undecided when scales
+    exist but none certifies, and ``insufficient-horizon`` when no
+    qualifying index exists below the horizon.
 
     The largest radius exponent the report prints is known from the slope
-    sums alone: the largest qualifying scale, or the last blow-up's
-    ``n + 1``.  When ``2**-exp`` is too long to print, the ``ValueError``
-    of :func:`~takagi_lab.exactnum.check_printable` is raised before any
-    measure query.  At a non-dyadic point the report prints that radius
-    only if its certificate certifies, as every lemma measured so far has.
+    sums alone: the largest scale n (its radius is ``2**-n``), or the
+    last blow-up's ``n + 1``.  When that power is too long to print, the
+    ``ValueError`` of :func:`~takagi_lab.exactnum.check_printable` is
+    raised before any measure query.  At a non-dyadic point the report
+    prints that radius only if its certificate certifies, as every lemma
+    measured so far has.
     """
     xf = _to_fraction(x)
-    pairs: list[CertificatePair] = []
-    singles: list[DensityCertificate] = []
     report = classify(xf, horizon)
     case = report.case_hint
-    if case == CASE_DYADIC:
-        # the last blow-up, at n = first + _DYADIC_BLOWUPS - 1, prints 2**-(n+1)
-        check_printable(_first_blowup_scale(xf) + _DYADIC_BLOWUPS)
-        singles, uncertified, detail = _dyadic_singles(xf)
-        status = UNDECIDED if uncertified else CERTIFIED
-    else:
-        bounded = case == CASE_BOUNDED
-        scales = _pair_scales(report) if bounded else _record_scales(report)
-        if scales:  # a certificate at scale n prints its radius 2**-n
-            check_printable(scales[-1])
-        if bounded:
-            pairs, uncertified = _bounded_pairs(xf, scales)
-        else:
-            singles, uncertified = _divergent_singles(xf, scales)
+    scales = _scales(report)
+    if scales:  # scale n prints radius 2**-n, a blow-up at n prints 2**-(n+1)
+        check_printable(scales[-1] + (case == CASE_DYADIC))
+    found = {n: _certificates(xf, case, n) for n in scales}
+    bad = [n for n in scales if min(c.density_lo for c in found[n]) < Fraction(1, 64)]
+    good = [n for n in scales if n not in bad]
+    if case == CASE_BOUNDED:
+        pairs, singles = tuple(CertificatePair(n, *found[n]) for n in good), ()
+    else:  # a dyadic point keeps the blow-ups that did not certify too
+        pairs, singles = (), tuple(found[n][0] for n in (scales if case == CASE_DYADIC else good))
+    if good and not (bad and case == CASE_DYADIC):
         status = CERTIFIED
-        if pairs:
-            detail = (
-                f"{len(pairs)} certificate pairs at thresholds "
-                f"{format_rat(report.running_min + SLOPE_MARGIN)} (LE) / "
-                f"{format_rat(report.running_min + 1 - SLOPE_MARGIN)} (GE)"
-            )
-        elif singles:
+        if case == CASE_BOUNDED:
+            detail = (f"{len(pairs)} certificate pairs at thresholds "
+                      f"{format_rat(report.running_min + SLOPE_MARGIN)} (LE) / "
+                      f"{format_rat(report.running_min + 1 - SLOPE_MARGIN)} (GE)")
+        elif case == CASE_DIVERGENT:
             detail = f"{len(singles)} one-sided certificates at growing thresholds"
-        elif uncertified:
-            status = UNDECIDED
-            detail = f"qualifying indices {uncertified} did not certify"
         else:
-            status = INSUFFICIENT_HORIZON
-            detail = ("no qualifying minimum revisit below the horizon" if case == CASE_BOUNDED
-                      else "no record-and-reversal index below the horizon")
-    return RefutationEvidence(
-        x=xf,
-        horizon=horizon,
-        case_hint=case,
-        pairs=tuple(pairs),
-        singles=tuple(singles),
-        status=status,
-        detail=detail,
-    )
+            detail = f"thresholds n - {scales[0] - 1} for n = {scales[0]}..{scales[-1]}"
+    elif bad:
+        status = UNDECIDED
+        which = "blow-ups at n =" if case == CASE_DYADIC else "qualifying indices"
+        detail = f"{which} {bad} did not certify"
+    else:
+        status = INSUFFICIENT_HORIZON
+        detail = ("no qualifying minimum revisit below the horizon" if case == CASE_BOUNDED
+                  else "no record-and-reversal index below the horizon")
+    return RefutationEvidence(x=xf, horizon=horizon, case_hint=case, pairs=pairs,
+                              singles=singles, status=status, detail=detail)
 
 
 def to_jsonable(obj):

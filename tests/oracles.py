@@ -18,6 +18,11 @@ per level-n crossing, clipped against the window.  It is the reference
 at depths the uniform engine cannot reach.  Likewise :func:`fraction_G`
 is the partial sum the library computed before its integer orbit
 kernel, one ``Fraction`` per term.
+
+:func:`reference_classify` and :func:`reference_scales` are the
+classification and the scale selectors of ``refute`` as they were
+before ``refute`` became one pipeline: the extremum loop, the minimum
+revisit selector and the record-and-reversal selector, kept verbatim.
 """
 
 from __future__ import annotations
@@ -30,14 +35,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from takagi_lab.exactnum import _to_fraction, dyadic_neighbors, frac_part, is_dyadic
+from takagi_lab.analysis import (
+    CASE_BOUNDED,
+    CASE_DIVERGENT,
+    CASE_DYADIC,
+    ClassificationReport,
+)
+from takagi_lab.exactnum import _to_fraction, dyadic_level, dyadic_neighbors, frac_part, is_dyadic
 from takagi_lab.measure import (
     BREAKPOINT_CAP,
     BreakpointLimitError,
     Dir,
     QuotientQuery,
 )
-from takagi_lab.takagi import Enclosure, G, takagi_enclosure
+from takagi_lab.takagi import Enclosure, G, SlopeSeq, slope_seq, takagi_enclosure
 
 
 def brute_g(k: int, x: Fraction) -> Fraction:
@@ -531,3 +542,105 @@ def fraction_band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
                 right += max(0, min(p1, hi) - max(p0, mid))
         out.append((Fraction(left) / unit, Fraction(right) / unit))
     return out
+
+
+def reference_classify(x, N: int) -> ClassificationReport:
+    xf = _to_fraction(x)
+    if N < 1:
+        raise ValueError("horizon must be positive")
+    if is_dyadic(xf):
+        return ClassificationReport(
+            x=xf,
+            horizon=0,
+            seq=SlopeSeq(point=xf, values=(), horizon=0),
+            running_min=0,
+            running_max=0,
+            min_hits=(),
+            case_hint=CASE_DYADIC,
+        )
+    seq = slope_seq(xf, N)
+    vals = seq.values
+    running_min = min(vals)
+    running_max = max(vals)
+    min_hits = tuple(i + 1 for i, v in enumerate(vals) if v == running_min)
+    last_new_extreme = 1
+    lo = hi = vals[0]
+    for i, v in enumerate(vals[1:], start=2):
+        if v < lo:
+            lo = v
+            last_new_extreme = i
+        elif v > hi:
+            hi = v
+            last_new_extreme = i
+    hint = CASE_BOUNDED if 2 * last_new_extreme <= N else CASE_DIVERGENT
+    return ClassificationReport(
+        x=xf,
+        horizon=N,
+        seq=seq,
+        running_min=running_min,
+        running_max=running_max,
+        min_hits=min_hits,
+        case_hint=hint,
+    )
+
+
+def _pair_scales(report: ClassificationReport) -> list[int]:
+    """Scales ``j + 1`` at the indices j where the slope sums revisit their minimum.
+
+    A revisit of the running minimum I at index j >= 2 forces
+    ``G_{j-1}' = I + 1`` and ``G_{j+1}' = I + 1`` (unit steps that may
+    not go below the minimum), i.e. a -1 step in and a +1 step out.
+    These step directions are asserted rather than assumed; an interior
+    violation would mean the index conventions have drifted and is
+    surfaced as an error.  The hit at j = 1 qualifies only when
+    ``G_0' = 0`` equals I + 1.
+    """
+    vals = report.seq.values
+    N = report.horizon
+    lowest = report.running_min
+    scales: list[int] = []
+    for j in report.min_hits:
+        if j + 1 > N:
+            continue  # the step out of the hit is beyond the horizon
+        before = vals[j - 2] if j >= 2 else 0
+        after = vals[j]
+        if j == 1 and before != lowest + 1:
+            continue  # the empty-sum boundary is not a qualifying revisit
+        if before != lowest + 1 or after != lowest + 1:
+            raise RuntimeError(
+                f"slope steps around minimum revisit at n={j} are "
+                f"{before}->{lowest}->{after}; expected {lowest + 1} on both sides"
+            )
+        scales.append(j + 1)
+    return scales
+
+
+def _record_scales(report: ClassificationReport) -> list[int]:
+    """Scales ``j + 1`` at record values followed by a reversal.
+
+    For upward drift: indices j where ``G_j'`` is a strict running
+    maximum and the next step is -1 give GE certificates at thresholds
+    ``G_j' - 2/5`` that grow without bound.  Downward drift mirrors.
+    """
+    vals = report.seq.values
+    upward = vals[-1] - vals[0] >= 0
+    scales: list[int] = []
+    best = None
+    for j in range(1, report.horizon):
+        v = vals[j - 1]
+        is_record = (best is None) or (v > best if upward else v < best)
+        if is_record:
+            best = v
+            step_out = vals[j] - v
+            if (upward and step_out == -1) or (not upward and step_out == 1):
+                scales.append(j + 1)
+    return scales
+
+
+def reference_scales(report: ClassificationReport) -> list[int]:
+    """The scales ``refute`` certified at: eight blow-ups from ``2*n0 + 1``
+    at a dyadic point, else the selector of the case."""
+    if report.case_hint == CASE_DYADIC:
+        first = 2 * max(dyadic_level(report.x), 0) + 1
+        return list(range(first, first + 8))
+    return _pair_scales(report) if report.case_hint == CASE_BOUNDED else _record_scales(report)

@@ -1,9 +1,11 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from oracles import reference_classify, reference_scales
 from takagi_lab import analysis, measure
 from takagi_lab.exactnum import is_dyadic, parse_rat
 from takagi_lab.analysis import (
@@ -90,6 +92,35 @@ class TestClassify:
         report = classify(F(3, 7), 25)
         assert report.seq.values == slope_seq(F(3, 7), 25).values
 
+    def test_case_and_scales_match_the_reference(self):
+        # the extremum loop and the per-case scale selectors that classify
+        # and refute used before one scale list served every case
+        rng = random.Random(13)
+        seen = Counter()
+        for _ in range(3000):
+            q = rng.randrange(1, 10**6 + 1)
+            kind = rng.randrange(5)
+            if kind == 0:  # integers
+                x = F(rng.randrange(-9, 10))
+            elif kind == 1:  # dyadic, of either sign
+                x = F(rng.randrange(-(1 << 12), 1 << 12), 1 << rng.randrange(13))
+            elif kind == 2:  # even, non-dyadic denominators
+                odd = 2 * rng.randrange(1, 500) + 1
+                x = F(rng.randrange(-q, 3 * q), odd << rng.randrange(1, 12))
+            elif kind == 3:  # negative
+                x = F(-rng.randrange(1, 3 * q), q)
+            else:
+                x = F(rng.randrange(0, 3 * q), q)
+            N = rng.randrange(1, 90)
+            report = classify(x, N)
+            assert to_jsonable(report) == to_jsonable(reference_classify(x, N)), (x, N)
+            scales = analysis._scales(report)
+            assert scales == reference_scales(report), (x, N)
+            seen[report.case_hint, bool(scales)] += 1
+        assert {case for case, _ in seen} == {CASE_BOUNDED, CASE_DIVERGENT, CASE_DYADIC}
+        assert seen[CASE_BOUNDED, True] and seen[CASE_DIVERGENT, True]
+        assert seen[CASE_BOUNDED, False] and seen[CASE_DIVERGENT, False]
+
 
 class TestBlowup:
     def test_half_level_point(self):
@@ -114,6 +145,12 @@ class TestBlowup:
         assert report.base_level == 0 and report.threshold == 2
         assert report.status == CERTIFIED
         assert report.lo_full == F(1, 4)
+
+    def test_centre_is_coerced(self):
+        # an int centre reports, and serializes, as the rational it is
+        report = blowup_check(0, 2)
+        assert type(report.x) is F
+        assert to_jsonable(report)["x"] == "0"
 
     def test_uncertified_mirror_is_undecided(self, monkeypatch):
         real = analysis.certify_lower
@@ -241,6 +278,12 @@ class TestRefute:
         # all 30 revisits, indices 2..60: the lemma's query runs at depth n + 8
         (F(1, 3), 60, 64, (CASE_BOUNDED, CERTIFIED,
                            "30 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
+        # mixed outcomes: some scales certify and others do not
+        (F(1, 3), 12, 6, (CASE_BOUNDED, CERTIFIED,
+                          "1 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
+        (F(1, 7), 30, 7, (CASE_DIVERGENT, CERTIFIED,
+                          "1 one-sided certificates at growing thresholds")),
+        (F(1, 2), 5, 3, (CASE_DYADIC, UNDECIDED, "blow-ups at n = [7, 8] did not certify")),
     ])
     def test_status_and_detail(self, monkeypatch, x, horizon, budget_bits, expected):
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 1 << budget_bits)

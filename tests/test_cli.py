@@ -362,6 +362,14 @@ class TestSample:
 
 
 class TestVerifyAll:
+    def test_built_in_corpus(self, capsys):
+        # 6 centres x 4 lemmas, then 4 blow-ups from the first scale 2*n0 + 1
+        # of each of the 5 dyadic centres: n = 5..8 at 5/8
+        code, out, _ = invoke(capsys, "verify-all")
+        assert code == 0 and out.endswith("all certified (44 entries)\n")
+        assert [line.split()[1:5] for line in out.splitlines() if " 5/8 " in line] == [
+            ["blowup", "x=", "5/8", f"n={n}"] for n in range(5, 9)]
+
     def test_corpus_file(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text(

@@ -5,10 +5,11 @@ Usage: python tools/same_output.py REV
 Exports REV with ``git archive`` into a temporary directory, generates
 every op of the three benchmark workloads for seeds 1-3 with
 ``bench/workloads.generate`` (writing the corpus files they read), adds
-the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS`` and the
-failing ops of ``ERROR_OPS``, and runs each op through
-``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 101 ops in all.  Prints every op whose (exit code, stdout, stderr) differs between REV
+the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS``, the
+refute and classify edge cases of ``REFUTE_OPS`` and the failing ops of
+``ERROR_OPS``, and runs each op through ``takagi_lab.cli.run``
+in-process, once in a fresh interpreter per tree: 1 109 ops in all.
+Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does.  Nothing under ``bench/``
 is changed.
 """
@@ -58,6 +59,21 @@ DEEP_OPS = (
     ["blowup", "--x", "3/8", "--n", "120", "--format", "json"],
     ["blowup", "--x", "-5/4", "--n", "200", "--format", "json"],
     ["lemma", "--x", "5/7", "--n", "300", "--format", "json"],
+)
+
+# Refute and classify edge cases: the horizon heuristic's verdict at 3/19
+# (divergent, two singles, although its slope sums are bounded), centres
+# below 0 and above 1, an integer centre (the clamped blow-up level), and
+# each text-mode insufficient-horizon detail.
+REFUTE_OPS = (
+    ["refute", "--x", "3/19", "--n", "30", "--format", "json"],
+    ["classify", "--x", "3/19", "--n", "30", "--format", "json"],
+    ["refute", "--x", "-5/7", "--n", "30", "--format", "json"],
+    ["refute", "--x", "13/12", "--n", "40", "--format", "json"],
+    ["refute", "--x", "5", "--n", "3", "--format", "json"],
+    ["refute", "--x", "6/11", "--n", "6"],
+    ["refute", "--x", "1/7", "--n", "2"],
+    ["refute", "--x", "1/3", "--n", "1"],
 )
 
 # Error paths: dyadic input refused or out of domain, and exact outputs too
@@ -119,6 +135,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
                        for i, op in enumerate(op_list))
     ops.extend((f"text op {i}", list(argv)) for i, argv in enumerate(TEXT_OPS))
     ops.extend((f"deep op {i}", list(argv)) for i, argv in enumerate(DEEP_OPS))
+    ops.extend((f"refute op {i}", list(argv)) for i, argv in enumerate(REFUTE_OPS))
     ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
     return ops
 
