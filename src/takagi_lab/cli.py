@@ -281,7 +281,7 @@ def _verify_all(args) -> int:
     for index, (lineno, kind, x_text, x, n) in enumerate(entries):
         try:
             report = _CHECKS[kind][1](x, n)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"corpus line {lineno}: {exc}") from None
         results.append({"index": index, "kind": kind, "x": x_text, "n": n,
                         "status": report.status, "report": report})

@@ -9,11 +9,12 @@ between consecutive points of D_{n+1}; at every non-dyadic ``x`` each
 
 All of it runs on the binary orbit of ``x = p/q``: with
 ``r_k = 2**k * p mod q`` one has ``g_k(x) = min(r_k, q - r_k) / (q * 2**k)``
-and ``g_k'(x) = 1 - 2*b_{k+1}(x)``, so ``G_n`` is Horner's rule over
-integers followed by a single ``Fraction``.  A value of ``T`` that
-needs a limit is returned as an :class:`Enclosure` using the tail
-estimate ``0 <= T(x) - G_n(x) <= sum_{k>n} 2**-(k+1) = 2**-(n+1)``,
-which follows from ``sup g_k = 2**-(k+1)``.
+and ``g_k'(x) = 1 - 2*b_{k+1}(x)``: ``G_n`` is Horner's rule over
+integers followed by a single ``Fraction``, and the slope sums read
+``b_2 .. b_{n+1}`` as one integer.  A value of ``T`` that needs a limit
+is an :class:`Enclosure` using the tail estimate
+``0 <= T(x) - G_n(x) <= sum_{k>n} 2**-(k+1) = 2**-(n+1)``, which
+follows from ``sup g_k = 2**-(k+1)``.
 
 The series here starts at k = 1 (no distance-to-integers term).  The
 textbook variant that includes that term is available through the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactnum import dyadic_level, is_dyadic, _to_fraction
 
@@ -144,54 +146,47 @@ def slope(k: int, x) -> int:
 
     Equals ``1 - 2*b_{k+1}(x)`` where b_j is the j-th binary digit of
     x mod 1: g_k rises on the left half of each D_k cell and falls on
-    the right half.  Undefined exactly on D_{k+1} (the corners).
+    the right half.  Undefined exactly on D_{k+1} (the corners).  The
+    digit is read off ``r_k`` by modular power, in ``O(log k)`` at any k.
     """
     if k < 1:
         raise ValueError("grid index starts at 1")
     r, q = _orbit(x)
-    # r_k = 2**k * r mod q by modular power: the cost grows with log k, not k
     digit, rest = divmod((r * pow(2, k, q) % q) << 1, q)
     if rest == 0:
         raise ValueError(f"g_{k} has a corner at {x}")
     return 1 - 2 * digit
 
 
-def slope_seq(x, N: int) -> SlopeSeq:
-    """Slope sums ``G_n'(x)`` for n = 1..N at a non-dyadic point."""
-    if N < 1:
-        raise ValueError("horizon must be positive")
+def _slope_digits(x, n: int) -> int:
+    """The digits ``b_2 .. b_{n+1}`` of a non-dyadic x mod 1, read as one n-bit integer."""
     xf = _to_fraction(x)
     if is_dyadic(xf):
         raise ValueError(f"slopes are eventually undefined at dyadic {xf}")
-    values = []
-    total = 0
-    for k in range(1, N + 1):
-        step = slope(k, xf)
-        total += step
-        values.append(total)
-    # unit steps and parity come with the construction; keep them checked
-    # (explicitly, so that ``python -O`` does not strip the checks)
-    if any(abs(values[i + 1] - values[i]) != 1 for i in range(len(values) - 1)):
-        raise RuntimeError(f"slope sums at {xf} do not move in unit steps")
-    if any((values[i] - (i + 1)) % 2 != 0 for i in range(len(values))):
-        raise RuntimeError(f"slope sums at {xf} break the parity of their index")
-    return SlopeSeq(point=xf, values=tuple(values), horizon=N)
+    r, q = _orbit(xf)
+    return (r << (n + 1)) // q & ((1 << n) - 1)
+
+
+def slope_seq(x, N: int) -> SlopeSeq:
+    """Slope sums ``G_n'(x)`` for n = 1..N at a non-dyadic point.
+
+    The running sum of ``1 - 2*b`` over the digits b of :func:`_slope_digits`.
+    """
+    if N < 1:
+        raise ValueError("horizon must be positive")
+    digits = format(_slope_digits(x, N), f"0{N}b")
+    values = tuple(accumulate(map({"0": 1, "1": -1}.__getitem__, digits)))
+    return SlopeSeq(point=_to_fraction(x), values=values, horizon=N)
 
 
 def slope_sum(x, n: int) -> int:
     """``G_n'(x)`` as a single integer; n = 0 gives the empty sum 0.
 
-    No walk: ``g_k'(x) = 1 - 2*b_{k+1}(x)``, so the sum is ``n`` minus
-    twice the number of ones among the digits ``b_2 .. b_{n+1}``, which
-    are the low n bits of ``floor(2**(n+1) * (x mod 1))``.  A dyadic x
-    raises the same ``ValueError`` as :func:`slope_seq`.
+    It is n minus twice the number of ones among the digits of
+    :func:`_slope_digits`; a dyadic x raises the ``ValueError`` of :func:`slope_seq`.
     """
     if n < 0:
         raise ValueError("slope-sum order must be non-negative")
     if n == 0:
         return 0
-    xf = _to_fraction(x)
-    if is_dyadic(xf):
-        raise ValueError(f"slopes are eventually undefined at dyadic {xf}")
-    r, q = _orbit(xf)
-    return n - 2 * ((r << (n + 1)) // q & ((1 << n) - 1)).bit_count()
+    return n - 2 * _slope_digits(x, n).bit_count()

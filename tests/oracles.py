@@ -23,6 +23,9 @@ kernel, one ``Fraction`` per term.
 classification and the scale selectors of ``refute`` as they were
 before ``refute`` became one pipeline: the extremum loop, the minimum
 revisit selector and the record-and-reversal selector, kept verbatim.
+:func:`reference_slope_seq` is ``slope_seq`` as it was before it read
+all its digits as one integer: one :func:`slope` per index, then scans
+for unit steps and for parity, kept verbatim.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from takagi_lab.measure import (
     Dir,
     QuotientQuery,
 )
-from takagi_lab.takagi import Enclosure, G, SlopeSeq, slope_seq, takagi_enclosure
+from takagi_lab.takagi import Enclosure, G, SlopeSeq, slope, slope_seq, takagi_enclosure
 
 
 def brute_g(k: int, x: Fraction) -> Fraction:
@@ -542,6 +545,28 @@ def fraction_band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
                 right += max(0, min(p1, hi) - max(p0, mid))
         out.append((Fraction(left) / unit, Fraction(right) / unit))
     return out
+
+
+def reference_slope_seq(x, N: int) -> SlopeSeq:
+    """Slope sums ``G_n'(x)`` for n = 1..N at a non-dyadic point."""
+    if N < 1:
+        raise ValueError("horizon must be positive")
+    xf = _to_fraction(x)
+    if is_dyadic(xf):
+        raise ValueError(f"slopes are eventually undefined at dyadic {xf}")
+    values = []
+    total = 0
+    for k in range(1, N + 1):
+        step = slope(k, xf)
+        total += step
+        values.append(total)
+    # unit steps and parity come with the construction; keep them checked
+    # (explicitly, so that ``python -O`` does not strip the checks)
+    if any(abs(values[i + 1] - values[i]) != 1 for i in range(len(values) - 1)):
+        raise RuntimeError(f"slope sums at {xf} do not move in unit steps")
+    if any((values[i] - (i + 1)) % 2 != 0 for i in range(len(values))):
+        raise RuntimeError(f"slope sums at {xf} break the parity of their index")
+    return SlopeSeq(point=xf, values=tuple(values), horizon=N)
 
 
 def reference_classify(x, N: int) -> ClassificationReport:

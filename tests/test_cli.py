@@ -435,6 +435,15 @@ class TestVerifyAll:
         # a line that does not parse stops the run before any entry runs
         assert ran == ([F(1, 2)] if line == "lemma 1/2 3" else [])
 
+    # the scale parses, then overflows a shift inside the check
+    @pytest.mark.parametrize("line", [f"lemma 1/3 {10**30}", f"blowup 1/2 {10**30}"])
+    def test_overflowing_entry_names_its_line(self, capsys, tmp_path, line):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"lemma 1/5 3\n{line}\n")
+        code, out, err = invoke(capsys, "verify-all", "--corpus", str(corpus))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: corpus line 2: ")
+
 
 class TestJobs:
     @pytest.mark.parametrize("jobs", ["0", "-3", "2", "4"])
@@ -539,13 +548,17 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err.count("error:") == 1 and "invalid choice: 'GE'" in err
 
-    # 2**70: a shift by it overflows at once, where a loop over it would never end
+    # 2**70 and 10**20 pass sys.maxsize: a shift by either overflows at once,
+    # where a loop over it would never end
     @pytest.mark.parametrize("argv", [
         ["measure", "--x", "1/3", "--r", "1/8", "--alpha", "1/2", "--dir", "ge",
          "--depth", str(1 << 70)],
         ["neighbors", "--x", "1/3", "--n", str(1 << 70)],
         ["lemma", "--x", "1/3", "--n", str(1 << 70)],
         ["blowup", "--x", "1/2", "--n", str(1 << 70)],
+        ["slopes", "--x", "1/3", "--n", str(10**20)],
+        ["classify", "--x", "1/3", "--n", str(10**20)],
+        ["refute", "--x", "1/3", "--n", str(10**20)],
     ])
     def test_huge_integer_is_one_line(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

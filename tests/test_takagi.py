@@ -1,14 +1,17 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
-from oracles import brute_g, brute_G, brute_T_dyadic, fd_slope, fraction_G, takagi_periodic
-from takagi_lab import takagi
+from oracles import (
+    brute_g,
+    brute_G,
+    brute_T_dyadic,
+    fd_slope,
+    fraction_G,
+    reference_slope_seq,
+    takagi_periodic,
+)
 from takagi_lab.exactnum import dyadic_neighbors, is_dyadic
 from takagi_lab.takagi import (
     Enclosure,
@@ -257,29 +260,29 @@ class TestSlopeSeq:
         with pytest.raises(TypeError):
             slope_sum(0.5, 2)
 
-    def test_broken_invariants_raise(self, monkeypatch):
-        monkeypatch.setattr(takagi, "slope", lambda k, x: 3 if k == 2 else 1)
-        with pytest.raises(RuntimeError, match="unit steps"):
-            slope_seq(F(1, 3), 4)
-        monkeypatch.setattr(takagi, "slope", lambda k, x: 2 if k == 1 else 1)
-        with pytest.raises(RuntimeError, match="parity"):
-            slope_seq(F(1, 3), 4)
-
-    def test_invariants_survive_optimize_flag(self):
-        code = (
-            "from fractions import Fraction\n"
-            "from takagi_lab import takagi\n"
-            "takagi.slope = lambda k, x: 3 if k == 2 else 1\n"
-            "try:\n"
-            "    takagi.slope_seq(Fraction(1, 3), 4)\n"
-            "except RuntimeError:\n"
-            "    print('raised')\n"
-        )
-        src = Path(takagi.__file__).resolve().parents[1]
-        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                             text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-                             check=True)
-        assert out.stdout.strip() == "raised"
+    def test_matches_the_reference(self):
+        # negative centres, centres above 1, even non-dyadic denominators,
+        # q up to 10**12 and up to 2**61 - 1, N up to 400 and five at 5000
+        rng = random.Random(43)
+        dens = (3, 7, 12, 997, 3 << 40, 997 << 7, (1 << 61) - 1)
+        cases = []
+        while len(cases) < 2005:
+            q = rng.choice(dens + (rng.randrange(3, 10**12), rng.randrange(3, 1 << 61)))
+            x = F(rng.randrange(-3 * q, 3 * q), q)
+            if not is_dyadic(x):
+                cases.append((x, 5000 if len(cases) < 5 else rng.randrange(1, 401)))
+        assert any(x < 0 for x, _ in cases) and any(x > 1 for x, _ in cases)
+        assert any(x.denominator % 2 == 0 for x, _ in cases)
+        for x, N in cases:
+            seq = slope_seq(x, N)
+            assert seq == reference_slope_seq(x, N)
+            assert slope_sum(x, N) == seq.values[-1]
+        for x, N in ((F(3, 8), 5), (F(-5), 2), (F(1, 3), 0)):
+            with pytest.raises(ValueError) as ref:
+                reference_slope_seq(x, N)
+            with pytest.raises(ValueError) as new:
+                slope_seq(x, N)
+            assert str(new.value) == str(ref.value)
 
 
 class TestLocalLinearity:

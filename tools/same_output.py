@@ -6,9 +6,10 @@ Exports REV with ``git archive`` into a temporary directory, generates
 every op of the three benchmark workloads for seeds 1-3 with
 ``bench/workloads.generate`` (writing the corpus files they read), adds
 the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS``, the
-refute and classify edge cases of ``REFUTE_OPS`` and the failing ops of
-``ERROR_OPS``, and runs each op through ``takagi_lab.cli.run``
-in-process, once in a fresh interpreter per tree: 1 109 ops in all.
+refute and classify edge cases of ``REFUTE_OPS``, the long slope walks
+of ``SLOPE_OPS`` and the failing ops of ``ERROR_OPS``, and runs each op
+through ``takagi_lab.cli.run`` in-process, once in a fresh interpreter
+per tree: 1 115 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does.  Nothing under ``bench/``
 is changed.
@@ -76,6 +77,16 @@ REFUTE_OPS = (
     ["refute", "--x", "1/3", "--n", "1"],
 )
 
+# Slope walks past every benchmark op (horizon 200 at most): a long walk below
+# 0, a text walk above 1, the long bounded walk at 3/19 and a prime
+# denominator near 10**12 under classify.
+SLOPE_OPS = (
+    ["slopes", "--x", "-5/7", "--n", "3000", "--format", "json"],
+    ["slopes", "--x", "13/12", "--n", "400"],
+    ["classify", "--x", "3/19", "--n", "2000", "--format", "json"],
+    ["classify", "--x", "1/999999999989", "--n", "300", "--format", "json"],
+)
+
 # Error paths: dyadic input refused or out of domain, and exact outputs too
 # long to print (which fail with the same message before or after the work).
 ERROR_OPS = (
@@ -96,6 +107,8 @@ ERROR_OPS = (
     ["sample", "--a", "1/2", "--b", "1/2", "--count", "2"],
     ["enclose", "--x", "1/3", "--depth", "15000"],
     ["lemma", "--x", "1/3", "--n", "15000"],
+    ["slopes", "--x", "3/8", "--n", "5"],
+    ["slopes", "--x", "1/3", "--n", "0"],
 )
 
 # Runs in a child interpreter with one tree's src/ on PYTHONPATH: reads a
@@ -136,6 +149,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
     ops.extend((f"text op {i}", list(argv)) for i, argv in enumerate(TEXT_OPS))
     ops.extend((f"deep op {i}", list(argv)) for i, argv in enumerate(DEEP_OPS))
     ops.extend((f"refute op {i}", list(argv)) for i, argv in enumerate(REFUTE_OPS))
+    ops.extend((f"slope op {i}", list(argv)) for i, argv in enumerate(SLOPE_OPS))
     ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
     return ops
 
