@@ -11,13 +11,19 @@ function T:
   non-dyadic x with g_n'(x) = +1, the set of y with
   ``0 < |y-x| < 2**-n`` and quotient ``<= G_{n-1}'(x) + 2/5`` has
   measure at least ``2**-(n+5)`` (mirrored with GE and -2/5 when
-  g_n'(x) = -1).  Certification runs one measure query at depth
+  g_n'(x) = -1).  Its bracket is that of one measure query at depth
   ``n + 8``: the 2/5 margin is exactly tight against worst-case tails
-  (6/15), so the engine needs the real tail's slack.  On 3000 random
-  non-dyadic centres (denominators below 10**12, n up to 300), the
-  smallest depth at which the query reaches the bound was ``n + 1``
-  for a fifth of them and ``n`` or less for the rest; that is a
-  measurement, not a proof, and the seven levels above it are headroom.
+  (6/15), so the engine needs the real tail's slack.
+* Every certificate reduces, by self-affinity
+  ``T(y) = G_k(y) + 2**-k * T(2**k * y)``, to the query of a canonical
+  twin at a smaller or equal scale, rescaled exactly.  A lemma bracket
+  at (x, n), times ``2**(n-1)``, depends only on where x sits in its
+  level-(n-1) cell, on the sign of ``g_n'(x)`` and on the slope jump of
+  G_{n-1} at the nearer cell end, so it equals that of a twin whose
+  scale is fixed by those, not by n (:func:`verify_lemma`).  Both halves of a blow-up at n are
+  ``2**(first-n)`` times those at the first scale ``first = 2*n0 + 1``
+  (:func:`blowup_check`).  Within one :func:`refute` call each distinct
+  twin query runs once; nothing is kept between calls.
 * :func:`refute` packages such certificates into horizon-N evidence,
   in one pipeline: :func:`classify` names the case, one scale list
   follows from the slope sums, and each scale gets its certificates.
@@ -40,6 +46,7 @@ infinite statement would forbid.
 from __future__ import annotations
 
 import dataclasses
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -92,6 +99,21 @@ DYADIC_CORPUS = tuple(Fraction(j, 1 << m) for j, m in ((0, 0), (1, 1), (1, 2), (
 _LEMMA_DEPTH_HEADROOM = 8
 # Blow-up certificates that :func:`refute` emits at a dyadic point.
 _DYADIC_BLOWUPS = 8
+
+# The kernel results of the running refute call, keyed by query; None
+# outside one, so that no result outlives the call that computed it.
+_QUERIES: ContextVar[dict | None] = ContextVar("_QUERIES", default=None)
+
+
+def _certify(x, r, alpha, direction, target, *, depth):
+    """:func:`~takagi_lab.measure.certify_lower`, run once per distinct query in a refute call."""
+    queries = _QUERIES.get()
+    if queries is None:
+        return certify_lower(x, r, alpha, direction, target, depth=depth)
+    key = (x, r, alpha, direction, target, depth)
+    if key not in queries:
+        queries[key] = certify_lower(x, r, alpha, direction, target, depth=depth)
+    return queries[key]
 
 
 @dataclass(frozen=True)
@@ -186,13 +208,56 @@ class RefutationEvidence:
     detail: str = ""
 
 
+def _lemma_twin(x: Fraction, n: int) -> tuple[Fraction, int]:
+    """The twin ``(x', n')`` whose lemma bracket is x's, rescaled; see :func:`verify_lemma`."""
+    p, q = x.numerator, x.denominator
+    j, rest = divmod(p << (n - 1), q)  # 2**(n-1)*x = j + u with u = rest/q
+    left = 2 * rest < q
+    end = j if left else j + 1
+    e = (end & -end).bit_length() - 1 if end else n  # the end 0 is an integer
+    if n <= e + 2:
+        return x, n
+    twin_j = 1 << e if left else (1 << e) - 1
+    return Fraction(twin_j * q + rest, q << (e + 2)), e + 3
+
+
 def verify_lemma(x, n: int) -> LemmaReport:
     """Certify the one-scale measure estimate at (x, n).
 
-    Runs the LE query at ``G_{n-1}'(x) + 2/5`` when ``g_n'(x) = +1``,
-    the GE query at ``G_{n-1}'(x) - 2/5`` when ``g_n'(x) = -1``, both
-    at radius ``2**-n``, as one query at depth ``n + 8``; the report is
-    certified when its lower bound reaches ``2**-(n+5)``.
+    The bracket is that of the LE query at ``G_{n-1}'(x) + 2/5`` when
+    ``g_n'(x) = +1``, or of the GE query at ``G_{n-1}'(x) - 2/5`` when
+    ``g_n'(x) = -1``, both at radius ``2**-n`` and depth ``n + 8``; the
+    report is certified when its lower bound reaches ``2**-(n+5)``.
+
+    The query that runs is a twin's.  Write ``x = (j + u)/2**(n-1)``
+    with j an integer and ``0 < u < 1``.  The window ``|y - x| < 2**-n``
+    holds the cell midpoint ``(j + 1/2)/2**(n-1)`` and one cell end:
+    ``j/2**(n-1)`` when ``u < 1/2``, else ``(j + 1)/2**(n-1)``.  Let e be
+    the number of trailing zeros of that end's numerator, j or j + 1.
+    Since ``g_k(y) = 2**-(n-1)*g_{k-n+1}(2**(n-1)*y)`` for ``k >= n``,
+
+        G_{n+8}(y) = G_{n-1}(y) + 2**-(n-1)*G_9(2**(n-1)*y),
+
+    and G_9 has period 1.  On the window G_{n-1} is affine with slope
+    ``G_{n-1}'(x)`` but for two kinks.  At the midpoint only g_{n-1}
+    bends, by -2.  At the end, g_k has a valley for
+    ``n - 1 - e <= k <= n - 1`` and g_{n-2-e} a peak, a jump of 2e when
+    ``e <= n - 3``; when the end is an integer or a half-integer there is
+    no peak term and the jump is ``2(n-1)``.  The threshold's slope
+    cancels the affine part up to the margin, and the enclosure width
+    ``2**-(n+9)`` of T(x) and the tail band ``2**-(n+9)`` are
+    ``2**-(n-1)`` times their depth-9 values.  So in the coordinate
+    ``2**(n-1)*y - j`` the certified-in set depends only on u, the sign
+    and the end's jump, and its measure, times ``2**(n-1)``, is the same
+    for every (x, n) that share them.  The twin has ``n' = min(n, e + 3)``,
+    ``x' = (j' + u)/2**(n'-1)`` with ``j' = 2**e`` (``u < 1/2``) or
+    ``2**e - 1``, and threshold ``G_{n'-1}'(x') ± 2/5``: same u, same sign
+    (``g_n'(x) = 1 - 2*b`` for the second binary digit b of u) and the
+    same jump 2e.  When ``n <= e + 2`` (an integer end has ``e >= n - 1``)
+    the jump depends on n, and the twin is x itself.
+
+    ``depth_used`` is ``n + 8``, the depth of the full query the bracket
+    equals, or 0 when the twin's query is over the cell budget.
     """
     xf = _to_fraction(x)
     if is_dyadic(xf):
@@ -200,25 +265,22 @@ def verify_lemma(x, n: int) -> LemmaReport:
     if n < 1:
         raise ValueError("scale index must be positive")
     sign = slope(n, xf)
-    base = slope_sum(xf, n - 1)
-    if sign == 1:
-        direction = Dir.LE
-        alpha = base + SLOPE_MARGIN
-    else:
-        direction = Dir.GE
-        alpha = base - SLOPE_MARGIN
-    required = Fraction(1, 1 << (n + 5))
-    lo, depth_used, status = certify_lower(xf, Fraction(1, 1 << n), alpha, direction,
-                                           required, depth=n + _LEMMA_DEPTH_HEADROOM)
+    margin = SLOPE_MARGIN if sign == 1 else -SLOPE_MARGIN
+    direction = Dir.LE if sign == 1 else Dir.GE
+    alpha = slope_sum(xf, n - 1) + margin
+    tx, tn = _lemma_twin(xf, n)
+    lo, ran, status = _certify(tx, Fraction(1, 1 << tn), slope_sum(tx, tn - 1) + margin,
+                               direction, Fraction(1, 1 << (tn + 5)),
+                               depth=tn + _LEMMA_DEPTH_HEADROOM)
     return LemmaReport(
         x=xf,
         n=n,
         sign=sign,
         direction=direction,
         alpha=alpha,
-        bound_required=required,
-        bound_certified=lo,
-        depth_used=depth_used,
+        bound_required=Fraction(1, 1 << (n + 5)),
+        bound_certified=lo / (1 << (n - tn)),
+        depth_used=n + _LEMMA_DEPTH_HEADROOM if ran else 0,
         status=status,
     )
 
@@ -286,9 +348,22 @@ def blowup_check(x, n: int) -> BlowupReport:
     Dividing by y - x, the right half of the ball has quotient
     ``>= n - 2*n0`` and the left half quotient ``<= -(n - 2*n0)``, so
     the GE query certifies the right half and the mirrored LE query the
-    left half; their sum is the full ball ``2**-n``.  Each half is one
-    query at depth ``n + 4``, and the report is certified only when both
-    halves reach ``2**-(n+2)``.
+    left half; their sum is the full ball ``2**-n``.  Each half is the
+    bracket of one query at depth ``n + 4``, and the report is certified
+    only when both halves reach ``2**-(n+2)``.
+
+    Those queries run at the first scale ``first = 2*n0 + 1`` and are
+    rescaled.  For ``n >= first``, ``2**n*x`` is an integer, so G_n is
+    affine on each half-ball and T(x) = G_n(x), and
+    ``G_{n+4}(x+h) = G_n(x+h) + 2**-n*G_4(2**n*h)``.  On the right half,
+    G_n has slope ``n - n0 + S``, where S sums the right slopes of
+    ``g_1 .. g_n0`` at x, so the GE condition
+    ``G_{n+4}(x+h) >= T(x) + (n - 2*n0)*h`` reads ``(n0 + S)*t + G_4(t) >= 0``
+    in ``t = 2**n*h``: n drops out.  The left half, and the tail band
+    ``2**-(n+5) = 2**-n*2**-5`` of the pieces that use it, scale the same
+    way.  So both halves at n are ``2**(first-n)`` times those at first.
+    ``depth_used`` is ``n + 4``, or 0 when the query at first is over the
+    cell budget.
 
     The clamp to ``n0 >= 0`` matters at integers: x is on the level-0
     grid, but the series has no k = 0 term to contribute |h|, so only
@@ -299,27 +374,24 @@ def blowup_check(x, n: int) -> BlowupReport:
     n0 = max(dyadic_level(xf), 0)
     if n <= 2 * n0:
         raise ValueError(f"need n > {2 * n0} at {xf} (level floor {n0})")
-    threshold = n - 2 * n0
-    r = Fraction(1, 1 << (n + 1))
-    required = Fraction(1, 1 << (n + 2))
-    depth = n + 4
-    lo_ge, depth_ge, status_ge = certify_lower(
-        xf, r, Fraction(threshold), Dir.GE, required, depth=depth
-    )
-    lo_le, depth_le, status_le = certify_lower(
-        xf, r, Fraction(-threshold), Dir.LE, required, depth=depth
-    )
+    first = _first_blowup_scale(xf)  # where the threshold first - 2*n0 is 1
+    halves = [_certify(xf, Fraction(1, 1 << (first + 1)), Fraction(sign), direction,
+                       Fraction(1, 1 << (first + 2)), depth=first + 4)
+              for sign, direction in ((1, Dir.GE), (-1, Dir.LE))]
+    (lo_ge, ran_ge, status_ge), (lo_le, ran_le, status_le) = halves
+    scale = 1 << (n - first)
+    lo_ge, lo_le = lo_ge / scale, lo_le / scale
     return BlowupReport(
         x=xf,
         n=n,
         base_level=n0,
-        threshold=threshold,
-        radius=r,
-        bound_required=required,
+        threshold=n - 2 * n0,
+        radius=Fraction(1, 1 << (n + 1)),
+        bound_required=Fraction(1, 1 << (n + 2)),
         lo_one_sided=lo_ge,
         lo_mirror=lo_le,
         lo_full=lo_ge + lo_le,
-        depth_used=max(depth_ge, depth_le),
+        depth_used=n + 4 if ran_ge or ran_le else 0,
         status=CERTIFIED if status_ge == status_le == CERTIFIED else UNDECIDED,
     )
 
@@ -429,7 +501,11 @@ def refute(x, horizon: int) -> RefutationEvidence:
     scales = _scales(report)
     if scales:  # scale n prints radius 2**-n, a blow-up at n prints 2**-(n+1)
         check_printable(scales[-1] + (case == CASE_DYADIC))
-    found = {n: _certificates(xf, case, n) for n in scales}
+    token = _QUERIES.set({})
+    try:
+        found = {n: _certificates(xf, case, n) for n in scales}
+    finally:
+        _QUERIES.reset(token)
     bad = [n for n in scales if min(c.density_lo for c in found[n]) < Fraction(1, 64)]
     good = [n for n in scales if n not in bad]
     if case == CASE_BOUNDED:

@@ -26,6 +26,11 @@ revisit selector and the record-and-reversal selector, kept verbatim.
 :func:`reference_slope_seq` is ``slope_seq`` as it was before it read
 all its digits as one integer: one :func:`slope` per index, then scans
 for unit steps and for parity, kept verbatim.
+
+:func:`full_query_verify_lemma` and :func:`full_query_blowup_check` are
+``verify_lemma`` and ``blowup_check`` as they were before they reduced
+each certificate to a canonical twin: one measure query at the full
+depth ``n + 8`` (lemma) or ``n + 4`` (each blow-up half), kept verbatim.
 """
 
 from __future__ import annotations
@@ -42,16 +47,23 @@ from takagi_lab.analysis import (
     CASE_BOUNDED,
     CASE_DIVERGENT,
     CASE_DYADIC,
+    SLOPE_MARGIN,
+    BlowupReport,
     ClassificationReport,
+    LemmaReport,
 )
 from takagi_lab.exactnum import _to_fraction, dyadic_level, dyadic_neighbors, frac_part, is_dyadic
 from takagi_lab.measure import (
     BREAKPOINT_CAP,
+    CERTIFIED,
+    UNDECIDED,
     BreakpointLimitError,
     Dir,
     QuotientQuery,
+    certify_lower,
 )
-from takagi_lab.takagi import Enclosure, G, SlopeSeq, slope, slope_seq, takagi_enclosure
+from takagi_lab.takagi import (Enclosure, G, SlopeSeq, slope, slope_seq, slope_sum,
+                               takagi_enclosure)
 
 
 def brute_g(k: int, x: Fraction) -> Fraction:
@@ -669,3 +681,63 @@ def reference_scales(report: ClassificationReport) -> list[int]:
         first = 2 * max(dyadic_level(report.x), 0) + 1
         return list(range(first, first + 8))
     return _pair_scales(report) if report.case_hint == CASE_BOUNDED else _record_scales(report)
+
+
+def full_query_verify_lemma(x, n: int) -> LemmaReport:
+    xf = _to_fraction(x)
+    if is_dyadic(xf):
+        raise ValueError("the one-scale estimate needs a non-dyadic centre")
+    if n < 1:
+        raise ValueError("scale index must be positive")
+    sign = slope(n, xf)
+    base = slope_sum(xf, n - 1)
+    if sign == 1:
+        direction = Dir.LE
+        alpha = base + SLOPE_MARGIN
+    else:
+        direction = Dir.GE
+        alpha = base - SLOPE_MARGIN
+    required = Fraction(1, 1 << (n + 5))
+    lo, depth_used, status = certify_lower(xf, Fraction(1, 1 << n), alpha, direction,
+                                           required, depth=n + 8)
+    return LemmaReport(
+        x=xf,
+        n=n,
+        sign=sign,
+        direction=direction,
+        alpha=alpha,
+        bound_required=required,
+        bound_certified=lo,
+        depth_used=depth_used,
+        status=status,
+    )
+
+
+def full_query_blowup_check(x, n: int) -> BlowupReport:
+    xf = _to_fraction(x)
+    n0 = max(dyadic_level(xf), 0)
+    if n <= 2 * n0:
+        raise ValueError(f"need n > {2 * n0} at {xf} (level floor {n0})")
+    threshold = n - 2 * n0
+    r = Fraction(1, 1 << (n + 1))
+    required = Fraction(1, 1 << (n + 2))
+    depth = n + 4
+    lo_ge, depth_ge, status_ge = certify_lower(
+        xf, r, Fraction(threshold), Dir.GE, required, depth=depth
+    )
+    lo_le, depth_le, status_le = certify_lower(
+        xf, r, Fraction(-threshold), Dir.LE, required, depth=depth
+    )
+    return BlowupReport(
+        x=xf,
+        n=n,
+        base_level=n0,
+        threshold=threshold,
+        radius=r,
+        bound_required=required,
+        lo_one_sided=lo_ge,
+        lo_mirror=lo_le,
+        lo_full=lo_ge + lo_le,
+        depth_used=max(depth_ge, depth_le),
+        status=CERTIFIED if status_ge == status_le == CERTIFIED else UNDECIDED,
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -5,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import reference_classify, reference_scales
+from oracles import (full_query_blowup_check, full_query_verify_lemma, reference_classify,
+                     reference_scales)
 from takagi_lab import analysis, measure
 from takagi_lab.exactnum import is_dyadic, parse_rat
 from takagi_lab.analysis import (
@@ -278,17 +280,106 @@ class TestRefute:
         # all 30 revisits, indices 2..60: the lemma's query runs at depth n + 8
         (F(1, 3), 60, 64, (CASE_BOUNDED, CERTIFIED,
                            "30 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
-        # mixed outcomes: some scales certify and others do not
+        # mixed outcomes: some scales certify and others do not; scales 4..12
+        # share their twins' queries, which fit where scale 2's does not
         (F(1, 3), 12, 6, (CASE_BOUNDED, CERTIFIED,
-                          "1 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
+                          "5 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
         (F(1, 7), 30, 7, (CASE_DIVERGENT, CERTIFIED,
                           "1 one-sided certificates at growing thresholds")),
-        (F(1, 2), 5, 3, (CASE_DYADIC, UNDECIDED, "blow-ups at n = [7, 8] did not certify")),
+        # every blow-up runs the query at n = 1, which fits in 8 cells; the
+        # dyadic mixed path is test_dyadic_mixed_outcomes
+        (F(1, 2), 5, 3, (CASE_DYADIC, CERTIFIED, "thresholds n - 0 for n = 1..8")),
     ])
     def test_status_and_detail(self, monkeypatch, x, horizon, budget_bits, expected):
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 1 << budget_bits)
         evidence = refute(x, horizon)
         assert (evidence.case_hint, evidence.status, evidence.detail) == expected
+
+    def test_dyadic_mixed_outcomes(self, monkeypatch):
+        real = analysis.blowup_check
+
+        def fails_from_seven(x, n):
+            report = real(x, n)
+            if n < 7:
+                return report
+            return dataclasses.replace(report, lo_one_sided=F(0), lo_mirror=F(0),
+                                       lo_full=F(0), depth_used=0, status=UNDECIDED)
+
+        monkeypatch.setattr(analysis, "blowup_check", fails_from_seven)
+        evidence = refute(F(1, 2), 5)
+        assert (evidence.case_hint, evidence.status, evidence.detail) == (
+            CASE_DYADIC, UNDECIDED, "blow-ups at n = [7, 8] did not certify")
+        assert [cert.density_lo for cert in evidence.singles] == [F(1, 2)] * 6 + [F(0)] * 2
+
+    def test_each_query_runs_once_per_call(self, monkeypatch):
+        calls = []
+        real = analysis.certify_lower
+
+        def counted(*args, **kwargs):
+            calls.append((*args, kwargs["depth"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "certify_lower", counted)
+        # 60 lemmas (n = 1..60) share four twin queries; 8 blow-ups share two
+        for x, queries in ((F(1, 3), 4), (F(1, 2), 2)):
+            runs = []
+            for _ in range(2):  # no result outlives a call: the second runs them all again
+                calls.clear()
+                refute(x, 60)
+                runs.append(list(calls))
+            assert runs[0] == runs[1]
+            assert len(set(runs[0])) == len(runs[0]) == queries
+
+
+class TestTwins:
+    """Each certificate's bracket equals the full-depth query it replaces."""
+
+    def test_lemma_twin_equals_the_full_query(self):
+        rng = random.Random(15)
+        seen = Counter()
+        for _ in range(500):
+            n = rng.randrange(1, 61)
+            while True:  # u = a/q in (0, 1), not dyadic
+                q = rng.randrange(3, 10**12)
+                u = F(rng.randrange(1, q), q)
+                if not is_dyadic(u):
+                    break
+            left = u < F(1, 2)  # the window holds the cell end j, else j + 1
+            kind = rng.randrange(4)
+            if kind == 0 and n >= 3:  # e <= n - 3: a twin below n
+                e = rng.randrange(n - 2)
+                end = (2 * rng.randrange(-50, 50) + 1) << e
+            elif kind == 1:  # an integer end
+                end = rng.randrange(-3, 4) << (n - 1)
+            elif kind == 2 and n >= 2:  # a half-integer end: e = n - 2
+                end = (2 * rng.randrange(-3, 3) + 1) << (n - 2)
+            else:
+                end = rng.randrange(-(1 << (n + 1)), 2 << n)
+            j = end if left else end - 1
+            x = (j + u) / (1 << (n - 1))
+            _, tn = analysis._lemma_twin(x, n)
+            report = verify_lemma(x, n)
+            assert report == full_query_verify_lemma(x, n), (x, n)
+            seen["twin" if tn < n else "itself"] += 1
+            if end % (1 << (n - 1)) == 0:
+                seen["integer end"] += 1
+            elif n >= 2 and end % (1 << (n - 2)) == 0:
+                seen["half-integer end"] += 1
+            seen[report.sign, left] += 1
+            seen["below 0" if x < 0 else "above 1" if x > 1 else "in (0, 1)"] += 1
+            if tn < n:
+                seen["e", tn - 3] += 1
+        assert seen["twin"] and seen["itself"]
+        assert seen["integer end"] and seen["half-integer end"]
+        assert all(seen[sign, left] for sign in (1, -1) for left in (True, False))
+        assert seen["below 0"] and seen["above 1"] and seen["in (0, 1)"]
+        assert all(seen["e", e] for e in range(10))
+
+    @pytest.mark.parametrize("x", [F(0), F(1), F(1, 2), F(13, 64), F(-3, 8), F(5, 4)])
+    def test_blowup_equals_the_full_queries(self, x):
+        first = analysis._first_blowup_scale(x)
+        for n in range(first, first + 9):
+            assert blowup_check(x, n) == full_query_blowup_check(x, n), (x, n)
 
 
 class TestSerialization:

@@ -289,7 +289,8 @@ class TestOtherReports:
         assert len(payload["result"]["pairs"]) >= 3
 
     def test_refute_dyadic_undecided(self, capsys, monkeypatch):
-        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+        # every blow-up runs the query at n = 1; 2 cells do not hold it
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2)
         code, out, _ = invoke(capsys, "refute", "--x", "1/2", "--n", "5",
                               "--format", "json")
         assert code == 2

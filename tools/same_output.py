@@ -6,10 +6,10 @@ Exports REV with ``git archive`` into a temporary directory, generates
 every op of the three benchmark workloads for seeds 1-3 with
 ``bench/workloads.generate`` (writing the corpus files they read), adds
 the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS``, the
-refute and classify edge cases of ``REFUTE_OPS``, the long slope walks
-of ``SLOPE_OPS`` and the failing ops of ``ERROR_OPS``, and runs each op
-through ``takagi_lab.cli.run`` in-process, once in a fresh interpreter
-per tree: 1 115 ops in all.
+refute and classify edge cases of ``REFUTE_OPS``, the twin edge cases of
+``TWIN_OPS``, the long slope walks of ``SLOPE_OPS`` and the failing ops
+of ``ERROR_OPS``, and runs each op through ``takagi_lab.cli.run``
+in-process, once in a fresh interpreter per tree: 1 123 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does.  Nothing under ``bench/``
 is changed.
@@ -75,6 +75,22 @@ REFUTE_OPS = (
     ["refute", "--x", "6/11", "--n", "6"],
     ["refute", "--x", "1/7", "--n", "2"],
     ["refute", "--x", "1/3", "--n", "1"],
+)
+
+# Certificates whose twin reduction meets an edge case: lemmas at a centre
+# below 0, above 1 and next to an integer on either side (the cell end is
+# 1 or 0, so the lemma runs as itself), a lemma at n = 300 below 0, a
+# divergent refute over 200 scales, and blow-ups rescaled from their first
+# scale at 3/8 (eight of them, under refute) and at -3/8.
+TWIN_OPS = (
+    ["lemma", "--x", "-5/7", "--n", "40", "--format", "json"],
+    ["lemma", "--x", "13/12", "--n", "30", "--format", "json"],
+    ["lemma", "--x", "1572865/1572864", "--n", "20", "--format", "json"],
+    ["lemma", "--x", "-1/1572864", "--n", "20", "--format", "json"],
+    ["lemma", "--x", "-3/11", "--n", "300"],
+    ["refute", "--x", "1/7", "--n", "200", "--format", "json"],
+    ["refute", "--x", "3/8", "--n", "20", "--format", "json"],
+    ["blowup", "--x", "-3/8", "--n", "40", "--format", "json"],
 )
 
 # Slope walks past every benchmark op (horizon 200 at most): a long walk below
@@ -149,6 +165,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
     ops.extend((f"text op {i}", list(argv)) for i, argv in enumerate(TEXT_OPS))
     ops.extend((f"deep op {i}", list(argv)) for i, argv in enumerate(DEEP_OPS))
     ops.extend((f"refute op {i}", list(argv)) for i, argv in enumerate(REFUTE_OPS))
+    ops.extend((f"twin op {i}", list(argv)) for i, argv in enumerate(TWIN_OPS))
     ops.extend((f"slope op {i}", list(argv)) for i, argv in enumerate(SLOPE_OPS))
     ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
     return ops
