@@ -18,7 +18,8 @@ Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
 precondition errors, on an integer argument too large to compute with,
 on an exact result too long to print, on a query over its cell budget
-and on a failed internal invariant, each reported as one ``error:`` line.
+or past ``MEASURE_DEPTH_MAX`` and on a failed internal invariant, each
+reported as one ``error:`` line.
 ``verify-all`` runs its entries in order in one process; its ``--jobs``
 must be 1.
 """
@@ -33,14 +34,21 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from . import analysis, measure
 from .exactnum import (_to_fraction, check_printable, dyadic_neighbors, format_rat,
-                       is_dyadic, parse_rat)
-from .takagi import DEFAULT_DEPTH, slope_seq, takagi_enclosure, takagi_exact
+                       format_ratio, is_dyadic, parse_rat)
+from .takagi import (DEFAULT_DEPTH, _enclosure_nums, slope_seq, takagi_enclosure,
+                     takagi_exact)
 
 SCHEMA = "takagi-lab/1"
+
+# Largest ``measure --depth``: a query's time grows about as depth**2.3, and
+# the widest window (r = 1/2) takes about 3 s at depth 1024.  Certificates
+# run their own queries through ``measure.certify_lower``, unbounded here.
+MEASURE_DEPTH_MAX = 1024
 
 
 class _UsageError(Exception):
@@ -201,7 +209,11 @@ def _exit_code(status: str) -> int:
 
 def sample_rows(a, b, count: int, depth: int,
                 *, approx: bool = False, classical: bool = False) -> list[list[str]]:
-    """Enclosure rows "y,lo,hi" at equally spaced points of the dyadic range [a, b]."""
+    """Enclosure rows "y,lo,hi" at equally spaced points of the dyadic range [a, b].
+
+    The points are ``y_i = (top + i*inc) / den`` on one common
+    denominator, and each row is formatted from integers.
+    """
     a, b = _to_fraction(a), _to_fraction(b)
     if not (is_dyadic(a) and is_dyadic(b)):
         raise ValueError(f"sample range [{a}, {b}] must have dyadic ends")
@@ -209,18 +221,24 @@ def sample_rows(a, b, count: int, depth: int,
         raise ValueError("need a < b")
     if count < 2:
         raise ValueError("need at least two sample points")
-    step = (b - a) / (count - 1)
-    if not is_dyadic(step):
+    unit = max(a.denominator, b.denominator)  # a and b are multiples of 1/unit
+    a_num, b_num = a.numerator * (unit // a.denominator), b.numerator * (unit // b.denominator)
+    # y_i = a + i*(b - a)/(count - 1) = (top + i*inc) / den
+    den, top, inc = unit * (count - 1), a_num * (count - 1), b_num - a_num
+    if not is_dyadic((b - a) / (count - 1)):
         # a + step is then not dyadic: one end of its enclosure has a
         # denominator that is a multiple of 2**(depth + 1)
         check_printable(depth + 1)
     rows = []
-    for i in range(count):
-        y = a + i * step
-        enc = takagi_enclosure(y, depth, classical=classical)
-        row = [format_rat(y), format_rat(enc.lo), format_rat(enc.hi)]
+    for num in range(top, top + count * inc, inc):
+        common = gcd(num, den)
+        p, q = num // common, den // common
+        lo, hi, enc_den = _enclosure_nums(p, q, depth, classical)
+        lo_text = format_ratio(lo, enc_den)
+        row = [format_ratio(p, q), lo_text,
+               lo_text if hi == lo else format_ratio(hi, enc_den)]
         if approx:
-            row.append(repr(float((enc.lo + enc.hi) / 2)))
+            row.append(repr((lo + hi) / (2 * enc_den)))  # int division rounds correctly
         rows.append(row)
     return rows
 
@@ -332,6 +350,8 @@ def _neighbors(args) -> int:
 
 
 def _measure(args) -> int:
+    if args.depth > MEASURE_DEPTH_MAX:
+        raise ValueError(f"--depth must be at most {MEASURE_DEPTH_MAX}, got {args.depth}")
     query = measure.QuotientQuery(
         x=parse_rat(args.x),
         r=_parse_dyadic(args.r),

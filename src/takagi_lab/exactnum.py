@@ -18,10 +18,12 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "parse_rat",
     "format_rat",
+    "format_ratio",
     "check_printable",
     "is_dyadic",
     "frac_part",
@@ -57,8 +59,19 @@ def format_rat(value) -> str:
     integer-to-text conversion (4300 digits by default, which also guards
     the parsing of input) raises ``ValueError`` with a message that says so.
     """
+    f = Fraction(value)
+    return _join(f.numerator, f.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """:func:`format_rat` of ``num / den`` (``den > 0``), reduced by one ``gcd``."""
+    common = gcd(num, den)
+    return _join(num // common, den // common)
+
+
+def _join(num: int, den: int) -> str:
     try:
-        return str(Fraction(value))
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise _too_many_digits() from None
 

@@ -11,7 +11,15 @@ All of it runs on the binary orbit of ``x = p/q``: with
 ``r_k = 2**k * p mod q`` one has ``g_k(x) = min(r_k, q - r_k) / (q * 2**k)``
 and ``g_k'(x) = 1 - 2*b_{k+1}(x)``: ``G_n`` is Horner's rule over
 integers followed by a single ``Fraction``, and the slope sums read
-``b_2 .. b_{n+1}`` as one integer.  A value of ``T`` that needs a limit
+``b_2 .. b_{n+1}`` as one integer.  The orbit is eventually periodic:
+from the pre-period ``L`` (the 2-adic valuation of ``q``) on, ``r_k``
+returns to ``r_L`` after ``P`` steps, ``P`` the order of 2 modulo the
+odd part of ``q``.  So Horner's rule stops once ``r`` returns: ``m``
+whole periods more are one repunit ``(2**(m*P) - 1) / (2**P - 1)``
+times the period's sum, and the last ``t < P`` terms a short walk, at
+most ``L + 2*P`` steps in all instead of ``n``.  An orbit that does not
+return within ``n`` steps costs one comparison per step more than the
+plain loop.  A value of ``T`` that needs a limit
 is an :class:`Enclosure` using the tail estimate
 ``0 <= T(x) - G_n(x) <= sum_{k>n} 2**-(k+1) = 2**-(n+1)``, which
 follows from ``sup g_k = 2**-(k+1)``.
@@ -96,6 +104,41 @@ def g(k: int, x) -> Fraction:
     return Fraction(min(r, q - r), q << k)
 
 
+def _partial_num(n: int, r: int, q: int, classical: bool) -> int:
+    """``q * 2**n * G_n(x)`` for ``x = r/q mod 1``, ``0 <= r < q``, by Horner's rule
+    on the orbit, closed by the period once ``r`` returns to ``r_L``."""
+    # acc = q * 2**k * G_k(x) after step k
+    acc = min(r, q - r) if classical else 0
+    lead = min(n, (q & -q).bit_length() - 1)  # the pre-period L, or n
+    for _ in range(lead):
+        r <<= 1
+        if r >= q:
+            r -= q
+        acc = (acc << 1) + min(r, q - r)
+    n -= lead
+    start, base = r, acc
+    for period in range(1, n + 1):
+        r <<= 1
+        if r >= q:
+            r -= q
+        acc = (acc << 1) + min(r, q - r)
+        if r == start:
+            break
+    else:
+        return acc  # no return within n steps (or none left to walk)
+    rest = n - period
+    whole, t = divmod(rest, period)
+    head = 0  # the first t terms of a period, by Horner's rule from r_L
+    for _ in range(t):
+        r <<= 1
+        if r >= q:
+            r -= q
+        head = (head << 1) + min(r, q - r)
+    block = acc - (base << period)  # one period's terms, by Horner's rule
+    repunit = ((1 << (whole * period)) - 1) // ((1 << period) - 1)
+    return (acc << rest) + ((block * repunit) << t) + head
+
+
 def G(n: int, x, *, classical: bool = False) -> Fraction:
     """Partial sum ``g_1(x) + ... + g_n(x)``; empty sum for n = 0.
 
@@ -105,14 +148,7 @@ def G(n: int, x, *, classical: bool = False) -> Fraction:
     if n < 0:
         raise ValueError("partial-sum order must be non-negative")
     r, q = _orbit(x)
-    # acc = q * 2**k * G_k(x) after step k, by Horner's rule
-    acc = min(r, q - r) if classical else 0
-    for _ in range(n):
-        r <<= 1
-        if r >= q:
-            r -= q
-        acc = (acc << 1) + min(r, q - r)
-    return Fraction(acc, q << n)
+    return Fraction(_partial_num(n, r, q, classical), q << n)
 
 
 def takagi_exact(x, *, classical: bool = False) -> Fraction:
@@ -121,6 +157,18 @@ def takagi_exact(x, *, classical: bool = False) -> Fraction:
     A non-dyadic ``x`` raises ``ValueError``.
     """
     return G(dyadic_level(x) + 1, x, classical=classical)
+
+
+def _enclosure_nums(p: int, q: int, depth: int, classical: bool) -> tuple[int, int, int]:
+    """:func:`takagi_enclosure` at ``p/q`` in lowest terms, as integers
+    ``(lo, hi, den)`` over one denominator; ``lo == hi`` at a dyadic point."""
+    r = p % q
+    if not q & (q - 1):
+        m = q.bit_length() - 1
+        lo = _partial_num(m, r, q, classical)
+        return lo, lo, q << m
+    lo = _partial_num(depth, r, q, classical) << 1
+    return lo, lo + q, q << (depth + 1)
 
 
 def takagi_enclosure(x, depth: int = DEFAULT_DEPTH, *, classical: bool = False) -> Enclosure:
@@ -134,11 +182,9 @@ def takagi_enclosure(x, depth: int = DEFAULT_DEPTH, *, classical: bool = False) 
     if depth < 1:
         raise ValueError("enclosure depth must be positive")
     xf = _to_fraction(x)
-    if is_dyadic(xf):
-        t = G(xf.denominator.bit_length() - 1, xf, classical=classical)
-        return Enclosure(t, t)
-    lo = G(depth, xf, classical=classical)
-    return Enclosure(lo, lo + Fraction(1, 1 << (depth + 1)))
+    lo, hi, den = _enclosure_nums(xf.numerator, xf.denominator, depth, classical)
+    lo_value = Fraction(lo, den)
+    return Enclosure(lo_value, lo_value if hi == lo else Fraction(hi, den))
 
 
 def slope(k: int, x) -> int:

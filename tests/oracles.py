@@ -17,7 +17,9 @@ was before it summed its crossings per denominator: one ``Fraction``
 per level-n crossing, clipped against the window.  It is the reference
 at depths the uniform engine cannot reach.  Likewise :func:`fraction_G`
 is the partial sum the library computed before its integer orbit
-kernel, one ``Fraction`` per term.
+kernel, one ``Fraction`` per term, and :func:`reference_sample_rows` is
+``sample`` as it was before it put its grid on one denominator: one
+:func:`takagi_enclosure` and one ``Fraction`` per value per row.
 
 :func:`reference_classify` and :func:`reference_scales` are the
 classification and the scale selectors of ``refute`` as they were
@@ -52,7 +54,8 @@ from takagi_lab.analysis import (
     ClassificationReport,
     LemmaReport,
 )
-from takagi_lab.exactnum import _to_fraction, dyadic_level, dyadic_neighbors, frac_part, is_dyadic
+from takagi_lab.exactnum import (_to_fraction, check_printable, dyadic_level, dyadic_neighbors,
+                                 format_rat, frac_part, is_dyadic)
 from takagi_lab.measure import (
     BREAKPOINT_CAP,
     CERTIFIED,
@@ -97,6 +100,32 @@ def fraction_G(n: int, x, *, classical: bool = False) -> Fraction:
     for k in range(1, n + 1):
         total += _dist_to_grid(xf, k)
     return total
+
+
+def reference_sample_rows(a, b, count: int, depth: int,
+                          *, approx: bool = False, classical: bool = False) -> list[list[str]]:
+    """Enclosure rows "y,lo,hi" at equally spaced points of the dyadic range [a, b]."""
+    a, b = _to_fraction(a), _to_fraction(b)
+    if not (is_dyadic(a) and is_dyadic(b)):
+        raise ValueError(f"sample range [{a}, {b}] must have dyadic ends")
+    if not a < b:
+        raise ValueError("need a < b")
+    if count < 2:
+        raise ValueError("need at least two sample points")
+    step = (b - a) / (count - 1)
+    if not is_dyadic(step):
+        # a + step is then not dyadic: one end of its enclosure has a
+        # denominator that is a multiple of 2**(depth + 1)
+        check_printable(depth + 1)
+    rows = []
+    for i in range(count):
+        y = a + i * step
+        enc = takagi_enclosure(y, depth, classical=classical)
+        row = [format_rat(y), format_rat(enc.lo), format_rat(enc.hi)]
+        if approx:
+            row.append(repr(float((enc.lo + enc.hi) / 2)))
+        rows.append(row)
+    return rows
 
 
 def brute_T_dyadic(x: Fraction) -> Fraction:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reference_sample_rows
 from takagi_lab import analysis, cli, measure
 from takagi_lab.cli import run, sample_rows
 from takagi_lab.exactnum import parse_rat
+from takagi_lab.takagi import Enclosure
 
 
 def invoke(capsys, *argv):
@@ -75,7 +78,7 @@ class TestUnprintableFailsFast:
          (cli, "takagi_enclosure")),
         # a non-dyadic step puts a non-dyadic point on the grid
         (["sample", "--a", "0", "--b", "1", "--count", "4", "--depth", "1000000"],
-         (cli, "takagi_enclosure")),
+         (cli, "_enclosure_nums")),
         # the reports print 2**-(n+5) and 2**-(n+2)
         (["lemma", "--x", "1/3", "--n", "15000"], (analysis, "verify_lemma")),
         (["blowup", "--x", "1/2", "--n", "15000"], (analysis, "blowup_check")),
@@ -204,6 +207,29 @@ class TestMeasure:
         )
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "cells" in err
+
+    def test_depth_over_the_bound_fails_fast(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("ran a query past the depth bound")
+
+        monkeypatch.setattr(measure, "quotient_set_sides", never)
+        argv = ["measure", "--x", "1/3", "--r", "1/2", "--alpha", "1/2", "--dir", "ge"]
+        for depth in (cli.MEASURE_DEPTH_MAX + 1, 100000):
+            code, out, err = invoke(capsys, *argv, "--depth", str(depth))
+            assert code == 1 and out == ""
+            assert err == f"error: --depth must be at most 1024, got {depth}\n"
+
+    def test_depth_at_the_bound_runs(self, capsys, monkeypatch):
+        seen = []
+
+        def sides(query):
+            seen.append(query.depth)
+            return Enclosure(F(0), F(0)), Enclosure(F(0), F(0))
+
+        monkeypatch.setattr(measure, "quotient_set_sides", sides)
+        code, _, _ = invoke(capsys, "measure", "--x", "1/3", "--r", "1/2", "--alpha", "1/2",
+                            "--dir", "ge", "--depth", str(cli.MEASURE_DEPTH_MAX))
+        assert code == 0 and seen == [1024]
 
     def test_non_dyadic_radius_rejected(self, capsys):
         code, _, err = invoke(
@@ -352,6 +378,31 @@ class TestSample:
         rows = sample_rows(F(0), F(1), 4, 12)
         assert rows[1][0] == "1/3"
         assert parse_rat(rows[1][2]) - parse_rat(rows[1][1]) == F(1, 1 << 13)
+
+    @pytest.mark.parametrize("a, b, count, depth", [
+        (F(0), F(1), 257, 24),            # dyadic step
+        (F(-3, 4), F(1, 8), 61, 40),      # non-dyadic step over a negative range
+        (F(1, 4), F(3, 2), 600, 64),      # non-dyadic step, 599 in most denominators
+        (F(-5), F(-9, 2), 7, 3),          # integer end, shallow depth
+        (F(3, 16), F(7, 16), 1025, 48),
+    ])
+    def test_rows_equal_the_per_point_reference(self, a, b, count, depth):
+        for approx in (False, True):
+            for classical in (False, True):
+                assert sample_rows(a, b, count, depth, approx=approx, classical=classical) \
+                    == reference_sample_rows(a, b, count, depth, approx=approx,
+                                             classical=classical)
+
+    def test_rows_equal_the_reference_on_seeded_grids(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            a = F(rng.randrange(-64, 64), 1 << rng.randrange(0, 6))
+            b = a + F(rng.randrange(1, 64), 1 << rng.randrange(0, 6))
+            count, depth = rng.randrange(2, 40), rng.randrange(1, 80)
+            approx, classical = rng.random() < 0.5, rng.random() < 0.5
+            assert sample_rows(a, b, count, depth, approx=approx, classical=classical) \
+                == reference_sample_rows(a, b, count, depth, approx=approx,
+                                         classical=classical)
 
     def test_format_flag_rejected(self, capsys):
         # sample always writes CSV; a --format it would ignore is a usage error

@@ -14,6 +14,7 @@ from takagi_lab.exactnum import (
     dyadic_level,
     dyadic_neighbors,
     format_rat,
+    format_ratio,
     frac_part,
     is_dyadic,
     parse_rat,
@@ -84,6 +85,13 @@ class TestParseFormat:
         assert format_rat(F(3, 4)) == "3/4"
         assert format_rat(F(5)) == "5"
 
+    def test_ratio_formats_in_lowest_terms_like_format_rat(self):
+        rng = random.Random(22)
+        cases = [(0, 5), (6, 3), (-6, 4), (12, 1), ((1 << 80) * 3, 1 << 81)]
+        cases += [(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)) for _ in range(500)]
+        for num, den in cases:
+            assert format_ratio(num, den) == format_rat(F(num, den))
+
 
 class TestCheckPrintable:
     @pytest.mark.parametrize("limit", [640, 4300, 12345, 100_000])
@@ -96,6 +104,10 @@ class TestCheckPrintable:
             check_printable(first - 1)
             with pytest.raises(ValueError, match="too many to print"):
                 format_rat(1 << first)
+            # the integer formatter reduces first, then fails the same way
+            assert format_ratio(3 << first, 3 << (first + 1)) == "1/2"
+            with pytest.raises(ValueError, match="too many to print"):
+                format_ratio(1, 1 << first)
             with pytest.raises(ValueError, match=f"more than {limit} decimal digits"):
                 check_printable(first)
         finally:

@@ -128,6 +128,55 @@ class TestOrbitKernel:
             assert enc.width() == F(1, 1 << 4001)
 
 
+class TestPeriodClose:
+    """``G`` closes Horner's rule after one binary period; ``==`` against the term sum."""
+
+    @staticmethod
+    def pre_period_and_period(q):
+        L = (q & -q).bit_length() - 1
+        odd, P = q >> L, 1
+        while pow(2, P, odd) != 1 % odd:
+            P += 1
+        return L, P
+
+    def test_orders_around_the_period(self):
+        rng = random.Random(16)
+        # integers, odd, even (a pre-period), pure powers of two (period 1)
+        denominators = (1, 2, 3, 5, 7, 9, 11, 12, 13, 24, 31, 40, 96, 127, 255, 341,
+                        3 << 9, 7 << 12, 1 << 10, 997, 5 * 7 * 11 * 13)
+        for q in denominators:
+            L, P = self.pre_period_and_period(q)
+            many = max(3, 500 // P)  # whole periods, with a head of t < P terms
+            orders = {0, 1, max(L - 1, 0), L, L + 1, L + P - 1, L + P, L + P + 1,
+                      L + 2 * P, L + many * P, L + many * P + rng.randrange(P),
+                      rng.randrange(L + 3 * P + 1)}
+            for _ in range(4):
+                x = F(rng.randrange(-3 * q, 3 * q + 1), q)
+                for n in orders:
+                    for classical in (False, True):
+                        assert G(n, x, classical=classical) == fraction_G(
+                            n, x, classical=classical), (x, n, classical)
+
+    def test_orbits_that_do_not_return_within_n(self):
+        rng = random.Random(17)
+        for q, n in (((1 << 61) - 1, 60), ((1 << 61) - 1, 61), (10**9 + 7, 300),
+                     (999999999989, 300), (3 << 20, 19), (3 << 20, 21), (997 << 5, 40)):
+            for _ in range(6):
+                x = F(rng.randrange(-2 * q, 2 * q), q)
+                classical = rng.random() < 0.5
+                assert G(n, x, classical=classical) == fraction_G(n, x, classical=classical)
+
+    def test_enclosure_after_many_periods(self):
+        # 5/24 = 0.0011(01)*: pre-period 3, period 2
+        for x in (F(5, 24), F(-5, 24), F(7, 40)):
+            for depth in (1, 3, 4, 5, 4000, 4001):
+                enc = takagi_enclosure(x, depth, classical=True)
+                assert enc.lo == fraction_G(depth, x, classical=True)
+                assert enc.width() == F(1, 1 << (depth + 1))
+                # the classical series adds G_0, the distance to the integers
+                assert takagi_periodic(x) + fraction_G(0, x, classical=True) in enc
+
+
 class TestExactValues:
     def test_examples(self):
         assert takagi_exact(F(0)) == 0

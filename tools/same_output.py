@@ -7,9 +7,10 @@ every op of the three benchmark workloads for seeds 1-3 with
 ``bench/workloads.generate`` (writing the corpus files they read), adds
 the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS``, the
 refute and classify edge cases of ``REFUTE_OPS``, the twin edge cases of
-``TWIN_OPS``, the long slope walks of ``SLOPE_OPS`` and the failing ops
-of ``ERROR_OPS``, and runs each op through ``takagi_lab.cli.run``
-in-process, once in a fresh interpreter per tree: 1 123 ops in all.
+``TWIN_OPS``, the long slope walks of ``SLOPE_OPS``, the period-closed
+partial sums of ``ORBIT_OPS`` and the failing ops of ``ERROR_OPS``, and
+runs each op through ``takagi_lab.cli.run`` in-process, once in a fresh
+interpreter per tree: 1 127 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does.  Nothing under ``bench/``
 is changed.
@@ -103,6 +104,18 @@ SLOPE_OPS = (
     ["classify", "--x", "1/999999999989", "--n", "300", "--format", "json"],
 )
 
+# The partial sums closed after one binary period: a pre-period and a period
+# (5/24 = 0.0011(01)*), a prime denominator near 10**12 whose period exceeds
+# the depth, the classical variant past many periods, and a classical sample
+# with decimals on a non-dyadic step over a negative range.
+ORBIT_OPS = (
+    ["enclose", "--x", "5/24", "--depth", "4000", "--format", "json"],
+    ["enclose", "--x", "1/999999999989", "--depth", "300", "--format", "json"],
+    ["enclose", "--x", "-7/12", "--depth", "3000", "--classical", "--approx"],
+    ["sample", "--a", "-3/4", "--b", "1/8", "--count", "61", "--depth", "40", "--classical",
+     "--approx"],
+)
+
 # Error paths: dyadic input refused or out of domain, and exact outputs too
 # long to print (which fail with the same message before or after the work).
 ERROR_OPS = (
@@ -167,6 +180,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
     ops.extend((f"refute op {i}", list(argv)) for i, argv in enumerate(REFUTE_OPS))
     ops.extend((f"twin op {i}", list(argv)) for i, argv in enumerate(TWIN_OPS))
     ops.extend((f"slope op {i}", list(argv)) for i, argv in enumerate(SLOPE_OPS))
+    ops.extend((f"orbit op {i}", list(argv)) for i, argv in enumerate(ORBIT_OPS))
     ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
     return ops
 
