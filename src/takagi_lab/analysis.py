@@ -32,9 +32,8 @@ function T:
   1/5 with densities >= 2**-6 on both sides -- jointly incompatible
   with any single derivative value; for drifting slope sums it emits
   one-sided certificates at record-and-reversal indices, with
-  unboundedly growing thresholds; at dyadic points it uses the
-  blow-up of the one-sided quotients, and is certified only when every
-  blow-up certificate reaches density 2**-6.
+  unboundedly growing thresholds; at a dyadic point it certifies one
+  blow-up of the one-sided quotients, which rescales to every scale.
 
 Finite horizons are treated honestly: liminf/limsup of the slope sums
 are not decidable from finitely many digits, so classification output
@@ -97,8 +96,6 @@ NONDYADIC_CORPUS = (
 DYADIC_CORPUS = tuple(Fraction(j, 1 << m) for j, m in ((0, 0), (1, 1), (1, 2), (3, 2), (5, 3)))
 
 _LEMMA_DEPTH_HEADROOM = 8
-# Blow-up certificates that :func:`refute` emits at a dyadic point.
-_DYADIC_BLOWUPS = 8
 
 # The kernel results of the running refute call, keyed by query; None
 # outside one, so that no result outlives the call that computed it.
@@ -418,11 +415,11 @@ def _scales(report: ClassificationReport) -> list[int]:
       reverses it.  For upward drift the GE certificates there have
       thresholds ``G_j' - 2/5`` that grow without bound; downward drift
       mirrors.
-    * Dyadic: eight blow-up scales from :func:`_first_blowup_scale`.
+    * Dyadic: the first blow-up scale alone; its blow-up, rescaled,
+      is the blow-up at every larger scale (:func:`blowup_check`).
     """
     if report.case_hint == CASE_DYADIC:
-        first = _first_blowup_scale(report.x)
-        return list(range(first, first + _DYADIC_BLOWUPS))
+        return [_first_blowup_scale(report.x)]
     sums = (0,) + report.seq.values  # sums[j] = G_j'
     N = report.horizon
     scales: list[int] = []
@@ -453,8 +450,8 @@ def _certificates(x: Fraction, case: str, n: int) -> list[DensityCertificate]:
 
     The LE certificate at n and the GE certificate at ``n - 1`` of a
     minimum revisit have thresholds ``I + 2/5`` and ``I + 3/5``; their
-    directions and 1/5 gap are checked.  A blow-up is the GE half of
-    :func:`blowup_check`, as a density at threshold ``n - 2*n0``.
+    directions and 1/5 gap are checked.  The one blow-up, at the first
+    scale, is the GE half of :func:`blowup_check` as a density.
     """
     if case == CASE_DYADIC:
         rep = blowup_check(x, n)
@@ -481,15 +478,15 @@ def refute(x, horizon: int) -> RefutationEvidence:
     evidence yields the LE/GE pairs of its certified scales, with a
     forbidden threshold gap of exactly 1/5; divergent evidence yields
     the one-sided certificates of its certified scales, at growing
-    thresholds; a dyadic point yields all its blow-up certificates, and
-    is certified only when every one of them certifies.  A non-dyadic
-    point is certified when any scale certifies, undecided when scales
-    exist but none certifies, and ``insufficient-horizon`` when no
-    qualifying index exists below the horizon.
+    thresholds; a dyadic point yields the one blow-up at its first scale,
+    whose detail states the threshold ``n - 2*n0`` at every scale
+    ``n >= 2*n0 + 1``.  A point is certified when any scale certifies,
+    undecided when scales exist but none certifies, and
+    ``insufficient-horizon`` when no index qualifies below the horizon.
 
     The largest radius exponent the report prints is known from the slope
     sums alone: the largest scale n (its radius is ``2**-n``), or the
-    last blow-up's ``n + 1``.  When that power is too long to print, the
+    blow-up's ``n + 1``.  When that power is too long to print, the
     ``ValueError`` of :func:`~takagi_lab.exactnum.check_printable` is
     raised before any measure query.  At a non-dyadic point the report
     prints that radius only if its certificate certifies, as every lemma
@@ -510,9 +507,9 @@ def refute(x, horizon: int) -> RefutationEvidence:
     good = [n for n in scales if n not in bad]
     if case == CASE_BOUNDED:
         pairs, singles = tuple(CertificatePair(n, *found[n]) for n in good), ()
-    else:  # a dyadic point keeps the blow-ups that did not certify too
-        pairs, singles = (), tuple(found[n][0] for n in (scales if case == CASE_DYADIC else good))
-    if good and not (bad and case == CASE_DYADIC):
+    else:
+        pairs, singles = (), tuple(found[n][0] for n in good)
+    if good:
         status = CERTIFIED
         if case == CASE_BOUNDED:
             detail = (f"{len(pairs)} certificate pairs at thresholds "
@@ -520,12 +517,12 @@ def refute(x, horizon: int) -> RefutationEvidence:
                       f"{format_rat(report.running_min + 1 - SLOPE_MARGIN)} (GE)")
         elif case == CASE_DIVERGENT:
             detail = f"{len(singles)} one-sided certificates at growing thresholds"
-        else:
-            detail = f"thresholds n - {scales[0] - 1} for n = {scales[0]}..{scales[-1]}"
+        else:  # the one scale is the first, 2*n0 + 1
+            detail = f"thresholds n - {good[0] - 1} for every n >= {good[0]}"
     elif bad:
         status = UNDECIDED
-        which = "blow-ups at n =" if case == CASE_DYADIC else "qualifying indices"
-        detail = f"{which} {bad} did not certify"
+        detail = (f"blow-ups at n >= {bad[0]} did not certify" if case == CASE_DYADIC
+                  else f"qualifying indices {bad} did not certify")
     else:
         status = INSUFFICIENT_HORIZON
         detail = ("no qualifying minimum revisit below the horizon" if case == CASE_BOUNDED

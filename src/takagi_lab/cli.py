@@ -29,10 +29,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -208,11 +208,12 @@ def _exit_code(status: str) -> int:
 
 
 def sample_rows(a, b, count: int, depth: int,
-                *, approx: bool = False, classical: bool = False) -> list[list[str]]:
+                *, approx: bool = False, classical: bool = False) -> Iterator[list[str]]:
     """Enclosure rows "y,lo,hi" at equally spaced points of the dyadic range [a, b].
 
-    The points are ``y_i = (top + i*inc) / den`` on one common
-    denominator, and each row is formatted from integers.
+    The arguments are checked at the call; each row is then computed as it
+    is read, at ``y_i = (top + i*inc) / den`` on one common denominator,
+    and formatted from integers.
     """
     a, b = _to_fraction(a), _to_fraction(b)
     if not (is_dyadic(a) and is_dyadic(b)):
@@ -229,18 +230,19 @@ def sample_rows(a, b, count: int, depth: int,
         # a + step is then not dyadic: one end of its enclosure has a
         # denominator that is a multiple of 2**(depth + 1)
         check_printable(depth + 1)
-    rows = []
-    for num in range(top, top + count * inc, inc):
+
+    def row(num: int) -> list[str]:
         common = gcd(num, den)
         p, q = num // common, den // common
         lo, hi, enc_den = _enclosure_nums(p, q, depth, classical)
         lo_text = format_ratio(lo, enc_den)
-        row = [format_ratio(p, q), lo_text,
-               lo_text if hi == lo else format_ratio(hi, enc_den)]
+        cells = [format_ratio(p, q), lo_text,
+                 lo_text if hi == lo else format_ratio(hi, enc_den)]
         if approx:
-            row.append(repr((lo + hi) / (2 * enc_den)))  # int division rounds correctly
-        rows.append(row)
-    return rows
+            cells.append(repr((lo + hi) / (2 * enc_den)))  # int division rounds correctly
+        return cells
+
+    return map(row, range(top, top + count * inc, inc))
 
 
 # -- corpus runner ----------------------------------------------------
@@ -392,11 +394,9 @@ def _refute(args) -> int:
 def _sample(args) -> int:
     rows = sample_rows(_parse_dyadic(args.a), _parse_dyadic(args.b), args.count,
                        args.depth, approx=args.approx, classical=args.classical)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["y", "lo", "hi"] + (["approx"] if args.approx else []))
     writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
     return 0
 
 

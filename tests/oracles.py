@@ -704,11 +704,10 @@ def _record_scales(report: ClassificationReport) -> list[int]:
 
 
 def reference_scales(report: ClassificationReport) -> list[int]:
-    """The scales ``refute`` certified at: eight blow-ups from ``2*n0 + 1``
+    """The scales ``refute`` certifies at: the one blow-up scale ``2*n0 + 1``
     at a dyadic point, else the selector of the case."""
     if report.case_hint == CASE_DYADIC:
-        first = 2 * max(dyadic_level(report.x), 0) + 1
-        return list(range(first, first + 8))
+        return [2 * max(dyadic_level(report.x), 0) + 1]
     return _pair_scales(report) if report.case_hint == CASE_BOUNDED else _record_scales(report)
 
 

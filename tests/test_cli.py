@@ -83,7 +83,7 @@ class TestUnprintableFailsFast:
         (["lemma", "--x", "1/3", "--n", "15000"], (analysis, "verify_lemma")),
         (["blowup", "--x", "1/2", "--n", "15000"], (analysis, "blowup_check")),
         # a refute report prints 2**-n at its largest qualifying scale n, or
-        # at the last blow-up's n + 1 = 2*7199 + 9 here
+        # at its one blow-up's n + 1 = 2*7199 + 2 here
         (["refute", "--x", "1/3", "--n", "15000"], (analysis, "certificate")),
         (["refute", "--x", "1/7", "--n", "15000", "--format", "json"],
          (analysis, "certificate")),
@@ -129,10 +129,11 @@ class TestUnprintableFailsFast:
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            # the blow-ups print radii down to 2**-2125 here, 2**-2127 at 1/2**1060
-            assert invoke(capsys, "refute", "--x", f"1/{1 << 1059}")[0] == 0
+            # the blow-up prints radius 2**-2126 here, 2**-2128 at 1/2**1064
+            code, out, _ = invoke(capsys, "refute", "--x", f"1/{1 << 1063}")
+            assert code == 0 and f"1/{1 << 2126}" in out
             monkeypatch.setattr(analysis, "blowup_check", self.never)
-            assert invoke(capsys, "refute", "--x", f"1/{1 << 1060}")[0] == 1
+            assert invoke(capsys, "refute", "--x", f"1/{1 << 1064}")[0] == 1
             # the largest qualifying scale at 1/3 is the largest even n <= N
             monkeypatch.setattr(analysis, "certificate", fake)
             code, out, _ = invoke(capsys, "refute", "--x", "1/3", "--n", "2127")
@@ -315,7 +316,7 @@ class TestOtherReports:
         assert len(payload["result"]["pairs"]) >= 3
 
     def test_refute_dyadic_undecided(self, capsys, monkeypatch):
-        # every blow-up runs the query at n = 1; 2 cells do not hold it
+        # the one blow-up runs its query at n = 1; 2 cells do not hold it
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2)
         code, out, _ = invoke(capsys, "refute", "--x", "1/2", "--n", "5",
                               "--format", "json")
@@ -375,7 +376,7 @@ class TestSample:
         assert len(lines[1].split(",")) == 4
 
     def test_sample_rows_non_dyadic_grid(self):
-        rows = sample_rows(F(0), F(1), 4, 12)
+        rows = list(sample_rows(F(0), F(1), 4, 12))
         assert rows[1][0] == "1/3"
         assert parse_rat(rows[1][2]) - parse_rat(rows[1][1]) == F(1, 1 << 13)
 
@@ -389,7 +390,8 @@ class TestSample:
     def test_rows_equal_the_per_point_reference(self, a, b, count, depth):
         for approx in (False, True):
             for classical in (False, True):
-                assert sample_rows(a, b, count, depth, approx=approx, classical=classical) \
+                assert list(sample_rows(a, b, count, depth, approx=approx,
+                                        classical=classical)) \
                     == reference_sample_rows(a, b, count, depth, approx=approx,
                                              classical=classical)
 
@@ -400,9 +402,20 @@ class TestSample:
             b = a + F(rng.randrange(1, 64), 1 << rng.randrange(0, 6))
             count, depth = rng.randrange(2, 40), rng.randrange(1, 80)
             approx, classical = rng.random() < 0.5, rng.random() < 0.5
-            assert sample_rows(a, b, count, depth, approx=approx, classical=classical) \
+            assert list(sample_rows(a, b, count, depth, approx=approx, classical=classical)) \
                 == reference_sample_rows(a, b, count, depth, approx=approx,
                                          classical=classical)
+
+    def test_rows_stream_until_one_cannot_print(self, capsys):
+        # each row prints as it is computed: y_0 = 2**-14280 prints (4299
+        # digits), y_1 has denominator 2**14295, past the 4300-digit limit
+        code, out, err = invoke(capsys, "sample", "--a", f"1/{1 << 14280}",
+                                "--b", f"1/{1 << 14279}", "--count", "32769")
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 2
+        assert lines[0] == "y,lo,hi" and lines[1].startswith(f"1/{1 << 14280},")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "too many to print" in err
 
     def test_format_flag_rejected(self, capsys):
         # sample always writes CSV; a --format it would ignore is a usage error

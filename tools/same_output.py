@@ -10,7 +10,7 @@ refute and classify edge cases of ``REFUTE_OPS``, the twin edge cases of
 ``TWIN_OPS``, the long slope walks of ``SLOPE_OPS``, the period-closed
 partial sums of ``ORBIT_OPS`` and the failing ops of ``ERROR_OPS``, and
 runs each op through ``takagi_lab.cli.run`` in-process, once in a fresh
-interpreter per tree: 1 127 ops in all.
+interpreter per tree: 1 131 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does.  Nothing under ``bench/``
 is changed.
@@ -65,8 +65,9 @@ DEEP_OPS = (
 
 # Refute and classify edge cases: the horizon heuristic's verdict at 3/19
 # (divergent, two singles, although its slope sums are bounded), centres
-# below 0 and above 1, an integer centre (the clamped blow-up level), and
-# each text-mode insufficient-horizon detail.
+# below 0 and above 1, an integer centre (the clamped blow-up level),
+# each text-mode insufficient-horizon detail, and dyadic refutes at a
+# negative centre, at 0, at level 9 and in text mode.
 REFUTE_OPS = (
     ["refute", "--x", "3/19", "--n", "30", "--format", "json"],
     ["classify", "--x", "3/19", "--n", "30", "--format", "json"],
@@ -76,13 +77,17 @@ REFUTE_OPS = (
     ["refute", "--x", "6/11", "--n", "6"],
     ["refute", "--x", "1/7", "--n", "2"],
     ["refute", "--x", "1/3", "--n", "1"],
+    ["refute", "--x", "-3/8", "--n", "5", "--format", "json"],
+    ["refute", "--x", "0", "--n", "1", "--format", "json"],
+    ["refute", "--x", "357/1024", "--n", "20", "--format", "json"],
+    ["refute", "--x", "5/4", "--n", "20"],
 )
 
 # Certificates whose twin reduction meets an edge case: lemmas at a centre
 # below 0, above 1 and next to an integer on either side (the cell end is
 # 1 or 0, so the lemma runs as itself), a lemma at n = 300 below 0, a
 # divergent refute over 200 scales, and blow-ups rescaled from their first
-# scale at 3/8 (eight of them, under refute) and at -3/8.
+# scale: at 3/8 under refute, whose detail states every scale, and at -3/8.
 TWIN_OPS = (
     ["lemma", "--x", "-5/7", "--n", "40", "--format", "json"],
     ["lemma", "--x", "13/12", "--n", "30", "--format", "json"],
