@@ -254,7 +254,7 @@ def verify_lemma(x, n: int) -> LemmaReport:
     the jump depends on n, and the twin is x itself.
 
     ``depth_used`` is ``n + 8``, the depth of the full query the bracket
-    equals, or 0 when the twin's query is over the cell budget.
+    equals.
     """
     xf = _to_fraction(x)
     if is_dyadic(xf):
@@ -266,9 +266,9 @@ def verify_lemma(x, n: int) -> LemmaReport:
     direction = Dir.LE if sign == 1 else Dir.GE
     alpha = slope_sum(xf, n - 1) + margin
     tx, tn = _lemma_twin(xf, n)
-    lo, ran, status = _certify(tx, Fraction(1, 1 << tn), slope_sum(tx, tn - 1) + margin,
-                               direction, Fraction(1, 1 << (tn + 5)),
-                               depth=tn + _LEMMA_DEPTH_HEADROOM)
+    lo, _, status = _certify(tx, Fraction(1, 1 << tn), slope_sum(tx, tn - 1) + margin,
+                             direction, Fraction(1, 1 << (tn + 5)),
+                             depth=tn + _LEMMA_DEPTH_HEADROOM)
     return LemmaReport(
         x=xf,
         n=n,
@@ -277,7 +277,7 @@ def verify_lemma(x, n: int) -> LemmaReport:
         alpha=alpha,
         bound_required=Fraction(1, 1 << (n + 5)),
         bound_certified=lo / (1 << (n - tn)),
-        depth_used=n + _LEMMA_DEPTH_HEADROOM if ran else 0,
+        depth_used=n + _LEMMA_DEPTH_HEADROOM,
         status=status,
     )
 
@@ -359,8 +359,7 @@ def blowup_check(x, n: int) -> BlowupReport:
     in ``t = 2**n*h``: n drops out.  The left half, and the tail band
     ``2**-(n+5) = 2**-n*2**-5`` of the pieces that use it, scale the same
     way.  So both halves at n are ``2**(first-n)`` times those at first.
-    ``depth_used`` is ``n + 4``, or 0 when the query at first is over the
-    cell budget.
+    ``depth_used`` is ``n + 4``.
 
     The clamp to ``n0 >= 0`` matters at integers: x is on the level-0
     grid, but the series has no k = 0 term to contribute |h|, so only
@@ -375,7 +374,7 @@ def blowup_check(x, n: int) -> BlowupReport:
     halves = [_certify(xf, Fraction(1, 1 << (first + 1)), Fraction(sign), direction,
                        Fraction(1, 1 << (first + 2)), depth=first + 4)
               for sign, direction in ((1, Dir.GE), (-1, Dir.LE))]
-    (lo_ge, ran_ge, status_ge), (lo_le, ran_le, status_le) = halves
+    (lo_ge, _, status_ge), (lo_le, _, status_le) = halves
     scale = 1 << (n - first)
     lo_ge, lo_le = lo_ge / scale, lo_le / scale
     return BlowupReport(
@@ -388,7 +387,7 @@ def blowup_check(x, n: int) -> BlowupReport:
         lo_one_sided=lo_ge,
         lo_mirror=lo_le,
         lo_full=lo_ge + lo_le,
-        depth_used=n + 4 if ran_ge or ran_le else 0,
+        depth_used=n + 4,
         status=CERTIFIED if status_ge == status_le == CERTIFIED else UNDECIDED,
     )
 

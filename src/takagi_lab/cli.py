@@ -18,8 +18,8 @@ Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
 precondition errors, on an integer argument too large to compute with,
 on an exact result too long to print, on a query over its cell budget
-or past ``MEASURE_DEPTH_MAX`` and on a failed internal invariant, each
-reported as one ``error:`` line.
+(a certificate's too) or past ``MEASURE_DEPTH_MAX``, on a failed internal
+invariant and when memory runs out, each reported as one ``error:`` line.
 ``verify-all`` runs its entries in order in one process; its ``--jobs``
 must be 1.
 """
@@ -82,7 +82,6 @@ _CHECKS = {
     "lemma": (parse_rat, lambda x, n: analysis.verify_lemma(x, n), 5),
     "blowup": (_parse_dyadic, lambda x, n: analysis.blowup_check(x, n), 2),
 }
-
 
 
 @functools.cache
@@ -203,10 +202,6 @@ def _emit(args, result, *, text=_text_lines, approx=None) -> None:
             print(line)
 
 
-def _exit_code(status: str) -> int:
-    return 0 if status == measure.CERTIFIED else 2
-
-
 def sample_rows(a, b, count: int, depth: int,
                 *, approx: bool = False, classical: bool = False) -> Iterator[list[str]]:
     """Enclosure rows "y,lo,hi" at equally spaced points of the dyadic range [a, b].
@@ -222,6 +217,8 @@ def sample_rows(a, b, count: int, depth: int,
         raise ValueError("need a < b")
     if count < 2:
         raise ValueError("need at least two sample points")
+    if depth < 1:
+        raise ValueError("enclosure depth must be positive")
     unit = max(a.denominator, b.denominator)  # a and b are multiples of 1/unit
     a_num, b_num = a.numerator * (unit // a.denominator), b.numerator * (unit // b.denominator)
     # y_i = a + i*(b - a)/(count - 1) = (top + i*inc) / den
@@ -301,7 +298,7 @@ def _verify_all(args) -> int:
     for index, (lineno, kind, x_text, x, n) in enumerate(entries):
         try:
             report = _CHECKS[kind][1](x, n)
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, RuntimeError) as exc:
             raise ValueError(f"corpus line {lineno}: {exc}") from None
         results.append({"index": index, "kind": kind, "x": x_text, "n": n,
                         "status": report.status, "report": report})
@@ -377,7 +374,7 @@ def _check(args) -> int:
     check_printable(args.n + k)
     report = check(x, args.n)
     _emit(args, report)
-    return _exit_code(report.status)
+    return 0 if report.status == measure.CERTIFIED else 2
 
 
 def _classify(args) -> int:
@@ -388,7 +385,7 @@ def _classify(args) -> int:
 def _refute(args) -> int:
     evidence = analysis.refute(parse_rat(args.x), args.n)
     _emit(args, evidence)
-    return _exit_code(evidence.status)
+    return 0 if evidence.status == measure.CERTIFIED else 2
 
 
 def _sample(args) -> int:
@@ -413,6 +410,9 @@ def run(argv=None) -> int:
         return args.run(args)
     except (_UsageError, ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is often empty
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -45,12 +45,11 @@ depth-first stack holds at most one pending cell per level, so memory
 does not grow with the window.
 
 ``BREAKPOINT_CAP`` caps the cells one kernel call may visit, all its
-pieces together; a call over the cap raises
-:class:`BreakpointLimitError`, which :func:`certify_lower` turns into an
-undecided outcome.  :func:`certify_lower` runs one call at the depth its
-caller chooses; :mod:`takagi_lab.analysis` sets the depth of each
-certificate.  Brackets are :class:`~takagi_lab.takagi.Enclosure` values,
-the same type that encloses T(x).
+pieces together; a call over the cap raises :class:`BreakpointLimitError`
+naming the query, from :func:`certify_lower` too.  That runs one call at
+the depth its caller chooses; :mod:`takagi_lab.analysis` sets the depth
+of each certificate.  Brackets are :class:`~takagi_lab.takagi.Enclosure`
+values, the same type that encloses T(x).
 
 The punctured centre point and interval endpoints are measure zero and
 are handled with closed intervals throughout.  Radii are restricted to
@@ -228,12 +227,17 @@ def _pieces(q: QuotientQuery) -> list[tuple[Fraction, bool, Fraction, Fraction]]
     return [(*down, *left), (*up, *left), (*up, *right), (*down, *right)]
 
 
-def quotient_set_sides(q: QuotientQuery) -> tuple[Enclosure, Enclosure]:
-    """Certified (left, right) half-window brackets for the query's set."""
+def _measure_query(q: QuotientQuery, pieces) -> list[Fraction]:
+    """:func:`_measures` on the query's ``pieces``; an over-budget error names the query."""
     try:
-        in_l, out_l, in_r, out_r = _measures(q.depth, q.alpha, _pieces(q))
+        return _measures(q.depth, q.alpha, pieces)
     except BreakpointLimitError as err:
         raise BreakpointLimitError(f"depth-{q.depth} query at x={q.x} {err}") from None
+
+
+def quotient_set_sides(q: QuotientQuery) -> tuple[Enclosure, Enclosure]:
+    """Certified (left, right) half-window brackets for the query's set."""
+    in_l, out_l, in_r, out_r = _measure_query(q, _pieces(q))
     return Enclosure(in_l, q.r - out_l), Enclosure(in_r, q.r - out_r)
 
 
@@ -248,14 +252,10 @@ def certify_lower(x, r, alpha, direction: Dir, target, *,
     """Check whether the certified lower bound at ``depth`` reaches ``target``.
 
     Returns ``(lo, depth, status)`` from one kernel call on the query's
-    two certified-in pieces, or ``(0, 0, UNDECIDED)`` when that call is
-    over the cell budget; the ``UNDECIDED`` status is an outcome, not an
-    error.  ``lo`` equals the :func:`quotient_set_bounds` lower bound.
+    two certified-in pieces: ``depth`` as given, and ``lo`` equal to the
+    :func:`quotient_set_bounds` lower bound.
     """
     q = QuotientQuery(x, r, alpha, direction, depth)
     in_l, _, in_r, _ = _pieces(q)
-    try:
-        lo = sum(_measures(depth, q.alpha, (in_l, in_r)))
-    except BreakpointLimitError:
-        return Fraction(0), 0, UNDECIDED
+    lo = sum(_measure_query(q, (in_l, in_r)))
     return lo, depth, CERTIFIED if lo >= _to_fraction(target) else UNDECIDED

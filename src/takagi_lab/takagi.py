@@ -50,7 +50,7 @@ __all__ = [
     "slope_sum",
 ]
 
-# Enclosure width 2**-65 dwarfs every threshold the analysis layer uses.
+# Default depth of ``takagi_enclosure`` and of ``enclose``: width 2**-65.
 DEFAULT_DEPTH = 64
 
 

@@ -24,6 +24,7 @@ from takagi_lab.analysis import (
 from takagi_lab.measure import (
     CERTIFIED,
     UNDECIDED,
+    BreakpointLimitError,
     Dir,
     QuotientQuery,
     quotient_set_bounds,
@@ -59,16 +60,25 @@ class TestVerifyLemma:
         with pytest.raises(ValueError):
             verify_lemma(F(3, 8), 2)
 
-    def test_tiny_cap_gives_undecided(self, monkeypatch):
-        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+    def test_tiny_cap_gives_undecided(self, short_over_budget):
+        # the query, over a 3-cell cap, comes back with a bound short of 2**-7
+        short_over_budget(3)
         report = verify_lemma(F(1, 3), 2)
         assert report.status == "undecided"
+        assert (report.bound_certified, report.depth_used) == (0, 10)
 
     def test_depth_used_is_the_last_rung_run(self, monkeypatch):
         assert verify_lemma(F(1, 3), 2).depth_used == 10
-        # the one query (depth n + 8 = 10) is over the cell budget: nothing ran
+        # the one query (depth n + 8 = 10) is over the cell budget: the call
+        # raises, naming the query
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
-        assert verify_lemma(F(1, 3), 2).depth_used == 0
+        with pytest.raises(BreakpointLimitError,
+                           match=r"^depth-10 query at x=1/3 needs more than 3 cells$"):
+            verify_lemma(F(1, 3), 2)
+        # scale 6 runs its twin's query, 1/6 at n = 3: depth 11, not 14
+        with pytest.raises(BreakpointLimitError,
+                           match=r"^depth-11 query at x=1/6 needs more than 3 cells$"):
+            verify_lemma(F(1, 3), 6)
 
 
 class TestClassify:
@@ -167,6 +177,14 @@ class TestBlowup:
         assert report.lo_full < report.radius * 2
         assert report.status == UNDECIDED
 
+    def test_over_budget_raises(self, monkeypatch):
+        # both halves run at the first scale 2*1 + 1 = 3, depth 7, for every n
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+        for n in (3, 9):
+            with pytest.raises(BreakpointLimitError,
+                               match=r"^depth-7 query at x=3/4 needs more than 3 cells$"):
+                blowup_check(F(3, 4), n)
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             blowup_check(F(1, 2), 0)
@@ -246,8 +264,8 @@ class TestRefute:
         assert cert.density_lo == F(1, 2)
         assert evidence.detail == "thresholds n - 0 for every n >= 1"
 
-    def test_dyadic_status_follows_the_certificates(self, monkeypatch):
-        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2)
+    def test_dyadic_status_follows_the_certificates(self, short_over_budget):
+        short_over_budget(2)  # the blow-up's queries come back short
         evidence = refute(F(1, 2), 5)
         assert evidence.status == UNDECIDED
         assert evidence.singles == ()
@@ -269,7 +287,8 @@ class TestRefute:
         assert evidence.status == INSUFFICIENT_HORIZON
         assert evidence.pairs == ()
 
-    # budget_bits: the cell budget is 2**budget_bits; 2 cells stop every query
+    # budget_bits: a certificate query over 2**budget_bits cells comes back
+    # short of its target; 2 cells stop every query
     @pytest.mark.parametrize("x, horizon, budget_bits, expected", [
         (F(1, 3), 12, 64, (CASE_BOUNDED, CERTIFIED,
                            "6 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
@@ -298,8 +317,8 @@ class TestRefute:
         # the one blow-up runs its query at n = 1, which fits in 8 cells
         (F(1, 2), 5, 3, (CASE_DYADIC, CERTIFIED, "thresholds n - 0 for every n >= 1")),
     ])
-    def test_status_and_detail(self, monkeypatch, x, horizon, budget_bits, expected):
-        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 1 << budget_bits)
+    def test_status_and_detail(self, short_over_budget, x, horizon, budget_bits, expected):
+        short_over_budget(1 << budget_bits)
         evidence = refute(x, horizon)
         assert (evidence.case_hint, evidence.status, evidence.detail) == expected
 

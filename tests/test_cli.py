@@ -252,8 +252,8 @@ class TestLemma:
         assert parse_rat(result["alpha"]) == F(-3, 5)
         assert parse_rat(result["bound_certified"]) >= parse_rat(result["bound_required"])
 
-    def test_undecided_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+    def test_undecided_exit_code(self, capsys, short_over_budget):
+        short_over_budget(3)  # the query comes back short of its target
         code, out, _ = invoke(
             capsys, "lemma", "--x", "1/3", "--n", "2", "--format", "json",
         )
@@ -261,11 +261,12 @@ class TestLemma:
         assert json.loads(out)["result"]["status"] == "undecided"
 
     def test_depth_used_when_no_rung_ran(self, capsys, monkeypatch):
+        # a query over the cell budget is an error, not a report
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
-        code, out, _ = invoke(capsys, "lemma", "--x", "1/3", "--n", "2",
-                              "--format", "json")
-        assert code == 2
-        assert json.loads(out)["result"]["depth_used"] == 0
+        code, out, err = invoke(capsys, "lemma", "--x", "1/3", "--n", "2",
+                                "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == "error: depth-10 query at x=1/3 needs more than 3 cells\n"
 
     def test_large_scale_certifies(self, capsys):
         # the lemma's query runs at depth n + 8 = 65: no cap applies at any n
@@ -315,13 +316,25 @@ class TestOtherReports:
         assert code == 0
         assert len(payload["result"]["pairs"]) >= 3
 
-    def test_refute_dyadic_undecided(self, capsys, monkeypatch):
-        # the one blow-up runs its query at n = 1; 2 cells do not hold it
-        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2)
+    def test_refute_dyadic_undecided(self, capsys, short_over_budget):
+        # the one blow-up runs its query at n = 1; over 2 cells it comes back short
+        short_over_budget(2)
         code, out, _ = invoke(capsys, "refute", "--x", "1/2", "--n", "5",
                               "--format", "json")
         assert code == 2
         assert json.loads(out)["result"]["status"] == "undecided"
+
+    # each names the query its certificate runs (a lemma at its own scale:
+    # TestLemma); nothing is printed on stdout
+    @pytest.mark.parametrize("argv, query", [
+        (["lemma", "--x", "1/3", "--n", "6", "--format", "json"], "depth-11 query at x=1/6"),
+        (["blowup", "--x", "3/4", "--n", "4"], "depth-7 query at x=3/4"),
+        (["refute", "--x", "1/3", "--n", "12", "--format", "json"], "depth-10 query at x=1/3"),
+        (["refute", "--x", "3/4", "--n", "5"], "depth-7 query at x=3/4"),
+    ], ids=["lemma-twin", "blowup", "refute", "refute-dyadic"])
+    def test_over_budget_is_one_line(self, capsys, monkeypatch, argv, query):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+        assert invoke(capsys, *argv) == (1, "", f"error: {query} needs more than 3 cells\n")
 
     def test_invariant_failure_is_one_line(self, capsys, monkeypatch):
         def wrong_direction(x, n):
@@ -417,6 +430,13 @@ class TestSample:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "too many to print" in err
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_below_one_rejected(self, capsys, depth):
+        # the depth is checked with the other arguments, before the header
+        code, out, err = invoke(capsys, "sample", "--a", "0", "--b", "1", "--count", "4",
+                                "--depth", depth)
+        assert (code, out, err) == (1, "", "error: enclosure depth must be positive\n")
+
     def test_format_flag_rejected(self, capsys):
         # sample always writes CSV; a --format it would ignore is a usage error
         code, out, err = invoke(capsys, "sample", "--a", "0", "--b", "1",
@@ -458,14 +478,25 @@ class TestVerifyAll:
         assert invoke(capsys, "verify-all", "--corpus", str(corpus),
                       "--jobs", "1", "--format", "json") == plain
 
-    def test_failure_exit_code(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+    def test_failure_exit_code(self, capsys, tmp_path, short_over_budget):
+        short_over_budget(3)  # the entry's query comes back short of its target
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("lemma 1/3 2\n")
         code, out, _ = invoke(capsys, "verify-all", "--corpus", str(corpus),
                               "--format", "json")
         assert code == 2
         assert json.loads(out)["certified"] is False
+
+    def test_over_budget_entry_names_its_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("lemma 1/3 2\n")
+        for fmt in ("text", "json"):
+            code, out, err = invoke(capsys, "verify-all", "--corpus", str(corpus),
+                                    "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == ("error: corpus line 1: depth-10 query at x=1/3 "
+                           "needs more than 3 cells\n")
 
     def test_text_summary_line(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -629,6 +660,14 @@ class TestUsage:
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
+        def exhausted(x, n):
+            raise MemoryError  # as an allocation past the process's limit does
+
+        monkeypatch.setattr(cli, "slope_seq", exhausted)
+        code, out, err = invoke(capsys, "slopes", "--x", "1/3", "--n", "8")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
 
     # no command takes a depth cap: the certifying ones set their query depth
     # from n, and measure runs at its given --depth

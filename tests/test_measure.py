@@ -254,11 +254,14 @@ class TestCellBudget:
         assert lo == quotient_set_bounds(self.query(10)).lo
 
     def test_no_rung_completed_reports_depth_zero(self, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(measure, "BREAKPOINT_CAP", 3)
-            assert certify_lower(
-                F(1, 3), F(1, 2), F(-3, 5), Dir.LE, F(1, 128), depth=10
-            ) == (0, 0, UNDECIDED)
+        # over the budget, certify_lower raises the error that names the
+        # query, as quotient_set_sides does
+        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+        message = r"^depth-10 query at x=1/3 needs more than 3 cells$"
+        with pytest.raises(BreakpointLimitError, match=message):
+            certify_lower(F(1, 3), F(1, 2), F(-3, 5), Dir.LE, F(1, 128), depth=10)
+        with pytest.raises(BreakpointLimitError, match=message):
+            quotient_set_sides(self.query(10))
 
 
 class TestGridOracleSweep:

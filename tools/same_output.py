@@ -10,7 +10,7 @@ refute and classify edge cases of ``REFUTE_OPS``, the twin edge cases of
 ``TWIN_OPS``, the long slope walks of ``SLOPE_OPS``, the period-closed
 partial sums of ``ORBIT_OPS`` and the failing ops of ``ERROR_OPS``, and
 runs each op through ``takagi_lab.cli.run`` in-process, once in a fresh
-interpreter per tree: 1 131 ops in all.
+interpreter per tree: 1 133 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does.  Nothing under ``bench/``
 is changed.
@@ -139,6 +139,8 @@ ERROR_OPS = (
     ["sample", "--a", "0", "--b", "2/3", "--count", "3"],
     ["sample", "--a", "1", "--b", "0", "--count", "3"],
     ["sample", "--a", "1/2", "--b", "1/2", "--count", "2"],
+    ["sample", "--a", "0", "--b", "1", "--count", "3", "--depth", "0"],
+    ["sample", "--a", "0", "--b", "1", "--count", "4", "--depth", "-3"],
     ["enclose", "--x", "1/3", "--depth", "15000"],
     ["lemma", "--x", "1/3", "--n", "15000"],
     ["slopes", "--x", "3/8", "--n", "5"],
@@ -191,8 +193,8 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
 
 
 def run_tree(tree: Path, argvs: list[list[str]]) -> list[list]:
-    env = {key: value for key, value in os.environ.items() if key != "TAKAGI_DEPTH_CAP"}
-    env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1", COLUMNS="80")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "COLUMNS": "80"}
     proc = subprocess.run([sys.executable, "-c", RUNNER], input=json.dumps(argvs),
                           capture_output=True, text=True, env=env, check=True)
     payload = json.loads(proc.stdout)
