@@ -530,21 +530,41 @@ def refute(x, horizon: int) -> RefutationEvidence:
                               singles=singles, status=status, detail=detail)
 
 
+# dataclass -> its field names, filled the first time to_jsonable meets one
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def to_jsonable(obj):
     """Recursively convert reports to JSON-ready data.
 
     Rationals (``Fraction``, so every dyadic value too) become exact
-    ``"p/q"`` strings; no floats ever appear.
+    ``"p/q"`` strings; no floats ever appear.  Accepted, subclasses
+    included: ``str``, ``int``, ``bool`` and ``None`` (returned as they
+    are), ``Fraction``, ``Enum`` members (their value, so ``Dir.GE`` gives
+    ``"ge"``), dataclass instances (a dict of their fields), ``list`` and
+    ``tuple`` (a list) and ``dict`` (its values converted).  Any other
+    type raises ``TypeError("cannot serialize <type name> exactly")``.
     """
+    # the exact types of report data first; subclasses fall to the checks below
+    cls = type(obj)
+    if cls is str or cls is int or cls is bool or obj is None:
+        return obj
+    if cls is Fraction:
+        return format_rat(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is not None:
+        return {name: to_jsonable(getattr(obj, name)) for name in names}
+    if cls is tuple or cls is list:
+        return [to_jsonable(item) for item in obj]
+    if cls is dict:
+        return {key: to_jsonable(value) for key, value in obj.items()}
     if isinstance(obj, Fraction):
         return format_rat(obj)
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            field.name: to_jsonable(getattr(obj, field.name))
-            for field in dataclasses.fields(obj)
-        }
+        names = _FIELD_NAMES[cls] = tuple(field.name for field in dataclasses.fields(obj))
+        return {name: to_jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(item) for item in obj]
     if isinstance(obj, dict):

@@ -14,6 +14,10 @@ and takes only the shared flags that handler reads:
 All machine output is exact: JSON carries rationals as ``"p/q"``
 strings under a versioned ``"schema": "takagi-lab/1"`` key.
 
+A named subcommand's arguments go straight to that subcommand's own
+parser, as the top-level parser would hand them on; the top-level parser
+reads only an argv that is empty or does not start with a subcommand name.
+
 Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
 precondition errors, on an integer argument too large to compute with,
@@ -85,14 +89,15 @@ _CHECKS = {
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on the first ``run`` and reused after."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The argument parser and each subcommand's own parser by name, built on
+    the first ``run`` and reused after."""
     parser = _Parser(prog="takagi-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     def add(name, handler, help_text, *, fmt=True, approx=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=handler, parser=p)
+        p.set_defaults(run=handler, parser=p, command=name)
         if fmt:
             p.add_argument("--format", dest="fmt", choices=("text", "json"),
                            default="text")
@@ -156,7 +161,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1,
                    help="must be 1: corpus entries run in one process")
 
-    return parser
+    return parser, sub.choices
 
 
 def _emit_json(command: str, result, approx=None) -> str:
@@ -399,9 +404,14 @@ def _sample(args) -> int:
 
 def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args, extras = parser.parse_known_args(argv)
+        if argv and argv[0] in commands:  # as the top-level parser would hand them on
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        else:  # an empty argv, an unknown command or a top-level option
+            args, extras = parser.parse_known_args(argv)
         if extras:  # a flag the subcommand does not take: show that subcommand's usage
             getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(extras)}")
         if args.command is None:

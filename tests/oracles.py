@@ -33,18 +33,29 @@ for unit steps and for parity, kept verbatim.
 ``verify_lemma`` and ``blowup_check`` as they were before they reduced
 each certificate to a canonical twin: one measure query at the full
 depth ``n + 8`` (lemma) or ``n + 4`` (each blow-up half), kept verbatim.
+
+:func:`reference_to_jsonable` is ``analysis.to_jsonable`` as it was
+before it checked exact types first: one ``isinstance`` chain per node
+and ``dataclasses.fields`` per report.  :func:`reference_run` is
+``cli.run`` as it was before a named subcommand parsed its own
+arguments: the top-level parser reads every argv and hands the tokens
+after the subcommand name on.  Both are kept verbatim.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 from bisect import bisect_right
 from math import ceil, floor, lcm
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
+from takagi_lab import cli
 from takagi_lab.analysis import (
     CASE_BOUNDED,
     CASE_DIVERGENT,
@@ -769,3 +780,46 @@ def full_query_blowup_check(x, n: int) -> BlowupReport:
         depth_used=max(depth_ge, depth_le),
         status=CERTIFIED if status_ge == status_le == CERTIFIED else UNDECIDED,
     )
+
+
+def reference_to_jsonable(obj):
+    """Recursively convert reports to JSON-ready data.
+
+    Rationals (``Fraction``, so every dyadic value too) become exact
+    ``"p/q"`` strings; no floats ever appear.
+    """
+    if isinstance(obj, Fraction):
+        return format_rat(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            field.name: reference_to_jsonable(getattr(obj, field.name))
+            for field in dataclasses.fields(obj)
+        }
+    if isinstance(obj, (list, tuple)):
+        return [reference_to_jsonable(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: reference_to_jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (str, int, bool)) or obj is None:
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__} exactly")
+
+
+def reference_run(argv=None) -> int:
+    """Parse and execute; returns the process exit code."""
+    parser = cli._build_parser()[0]
+    try:
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # a flag the subcommand does not take: show that subcommand's usage
+            getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(extras)}")
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.run(args)
+    except (cli._UsageError, ValueError, OverflowError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is often empty
+        print("error: out of memory", file=sys.stderr)
+        return 1

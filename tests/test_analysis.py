@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (full_query_blowup_check, full_query_verify_lemma, reference_classify,
-                     reference_scales)
-from takagi_lab import analysis, measure
+                     reference_scales, reference_to_jsonable)
+from takagi_lab import analysis, cli, measure
 from takagi_lab.exactnum import is_dyadic, parse_rat
 from takagi_lab.analysis import (
     CASE_BOUNDED,
@@ -29,7 +29,7 @@ from takagi_lab.measure import (
     QuotientQuery,
     quotient_set_bounds,
 )
-from takagi_lab.takagi import slope_seq
+from takagi_lab.takagi import Enclosure, slope_seq
 
 
 class TestVerifyLemma:
@@ -60,14 +60,14 @@ class TestVerifyLemma:
         with pytest.raises(ValueError):
             verify_lemma(F(3, 8), 2)
 
-    def test_tiny_cap_gives_undecided(self, short_over_budget):
+    def test_short_bound_gives_undecided(self, short_over_budget):
         # the query, over a 3-cell cap, comes back with a bound short of 2**-7
         short_over_budget(3)
         report = verify_lemma(F(1, 3), 2)
         assert report.status == "undecided"
         assert (report.bound_certified, report.depth_used) == (0, 10)
 
-    def test_depth_used_is_the_last_rung_run(self, monkeypatch):
+    def test_over_budget_error_names_the_query_depth(self, monkeypatch):
         assert verify_lemma(F(1, 3), 2).depth_used == 10
         # the one query (depth n + 8 = 10) is over the cell budget: the call
         # raises, naming the query
@@ -418,3 +418,92 @@ class TestSerialization:
                     check(value)
 
         check(to_jsonable(evidence))
+
+
+class _Half(F):
+    """A ``Fraction`` subclass, which the serializer meets past its exact-type checks."""
+
+
+def _cli_argvs(rng: random.Random) -> list[list[str]]:
+    """Seeded ``--format json`` argvs, one or more per kind of report the CLI prints."""
+    def rational():
+        den = rng.randrange(3, 60, 2)
+        num = rng.choice([k for k in range(-2 * den, 2 * den) if k % den])  # never dyadic
+        return f"{num}/{den}"
+
+    def dyadic():
+        return f"{rng.randrange(-16, 17)}/{1 << rng.randrange(0, 5)}"
+
+    argvs = [["eval", "--x", dyadic()], ["eval", "--x", dyadic(), "--classical"],
+             ["enclose", "--x", rational(), "--depth", str(rng.randrange(4, 40))],
+             ["slopes", "--x", rational(), "--n", "40"],
+             ["neighbors", "--x", rational(), "--n", "6"],
+             ["measure", "--x", rational(), "--r", f"1/{1 << rng.randrange(1, 5)}",
+              "--alpha", rational(), "--dir", rng.choice(["ge", "le"]), "--depth", "10"],
+             ["classify", "--x", rational(), "--n", "60"],
+             ["classify", "--x", "5/8", "--n", "10"],  # dyadic
+             ["verify-all"]]
+    argvs += [["lemma", "--x", rational(), "--n", str(rng.randrange(1, 9))] for _ in range(3)]
+    for _ in range(3):
+        x = dyadic()
+        first = analysis._first_blowup_scale(parse_rat(x))
+        argvs.append(["blowup", "--x", x, "--n", str(first + rng.randrange(3))])
+    # each refute case: bounded, divergent (by the horizon heuristic), dyadic,
+    # insufficient horizon, and one seeded centre
+    argvs += [["refute", "--x", x, "--n", n] for x, n in
+              (("1/3", "20"), ("3/19", "30"), ("3/8", "20"), ("1/3", "1"), (rational(), "30"))]
+    return [argv + ["--format", "json"] for argv in argvs]
+
+
+class TestSerializerReference:
+    """``to_jsonable`` against the serializer it replaced (``oracles.reference_to_jsonable``)."""
+
+    @staticmethod
+    def same(obj):
+        data = to_jsonable(obj)
+        assert data == reference_to_jsonable(obj)
+        assert json.dumps(data, indent=2) == json.dumps(reference_to_jsonable(obj), indent=2)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_report_the_cli_prints(self, capsys, monkeypatch, seed):
+        reports, depth = [], [0]
+        real = analysis.to_jsonable
+
+        def recording(obj):  # keeps the outermost object of each call
+            if not depth[0]:
+                reports.append(obj)
+            depth[0] += 1
+            try:
+                return real(obj)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(analysis, "to_jsonable", recording)
+        argvs = _cli_argvs(random.Random(seed))
+        for argv in argvs:
+            assert cli.run(argv) in (0, 2), argv
+        capsys.readouterr()
+        assert len(reports) == len(argvs)
+        monkeypatch.undo()
+        for obj in reports:
+            self.same(obj)
+
+    def test_edge_nodes(self):
+        nodes = [True, False, None, "ge", 2**70 + 1, -(2**65), 0, F(-7, 3), F(-4), F(0),
+                 _Half(-3, 4), Dir.GE, Dir.LE, Enclosure(_Half(1, 4), _Half(1, 2)),
+                 QuotientQuery(F(1, 3), F(1, 8), F(-1, 2), Dir.LE, 4),
+                 ({"a": (1, [F(1, 2), {"b": (Dir.LE, None, True)}]), "c": []}, (), {}, [[()]])]
+        for node in nodes:
+            self.same(node)
+        self.same(nodes)
+        assert to_jsonable(_Half(-3, 4)) == "-3/4" and to_jsonable(Dir.GE) == "ge"
+
+    @pytest.mark.parametrize("node", [1.5, {1, 2}, object(), [F(1, 2), {"x": 0.5}],
+                                      QuotientQuery, Dir])
+    def test_other_types_raise_the_same_error(self, node):
+        with pytest.raises(TypeError) as new:
+            to_jsonable(node)
+        with pytest.raises(TypeError) as old:
+            reference_to_jsonable(node)
+        assert str(new.value) == str(old.value)
+        assert str(new.value).startswith("cannot serialize ")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_sample_rows
+from oracles import reference_run, reference_sample_rows
 from takagi_lab import analysis, cli, measure
 from takagi_lab.cli import run, sample_rows
 from takagi_lab.exactnum import parse_rat
@@ -260,7 +260,7 @@ class TestLemma:
         assert code == 2
         assert json.loads(out)["result"]["status"] == "undecided"
 
-    def test_depth_used_when_no_rung_ran(self, capsys, monkeypatch):
+    def test_over_budget_query_is_an_error(self, capsys, monkeypatch):
         # a query over the cell budget is an error, not a report
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
         code, out, err = invoke(capsys, "lemma", "--x", "1/3", "--n", "2",
@@ -623,6 +623,56 @@ class TestParserReuse:
 
 
 class TestUsage:
+    EVAL_USAGE = ("usage: takagi-lab eval [-h] [--format {text,json}] [--approx] --x X\n"
+                  "                       [--classical]\n")
+
+    @staticmethod
+    def outcome(capsys, runner, argv):
+        """``(exit code, stdout, stderr)`` of one run; ``-h`` exits with its code."""
+        try:
+            code = runner(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    # a named subcommand parses its own arguments, as the top-level parser
+    # handed them on (oracles.reference_run)
+    @pytest.mark.parametrize("argv, expected", [
+        (["eval", "--", "--x", "1/2"],
+         (1, "", EVAL_USAGE + "error: the following arguments are required: --x\n")),
+        (["eval", "--x=1/2", "--form", "json"],
+         (0, '{\n  "schema": "takagi-lab/1",\n  "command": "eval",\n  "result": {\n'
+             '    "x": "1/2",\n    "value": "0"\n  }\n}\n', "")),
+        (["eval", "--x", "1/2", "--bogus"],
+         (1, "", EVAL_USAGE + "error: unrecognized arguments: --bogus\n")),
+    ], ids=["dash-dash", "equals-and-abbreviation", "unknown-flag"])
+    def test_subcommand_argv(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.outcome(capsys, run, argv) == expected
+        assert self.outcome(capsys, reference_run, argv) == expected
+
+    def test_option_before_the_command(self, capsys, monkeypatch):
+        # the top-level parser reads it: "json" is then the command
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--format", "json", "eval", "--x", "1/2"]
+        code, out, err = self.outcome(capsys, run, argv)
+        assert (code, out, err) == self.outcome(capsys, reference_run, argv)
+        usage = cli._build_parser()[0].format_usage()
+        assert (code, out) == (1, "")
+        assert err.startswith(usage + "error: argument command: invalid choice: 'json' ")
+        assert err.count("\n") == usage.count("\n") + 1
+
+    @pytest.mark.parametrize("argv", [["-h"], ["measure", "-h"]], ids=["top-level", "measure"])
+    def test_help(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser, commands = cli._build_parser()
+        helped = commands[argv[0]] if argv[0] in commands else parser
+        expected = (0, helped.format_help(), "")
+        assert self.outcome(capsys, run, argv) == expected
+        assert self.outcome(capsys, reference_run, argv) == expected
+        assert expected[1].startswith(f"usage: {helped.prog} [-h]")
+
     def test_no_command(self, capsys):
         assert invoke(capsys, )[0] == 1
 

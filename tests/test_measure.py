@@ -152,14 +152,14 @@ class TestDensity:
         assert bound.lo == F(1, 16)  # half of the window 2r = 1/8
 
 
-class TestEscalation:
-    def test_certifies_with_escalation(self):
+class TestCertifyLower:
+    def test_certifies_at_the_given_depth(self):
         lo, depth, status = certify_lower(
             F(1, 3), F(1, 4), F(-3, 5), Dir.LE, F(1, 128), depth=10
         )
         assert status == CERTIFIED and lo >= F(1, 128) and depth >= 10
 
-    def test_undecided_when_capped(self):
+    def test_unreachable_target_is_undecided(self):
         # an unreachable target: more than the whole window
         lo, _, status = certify_lower(
             F(1, 3), F(1, 4), F(-3, 5), Dir.LE, F(2), depth=6
@@ -184,7 +184,7 @@ class TestEscalation:
         assert (depth, status) == (6, UNDECIDED)
         assert lo == quotient_set_bounds(q(F(1, 3), F(1, 4), F(-3, 5), Dir.LE, 6)).lo
 
-    def test_budget_exhaustion_is_undecided(self, monkeypatch):
+    def test_unreachable_target_within_a_budget_is_undecided(self, monkeypatch):
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 2000)
         lo, _, status = certify_lower(
             F(1, 3), F(1, 4), F(-3, 5), Dir.LE, F(2), depth=6
@@ -209,7 +209,7 @@ def cells_needed(query, monkeypatch):
 
 
 class TestCellBudget:
-    # the TestEscalation query: 1/3, r = 1/2, LE at -3/5
+    # the TestCertifyLower query: 1/3, r = 1/2, LE at -3/5
     def query(self, depth):
         return q(F(1, 3), F(1, 2), F(-3, 5), Dir.LE, depth)
 
@@ -228,7 +228,7 @@ class TestCellBudget:
         assert bound.lo >= F(1, 128)
         assert bound == quotient_set_bounds(self.query(64))
 
-    def test_exhausted_budget_reports_last_completed_rung(self, monkeypatch):
+    def test_query_at_its_exact_budget_completes(self, monkeypatch):
         budget = cells_needed(self.query(10), monkeypatch)
         assert cells_needed(self.query(14), monkeypatch) > budget
         with monkeypatch.context() as patch:
@@ -253,7 +253,7 @@ class TestCellBudget:
         assert depth_used == 10
         assert lo == quotient_set_bounds(self.query(10)).lo
 
-    def test_no_rung_completed_reports_depth_zero(self, monkeypatch):
+    def test_over_budget_certificate_names_the_query(self, monkeypatch):
         # over the budget, certify_lower raises the error that names the
         # query, as quotient_set_sides does
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)

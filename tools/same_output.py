@@ -8,11 +8,13 @@ every op of the three benchmark workloads for seeds 1-3 with
 the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS``, the
 refute and classify edge cases of ``REFUTE_OPS``, the twin edge cases of
 ``TWIN_OPS``, the long slope walks of ``SLOPE_OPS``, the period-closed
-partial sums of ``ORBIT_OPS`` and the failing ops of ``ERROR_OPS``, and
-runs each op through ``takagi_lab.cli.run`` in-process, once in a fresh
-interpreter per tree: 1 133 ops in all.
+partial sums of ``ORBIT_OPS``, the failing ops of ``ERROR_OPS`` and the
+argument parsing cases of ``USAGE_OPS``, and runs each op through
+``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
+1 147 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
-and the working tree, and exits 1 if any does.  Nothing under ``bench/``
+and the working tree, and exits 1 if any does; an op that exits through
+``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
 is changed.
 """
 
@@ -147,6 +149,28 @@ ERROR_OPS = (
     ["slopes", "--x", "1/3", "--n", "0"],
 )
 
+# Argument parsing: no command, an unknown command, options before the
+# command, ``--`` after a command and before it, ``=`` and abbreviated flags
+# (an ambiguous one too), flags a subcommand does not take, a stray
+# positional, a negative rational as a value, and help at the top level
+# and after a command (printed to stdout with exit code 0).
+USAGE_OPS = (
+    [],
+    ["frobnicate", "--x", "1/2"],
+    ["--format", "json", "eval", "--x", "1/2"],
+    ["eval", "--", "--x", "1/2"],
+    ["--", "eval", "--x", "1/2"],
+    ["eval", "--x=1/2", "--form", "json"],
+    ["measure", "--x", "1/3", "--r", "1/8", "--alpha", "1/2", "--d", "ge", "--depth", "6"],
+    ["sample", "--a", "0", "--b", "1", "--count", "3", "--format", "json"],
+    ["eval", "--x", "1/2", "--bogus"],
+    ["classify", "--x", "1/3", "--n", "4", "extra"],
+    ["enclose", "--x", "-3/5", "--depth", "8", "--app"],
+    ["-h"],
+    ["measure", "-h"],
+    ["eval"],
+)
+
 # Runs in a child interpreter with one tree's src/ on PYTHONPATH: reads a
 # JSON list of argvs on stdin, writes [code, stdout, stderr] for each.
 RUNNER = """
@@ -158,6 +182,8 @@ for argv in json.load(sys.stdin):
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)
+    except SystemExit as exc:  # -h prints its help and exits 0
+        code = exc.code
     except Exception as exc:  # the traceback would name the tree, so keep the message
         code = None
         err.write(f"{type(exc).__name__}: {exc}")
@@ -189,6 +215,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
     ops.extend((f"slope op {i}", list(argv)) for i, argv in enumerate(SLOPE_OPS))
     ops.extend((f"orbit op {i}", list(argv)) for i, argv in enumerate(ORBIT_OPS))
     ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
+    ops.extend((f"usage op {i}", list(argv)) for i, argv in enumerate(USAGE_OPS))
     return ops
 
 
