@@ -42,16 +42,19 @@ from math import gcd
 from pathlib import Path
 
 from . import analysis, measure
-from .exactnum import (_to_fraction, check_printable, dyadic_neighbors, format_rat,
-                       format_ratio, is_dyadic, parse_rat)
+from .exactnum import (_join, _to_fraction, check_printable, dyadic_neighbors,
+                       format_rat, format_ratio, is_dyadic, parse_rat)
 from .takagi import (DEFAULT_DEPTH, _enclosure_nums, slope_seq, takagi_enclosure,
                      takagi_exact)
 
 SCHEMA = "takagi-lab/1"
 
-# Largest ``measure --depth``: a query's time grows about as depth**2.3, and
-# the widest window (r = 1/2) takes about 3 s at depth 1024.  Certificates
-# run their own queries through ``measure.certify_lower``, unbounded here.
+# Largest ``measure --depth``.  At alpha = 1/2 a query's time grows about as
+# depth**2.3, and the widest window (r = 1/2) takes about 3 s at depth 1024;
+# at other slopes the cells visited can grow about as 2**(depth/2) (x = 1/3,
+# r = 1/4, alpha = -1, LE), until the cell budget stops the query.
+# Certificates run their own queries through ``measure.certify_lower``,
+# unbounded here.
 MEASURE_DEPTH_MAX = 1024
 
 
@@ -238,7 +241,7 @@ def sample_rows(a, b, count: int, depth: int,
         p, q = num // common, den // common
         lo, hi, enc_den = _enclosure_nums(p, q, depth, classical)
         lo_text = format_ratio(lo, enc_den)
-        cells = [format_ratio(p, q), lo_text,
+        cells = [_join(p, q), lo_text,
                  lo_text if hi == lo else format_ratio(hi, enc_den)]
         if approx:
             cells.append(repr((lo + hi) / (2 * enc_den)))  # int division rounds correctly

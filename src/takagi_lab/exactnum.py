@@ -58,8 +58,9 @@ def format_rat(value) -> str:
     A numerator or denominator longer than the interpreter's limit on
     integer-to-text conversion (4300 digits by default, which also guards
     the parsing of input) raises ``ValueError`` with a message that says so.
+    Anything but an int or a ``Fraction`` (a float, a str) raises ``TypeError``.
     """
-    f = Fraction(value)
+    f = _to_fraction(value)
     return _join(f.numerator, f.denominator)
 
 

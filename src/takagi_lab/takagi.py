@@ -107,21 +107,23 @@ def g(k: int, x) -> Fraction:
 def _partial_num(n: int, r: int, q: int, classical: bool) -> int:
     """``q * 2**n * G_n(x)`` for ``x = r/q mod 1``, ``0 <= r < q``, by Horner's rule
     on the orbit, closed by the period once ``r`` returns to ``r_L``."""
-    # acc = q * 2**k * G_k(x) after step k
-    acc = min(r, q - r) if classical else 0
+    # acc = q * 2**k * G_k(x) after step k; a step adds min(r, q - r), which is
+    # r exactly when r <= q // 2 (a comparison, cheaper than a call to min)
+    half = q >> 1
+    acc = (r if r <= half else q - r) if classical else 0
     lead = min(n, (q & -q).bit_length() - 1)  # the pre-period L, or n
     for _ in range(lead):
         r <<= 1
         if r >= q:
             r -= q
-        acc = (acc << 1) + min(r, q - r)
+        acc = (acc << 1) + (r if r <= half else q - r)
     n -= lead
     start, base = r, acc
     for period in range(1, n + 1):
         r <<= 1
         if r >= q:
             r -= q
-        acc = (acc << 1) + min(r, q - r)
+        acc = (acc << 1) + (r if r <= half else q - r)
         if r == start:
             break
     else:
@@ -133,7 +135,7 @@ def _partial_num(n: int, r: int, q: int, classical: bool) -> int:
         r <<= 1
         if r >= q:
             r -= q
-        head = (head << 1) + min(r, q - r)
+        head = (head << 1) + (r if r <= half else q - r)
     block = acc - (base << period)  # one period's terms, by Horner's rule
     repunit = ((1 << (whole * period)) - 1) // ((1 << period) - 1)
     return (acc << rest) + ((block * repunit) << t) + head

@@ -85,6 +85,18 @@ class TestParseFormat:
         assert format_rat(F(3, 4)) == "3/4"
         assert format_rat(F(5)) == "5"
 
+    def test_format_refuses_float_and_str(self):
+        for bad in (0.5, "3/4"):
+            with pytest.raises(TypeError, match="exact rational expected"):
+                format_rat(bad)
+
+        class Sub(F):
+            pass
+
+        assert format_rat(True) == "1"
+        assert format_rat(-12) == "-12"
+        assert format_rat(Sub(6, -8)) == "-3/4"
+
     def test_ratio_formats_in_lowest_terms_like_format_rat(self):
         rng = random.Random(22)
         cases = [(0, 5), (6, 3), (-6, 4), (12, 1), ((1 << 80) * 3, 1 << 81)]

@@ -11,7 +11,7 @@ refute and classify edge cases of ``REFUTE_OPS``, the twin edge cases of
 partial sums of ``ORBIT_OPS``, the failing ops of ``ERROR_OPS`` and the
 argument parsing cases of ``USAGE_OPS``, and runs each op through
 ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 147 ops in all.
+1 151 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -113,14 +113,22 @@ SLOPE_OPS = (
 
 # The partial sums closed after one binary period: a pre-period and a period
 # (5/24 = 0.0011(01)*), a prime denominator near 10**12 whose period exceeds
-# the depth, the classical variant past many periods, and a classical sample
-# with decimals on a non-dyadic step over a negative range.
+# the depth, the classical variant past many periods, a classical sample
+# with decimals on a non-dyadic step over a negative range, and each loop of
+# the Horner step at benchmark scale: a dyadic step (the pre-period loop
+# only), a step whose odd part 599 has period 299 > depth (no return), a deep
+# classical sample with decimals and a deep dyadic classical value.
 ORBIT_OPS = (
     ["enclose", "--x", "5/24", "--depth", "4000", "--format", "json"],
     ["enclose", "--x", "1/999999999989", "--depth", "300", "--format", "json"],
     ["enclose", "--x", "-7/12", "--depth", "3000", "--classical", "--approx"],
     ["sample", "--a", "-3/4", "--b", "1/8", "--count", "61", "--depth", "40", "--classical",
      "--approx"],
+    ["sample", "--a", "1/4", "--b", "3/4", "--count", "2049", "--depth", "24"],
+    ["sample", "--a", "1/8", "--b", "1/4", "--count", "600", "--depth", "24"],
+    ["sample", "--a", "1/8", "--b", "5/8", "--count", "300", "--depth", "64", "--classical",
+     "--approx"],
+    ["eval", "--x", "12345/32768", "--classical"],
 )
 
 # Error paths: dyadic input refused or out of domain, and exact outputs too
