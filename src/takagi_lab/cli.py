@@ -50,7 +50,7 @@ from .takagi import (DEFAULT_DEPTH, _enclosure_nums, slope_seq, takagi_enclosure
 SCHEMA = "takagi-lab/1"
 
 # Largest ``measure --depth``.  At alpha = 1/2 a query's time grows about as
-# depth**2.3, and the widest window (r = 1/2) takes about 3 s at depth 1024;
+# depth**2.3, and the widest window (r = 1/2) takes about 1.2 s at depth 1024;
 # at other slopes the cells visited can grow about as 2**(depth/2) (x = 1/3,
 # r = 1/4, alpha = -1, LE), until the cell budget stops the query.
 # Certificates run their own queries through ``measure.certify_lower``,

@@ -16,40 +16,43 @@ satisfies the condition, *certified out* when the optimistic side
 already fails it; both tests are affine comparisons against G_n.  ``lo``
 is the total certified-in length, ``hi`` is ``2r`` minus the
 certified-out length, and the true measure always lies in ``[lo, hi]``.
-Increasing the depth never worsens either bound.  So a query is four
-*pieces*, one band line on one half of the window each: ``in_l`` and
-``out_l`` on ``[x - r, x]``, ``in_r`` and ``out_r`` on ``[x, x + r]``;
-:func:`certify_lower` needs only ``lo`` and measures the two ``in``
-pieces.  A piece ``(c, ge, s, e)`` is the measure of
-``{y in [s, e] : G_n(y) >= c + alpha*y}`` (``<=`` when ge is false).
+Increasing the depth never worsens either bound.  So a query needs two
+sets, each on both halves ``[x - r, x]`` and ``[x, x + r]`` of the
+window: GE of the upper band line ``G_n >= Tx_hi + alpha*(y - x)`` and
+LE of the lower one ``G_n + tau <= Tx_lo + alpha*(y - x)``.  By direction
+and half, each of the four measures is ``in`` or ``out``;
+:func:`certify_lower` sums the two ``in`` measures.
 
-A piece is measured by an adaptive bisection over the dyadic cells
-``[j/2**(m+1), (j+1)/2**(m+1)]`` that meet ``[s, e]``, on each of which
-G_m is affine.  Since ``0 <= G_n - G_m <= 2**-(m+1) - 2**-(n+1)``, a
-cell is wholly in the GE set when ``G_m >= line`` at both of its ends
-and wholly out when ``G_m + 2**-(m+1) - 2**-(n+1) < line`` at both ends
-(the LE set mirrors this with ``<=`` and ``>``).  Only cells that
-neither test settles are split; at level n the exact affine crossing is
-solved.  The result is the exact Lebesgue measure of each set, the same
-rationals a full polyline of G_n would give, while the cells visited
-follow the level line instead of filling the interval.  Inside the
-walk everything is an integer: cell index, and ``w = D*(G_m - line)``
-at the cell ends for one common denominator D.  A level-n crossing lies
-at ``j + w0/d`` with ``d = w0 - w1 = (D >> (n+1))*(alpha - slope)``,
-where slope is that of G_n on the cell, so a piece has at most n + 1
-denominators: its crossings are summed as integer numerators per
-denominator.  The few cells that straddle ``s`` or ``e`` (at most two
-per level) are clipped in integers and summed the same way, so the walk
-builds no ``Fraction``; one per denominator is built at the end.  The
-depth-first stack holds at most one pending cell per level, so memory
-does not grow with the window.
+All four come from one adaptive bisection over the dyadic cells
+``[j/2**(m+1), (j+1)/2**(m+1)]`` that meet the window, on each of which
+G_m is affine.  Inside the walk everything is an integer: cell index,
+and ``w = D*(G_m - alpha*y)`` at the cell ends for one common
+denominator D; the two lines enter only as thresholds ``ga`` (upper)
+and ``lb < ga`` (lower).  Since ``0 <= G_n - G_m <= tail = 2**-(m+1) -
+2**-(n+1)`` (times D), a cell is wholly in the GE set when ``w >= ga``
+at both ends, wholly in the LE set when ``w <= lb - tail`` at both ends,
+and out of both when ``w < ga - tail`` and ``w > lb`` at both ends.  A
+cell that none of these settles is split; at level n the exact affine
+crossing of each line is solved.  The result is the exact Lebesgue
+measure of each set, the same rationals a full polyline of G_n would
+give, while the cells visited follow the two level lines, about
+``2**-n`` apart, instead of filling the interval.  A settled cell adds
+its length, or its level-n crossings, to the half it lies in; the few
+that straddle x or a window end (at most three per level) are clipped
+to both halves in integers.  A level-n crossing lies at
+``j + |w0 - c|/d`` with ``d = |w0 - w1| = (D >> (n+1))*|alpha - slope|``
+for the slope of G_n on the cell, so crossings have at most n + 1
+denominators: a measure is summed as integer numerators per denominator
+and built as one ``Fraction`` over their lcm at the end.  The depth-first
+stack holds at most one pending cell per level, so memory does not grow
+with the window.
 
-``BREAKPOINT_CAP`` caps the cells one kernel call may visit, all its
-pieces together; a call over the cap raises :class:`BreakpointLimitError`
-naming the query, from :func:`certify_lower` too.  That runs one call at
-the depth its caller chooses; :mod:`takagi_lab.analysis` sets the depth
-of each certificate.  Brackets are :class:`~takagi_lab.takagi.Enclosure`
-values, the same type that encloses T(x).
+``BREAKPOINT_CAP`` caps the cells one query's walk may visit; a query
+over the cap raises :class:`BreakpointLimitError` naming the query, from
+:func:`certify_lower` too.  That runs one walk at the depth its caller
+chooses; :mod:`takagi_lab.analysis` sets the depth of each certificate.
+Brackets are :class:`~takagi_lab.takagi.Enclosure` values, the same type
+that encloses T(x).
 
 The punctured centre point and interval endpoints are measure zero and
 are handled with closed intervals throughout.  Radii are restricted to
@@ -64,7 +67,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exactnum import _to_fraction, is_dyadic
-from .takagi import Enclosure, takagi_enclosure
+from .takagi import Enclosure, _enclosure_nums
 
 __all__ = [
     "BREAKPOINT_CAP",
@@ -81,8 +84,8 @@ __all__ = [
 CERTIFIED = "certified"
 UNDECIDED = "undecided"
 
-# Cell budget per kernel call: far above what any query near the level
-# line needs.  It bounds the cells a pathological query visits, not its
+# Cell budget of one query's walk: far above what any query near the level
+# lines needs.  It bounds the cells a pathological query visits, not its
 # time: a cell costs a few operations on integers of about n + 1 bits at
 # depth n, and no cell builds a Fraction.
 BREAKPOINT_CAP = 1 << 24
@@ -122,122 +125,132 @@ class QuotientQuery:
             raise ValueError("depth must be positive")
 
 
-def _measures(n: int, alpha: Fraction, pieces) -> list[Fraction]:
-    """Measure of ``{y in [s, e] : G_n(y) >= c + alpha*y}`` per piece.
+def _over_budget(q: QuotientQuery, cap: int) -> BreakpointLimitError:
+    return BreakpointLimitError(f"depth-{q.depth} query at x={q.x} needs more than {cap} cells")
 
-    ``pieces`` holds ``(c, ge, s, e)``; ``ge=False`` asks for ``<=``.  All
-    pieces share one cell budget.  Positions are counted in units of
-    ``2**-(n+1)``; ``w0, w1`` are ``D*(G_m - line)`` at the two ends of a
-    level-m cell.
+
+def _measures(q: QuotientQuery) -> list[Fraction]:
+    """``[ge_l, ge_r, le_l, le_r]``: the query's two band sets on each half.
+
+    ``ge`` is ``{y : G_n(y) >= Tx_hi + alpha*(y - x)}`` (the upper line),
+    ``le`` is ``{y : G_n(y) + tau <= Tx_lo + alpha*(y - x)}`` (the lower
+    one); ``_l`` is the part in ``[x - r, x]``, ``_r`` the part in
+    ``[x, x + r]``.  Positions are counted in units of ``2**-(n+1)``;
+    ``w0, w1`` are ``D*(G_m - alpha*y)`` at the two ends of a level-m cell,
+    and the lines enter as the thresholds ``ga = D*(Tx_hi - alpha*x)`` and
+    ``lb = D*(Tx_lo - alpha*x - tau) < ga``.
     """
-    unit = 1 << (n + 1)
-    big = lcm(alpha.denominator * unit, *(c.denominator for c, *_ in pieces))
-    step0 = alpha.numerator * (big // alpha.denominator) >> 1  # D*alpha/2
-    tail_n = big >> (n + 1)
-    # each piece as [lo/q, hi/q] in units, for one common denominator q
-    q = lcm(*(end.denominator for *_, s, e in pieces for end in (s, e)))
-    spans = [[end.numerator * (q // end.denominator) << (n + 1) for end in (s, e)]
-             for *_, s, e in pieces]
-    # the level-0 cells meeting each piece
-    roots = [range(lo // (q << n), -(-hi // (q << n))) for lo, hi in spans]
-    max_cells = BREAKPOINT_CAP  # read per call, so a patched cap applies
-    over_budget = BreakpointLimitError(f"needs more than {max_cells} cells")
-    if sum(map(len, roots)) > max_cells:  # every piece visits each of its roots
-        raise over_budget
-
-    cells = 0
-    out = []
-    for (c, ge, _, _), (lo, hi), piece_roots in zip(pieces, spans, roots):
-        dc = c.numerator * (big // c.denominator)
-        a, b = lo // q, -(-hi // q)
-        first, last = -(-lo // q), hi // q  # cells within these lie in the piece
-        whole = 0  # whole cells, in units
-        # crossings and clipped cells, in units: numerators per denominator
-        parts: dict[int, int] = {}
-        for root in piece_roots:
-            stack = [(0, root, -dc - step0 * root, -dc - step0 * (root + 1))]
-            while stack:
-                m, j, w0, w1 = stack.pop()
-                cells += 1
-                if cells > max_cells:
-                    raise over_budget
-                w_lo, w_hi = (w0, w1) if w0 <= w1 else (w1, w0)
-                # D*(2**-(m+1) - 2**-(n+1)) bounds D*(G_n - G_m) on the cell
-                tail = (big >> (m + 1)) - tail_n
-                if ge:
-                    inside, outside = w_lo >= 0, w_hi < -tail
-                else:
-                    inside, outside = w_hi <= -tail, w_lo > 0
-                if outside:
-                    continue
-                k = n - m
-                p0 = j << k
-                p1 = p0 + (1 << k)
-                if not inside and m < n:
-                    # exact: D*G_m and D*line are integers on the level-(m+1)
-                    # grid; g_{m+1} adds 2**-(m+2) at the midpoint
-                    wm = ((w0 + w1) >> 1) + (big >> (m + 2))
-                    pm = p0 + (1 << (k - 1))
-                    if pm < b:
-                        stack.append((m + 1, 2 * j + 1, wm, w1))
-                    if pm > a:
-                        stack.append((m + 1, 2 * j, w0, wm))
-                    continue
-                within = first <= p0 and p1 <= last
-                if inside:
-                    if within:
-                        whole += p1 - p0
-                        continue
-                    d = 1
-                else:
-                    # level n: G_n is affine here and crosses the line at
-                    # j + w0/d; the set meets the cell in [j, j + w0/d], or in
-                    # [j + w0/d, j + 1] of length 1 - w0/d = -w1/d
-                    d = w0 - w1
-                    from_j = w0 >= 0 if ge else w0 <= 0
-                    if within:
-                        parts[d] = parts.get(d, 0) + (w0 if from_j else -w1)
-                        continue
-                    # in units of 1/|d| the crossing is at j*|d| + |w0|
-                    d = abs(d)
-                    cross = j * d + abs(w0)
-                    p0, p1 = (p0 * d, cross) if from_j else (cross, p1 * d)
-                # the cell straddles lo or hi: clip it in units of 1/(q*d)
-                cut = min(p1 * q, hi * d) - max(p0 * q, lo * d)
-                parts[q * d] = parts.get(q * d, 0) + max(cut, 0)
-        rest = sum(Fraction(num, d) for d, num in parts.items())
-        out.append(Fraction(whole + rest, unit))
-    return out
-
-
-def _pieces(q: QuotientQuery) -> list[tuple[Fraction, bool, Fraction, Fraction]]:
-    """The query's pieces ``in_l, out_l, in_r, out_r``."""
-    x, rf, n = q.x, q.r, q.depth
+    n, x, r, alpha = q.depth, q.x, q.r, q.alpha
     # before the enclosure: a depth too large to represent fails here at
     # once, where the enclosure would loop over every level first
-    tau = Fraction(1, 1 << (n + 1))
-    enc = takagi_enclosure(x, n)  # a point at dyadic x, at any depth
-    # {y : G_n(y) >= Tx_hi + alpha*(y - x)}  — pessimistic lower line
-    above = (enc.hi - q.alpha * x, True)
-    # {y : G_n(y) + tau <= Tx_lo + alpha*(y - x)}  — optimistic upper line
-    below = (enc.lo - q.alpha * x - tau, False)
+    unit = 1 << (n + 1)
+    t_lo, t_hi, t_den = _enclosure_nums(x.numerator, x.denominator, n, False)
+    a, b = alpha.numerator, alpha.denominator
+    big = lcm(b * unit, t_den, b * x.denominator)
+    step0 = a * (big // b) >> 1  # D*alpha/2
+    tail_n = big >> (n + 1)
+    ax = a * x.numerator * (big // (b * x.denominator))  # D*alpha*x
+    ga = t_hi * (big // t_den) - ax
+    lb = t_lo * (big // t_den) - ax - tail_n
+    # the window's ends and centre as lo/p, mid/p, hi/p in units
+    p = lcm(x.denominator, r.denominator)
+    mid = x.numerator * (p // x.denominator) << (n + 1)
+    rad = r.numerator * (p // r.denominator) << (n + 1)
+    lo, hi = mid - rad, mid + rad
+    cell_a, cell_b = lo // p, -(-hi // p)
+    # cells within these lie in one half of the window
+    first_l, last_l, first_r, last_r = -(-lo // p), mid // p, -(-mid // p), hi // p
+    roots = range(lo // (p << n), -(-hi // (p << n)))  # the level-0 cells meeting it
+    max_cells = BREAKPOINT_CAP  # read per call, so a patched cap applies
+    if len(roots) > max_cells:  # the walk visits each root
+        raise _over_budget(q, max_cells)
+
+    # per measure, in units: the whole cells within a half, and the rest
+    # as numerators per denominator
+    whole = [0, 0, 0, 0]
+    sums: list[dict[int, int]] = [{}, {}, {}, {}]
+
+    def add(i, p0, p1, s0, s1, d):
+        """Measure ``i`` (its left half) gains ``[s0/d, s1/d]`` of the cell ``[p0, p1]``."""
+        if first_l <= p0 and p1 <= last_l:
+            part = sums[i]
+        elif first_r <= p0 and p1 <= last_r:
+            part = sums[i + 1]
+        else:  # the cell straddles x or a window end: clip it in units of 1/(p*d)
+            for part, start, end in ((sums[i], lo, mid), (sums[i + 1], mid, hi)):
+                cut = min(s1 * p, end * d) - max(s0 * p, start * d)
+                if cut > 0:
+                    part[p * d] = part.get(p * d, 0) + cut
+            return
+        part[d] = part.get(d, 0) + s1 - s0
+
+    # per level m: D*2**-(m+2), the midpoint term, and the two lines
+    # shifted by the tail D*(2**-(m+1) - 2**-(n+1))
+    mids = [big >> (m + 2) for m in range(n)]
+    ge_out = [ga - (big >> (m + 1)) + tail_n for m in range(n + 1)]
+    le_in = [lb - (big >> (m + 1)) + tail_n for m in range(n + 1)]
+    cells = 0
+    for root in roots:
+        stack = [(0, root, -step0 * root, -step0 * (root + 1))]
+        while stack:
+            m, j, w0, w1 = stack.pop()
+            cells += 1
+            if cells > max_cells:
+                raise _over_budget(q, max_cells)
+            w_lo, w_hi = (w0, w1) if w0 <= w1 else (w1, w0)
+            if w_lo >= ga:
+                i = 0  # in the GE set, so out of the LE set
+            elif w_hi <= le_in[m]:
+                i = 2  # in the LE set, so out of the GE set
+            elif w_hi < ge_out[m] and w_lo > lb:
+                continue  # out of both
+            elif m < n:
+                # exact: D*G_m and D*alpha*y are integers on the level-(m+1)
+                # grid; g_{m+1} adds 2**-(m+2) at the midpoint
+                wm = ((w0 + w1) >> 1) + mids[m]
+                pm = (2 * j + 1) << (n - m - 1)
+                if pm < cell_b:
+                    stack.append((m + 1, 2 * j + 1, wm, w1))
+                if pm > cell_a:
+                    stack.append((m + 1, 2 * j, w0, wm))
+                continue
+            else:
+                # level n: G_n is affine here and crosses a line c at j + |w0 - c|/d;
+                # the GE set lies where w is larger, the LE set where it is smaller
+                d = abs(w0 - w1)
+                s0, s1 = j * d, (j + 1) * d
+                if w_hi >= ga:
+                    cross = s0 + abs(w0 - ga)
+                    add(0, j, j + 1, *((s0, cross) if w0 > w1 else (cross, s1)), d)
+                if w_lo <= lb:
+                    cross = s0 + abs(w0 - lb)
+                    add(2, j, j + 1, *((cross, s1) if w0 > w1 else (s0, cross)), d)
+                continue
+            p0 = j << (n - m)
+            p1 = p0 + (1 << (n - m))
+            if first_l <= p0 and p1 <= last_l:
+                whole[i] += p1 - p0
+            elif first_r <= p0 and p1 <= last_r:
+                whole[i + 1] += p1 - p0
+            else:
+                add(i, p0, p1, p0, p1, 1)
+    dens = [lcm(*part) for part in sums]
+    return [Fraction(count * den + sum(num * (den // d) for d, num in part.items()), den * unit)
+            for count, part, den in zip(whole, sums, dens)]
+
+
+def _sides(q: QuotientQuery) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The query's measures ``in_l, out_l, in_r, out_r`` by direction."""
+    ge_l, ge_r, le_l, le_r = _measures(q)
     # right of x the set lies above the line for GE; left of x it flips
-    up, down = (above, below) if q.direction is Dir.GE else (below, above)
-    left, right = (x - rf, x), (x, x + rf)
-    return [(*down, *left), (*up, *left), (*up, *right), (*down, *right)]
-
-
-def _measure_query(q: QuotientQuery, pieces) -> list[Fraction]:
-    """:func:`_measures` on the query's ``pieces``; an over-budget error names the query."""
-    try:
-        return _measures(q.depth, q.alpha, pieces)
-    except BreakpointLimitError as err:
-        raise BreakpointLimitError(f"depth-{q.depth} query at x={q.x} {err}") from None
+    if q.direction is Dir.GE:
+        return le_l, ge_l, ge_r, le_r
+    return ge_l, le_l, le_r, ge_r
 
 
 def quotient_set_sides(q: QuotientQuery) -> tuple[Enclosure, Enclosure]:
     """Certified (left, right) half-window brackets for the query's set."""
-    in_l, out_l, in_r, out_r = _measure_query(q, _pieces(q))
+    in_l, out_l, in_r, out_r = _sides(q)
     return Enclosure(in_l, q.r - out_l), Enclosure(in_r, q.r - out_r)
 
 
@@ -251,11 +264,10 @@ def certify_lower(x, r, alpha, direction: Dir, target, *,
                   depth: int) -> tuple[Fraction, int, str]:
     """Check whether the certified lower bound at ``depth`` reaches ``target``.
 
-    Returns ``(lo, depth, status)`` from one kernel call on the query's
-    two certified-in pieces: ``depth`` as given, and ``lo`` equal to the
+    Returns ``(lo, depth, status)`` from one walk of the query: ``depth``
+    as given, and ``lo`` its two certified-in measures, the
     :func:`quotient_set_bounds` lower bound.
     """
-    q = QuotientQuery(x, r, alpha, direction, depth)
-    in_l, _, in_r, _ = _pieces(q)
-    lo = sum(_measure_query(q, (in_l, in_r)))
+    in_l, _, in_r, _ = _sides(QuotientQuery(x, r, alpha, direction, depth))
+    lo = in_l + in_r
     return lo, depth, CERTIFIED if lo >= _to_fraction(target) else UNDECIDED

@@ -15,7 +15,10 @@ segment.  They stay here as the reference the adaptive kernel must match
 exactly.  :func:`fraction_band_measures` is the adaptive kernel as it
 was before it summed its crossings per denominator: one ``Fraction``
 per level-n crossing, clipped against the window.  It is the reference
-at depths the uniform engine cannot reach.  Likewise :func:`fraction_G`
+at depths the uniform engine cannot reach.  :func:`piece_measures` and
+:func:`query_pieces` are the adaptive kernel as it was before it walked
+a query's window once for both band lines: four *pieces*, one band line
+on one half of the window each, each walked on its own, kept verbatim.  Likewise :func:`fraction_G`
 is the partial sum the library computed before its integer orbit
 kernel, one ``Fraction`` per term, and :func:`reference_sample_rows` is
 ``sample`` as it was before it put its grid on one denominator: one
@@ -597,6 +600,111 @@ def fraction_band_measures(x: Fraction, rf: Fraction, n: int, alpha: Fraction,
                 right += max(0, min(p1, hi) - max(p0, mid))
         out.append((Fraction(left) / unit, Fraction(right) / unit))
     return out
+
+
+def piece_measures(n: int, alpha: Fraction, pieces) -> list[Fraction]:
+    """Measure of ``{y in [s, e] : G_n(y) >= c + alpha*y}`` per piece.
+
+    ``pieces`` holds ``(c, ge, s, e)``; ``ge=False`` asks for ``<=``.  All
+    pieces share one cell budget.  Positions are counted in units of
+    ``2**-(n+1)``; ``w0, w1`` are ``D*(G_m - line)`` at the two ends of a
+    level-m cell.
+    """
+    unit = 1 << (n + 1)
+    big = lcm(alpha.denominator * unit, *(c.denominator for c, *_ in pieces))
+    step0 = alpha.numerator * (big // alpha.denominator) >> 1  # D*alpha/2
+    tail_n = big >> (n + 1)
+    # each piece as [lo/q, hi/q] in units, for one common denominator q
+    q = lcm(*(end.denominator for *_, s, e in pieces for end in (s, e)))
+    spans = [[end.numerator * (q // end.denominator) << (n + 1) for end in (s, e)]
+             for *_, s, e in pieces]
+    # the level-0 cells meeting each piece
+    roots = [range(lo // (q << n), -(-hi // (q << n))) for lo, hi in spans]
+    max_cells = BREAKPOINT_CAP  # read per call, so a patched cap applies
+    over_budget = BreakpointLimitError(f"needs more than {max_cells} cells")
+    if sum(map(len, roots)) > max_cells:  # every piece visits each of its roots
+        raise over_budget
+
+    cells = 0
+    out = []
+    for (c, ge, _, _), (lo, hi), piece_roots in zip(pieces, spans, roots):
+        dc = c.numerator * (big // c.denominator)
+        a, b = lo // q, -(-hi // q)
+        first, last = -(-lo // q), hi // q  # cells within these lie in the piece
+        whole = 0  # whole cells, in units
+        # crossings and clipped cells, in units: numerators per denominator
+        parts: dict[int, int] = {}
+        for root in piece_roots:
+            stack = [(0, root, -dc - step0 * root, -dc - step0 * (root + 1))]
+            while stack:
+                m, j, w0, w1 = stack.pop()
+                cells += 1
+                if cells > max_cells:
+                    raise over_budget
+                w_lo, w_hi = (w0, w1) if w0 <= w1 else (w1, w0)
+                # D*(2**-(m+1) - 2**-(n+1)) bounds D*(G_n - G_m) on the cell
+                tail = (big >> (m + 1)) - tail_n
+                if ge:
+                    inside, outside = w_lo >= 0, w_hi < -tail
+                else:
+                    inside, outside = w_hi <= -tail, w_lo > 0
+                if outside:
+                    continue
+                k = n - m
+                p0 = j << k
+                p1 = p0 + (1 << k)
+                if not inside and m < n:
+                    # exact: D*G_m and D*line are integers on the level-(m+1)
+                    # grid; g_{m+1} adds 2**-(m+2) at the midpoint
+                    wm = ((w0 + w1) >> 1) + (big >> (m + 2))
+                    pm = p0 + (1 << (k - 1))
+                    if pm < b:
+                        stack.append((m + 1, 2 * j + 1, wm, w1))
+                    if pm > a:
+                        stack.append((m + 1, 2 * j, w0, wm))
+                    continue
+                within = first <= p0 and p1 <= last
+                if inside:
+                    if within:
+                        whole += p1 - p0
+                        continue
+                    d = 1
+                else:
+                    # level n: G_n is affine here and crosses the line at
+                    # j + w0/d; the set meets the cell in [j, j + w0/d], or in
+                    # [j + w0/d, j + 1] of length 1 - w0/d = -w1/d
+                    d = w0 - w1
+                    from_j = w0 >= 0 if ge else w0 <= 0
+                    if within:
+                        parts[d] = parts.get(d, 0) + (w0 if from_j else -w1)
+                        continue
+                    # in units of 1/|d| the crossing is at j*|d| + |w0|
+                    d = abs(d)
+                    cross = j * d + abs(w0)
+                    p0, p1 = (p0 * d, cross) if from_j else (cross, p1 * d)
+                # the cell straddles lo or hi: clip it in units of 1/(q*d)
+                cut = min(p1 * q, hi * d) - max(p0 * q, lo * d)
+                parts[q * d] = parts.get(q * d, 0) + max(cut, 0)
+        rest = sum(Fraction(num, d) for d, num in parts.items())
+        out.append(Fraction(whole + rest, unit))
+    return out
+
+
+def query_pieces(q: QuotientQuery) -> list[tuple[Fraction, bool, Fraction, Fraction]]:
+    """The query's pieces ``in_l, out_l, in_r, out_r``."""
+    x, rf, n = q.x, q.r, q.depth
+    # before the enclosure: a depth too large to represent fails here at
+    # once, where the enclosure would loop over every level first
+    tau = Fraction(1, 1 << (n + 1))
+    enc = takagi_enclosure(x, n)  # a point at dyadic x, at any depth
+    # {y : G_n(y) >= Tx_hi + alpha*(y - x)}  — pessimistic lower line
+    above = (enc.hi - q.alpha * x, True)
+    # {y : G_n(y) + tau <= Tx_lo + alpha*(y - x)}  — optimistic upper line
+    below = (enc.lo - q.alpha * x - tau, False)
+    # right of x the set lies above the line for GE; left of x it flips
+    up, down = (above, below) if q.direction is Dir.GE else (below, above)
+    left, right = (x - rf, x), (x, x + rf)
+    return [(*down, *left), (*up, *left), (*up, *right), (*down, *right)]
 
 
 def reference_slope_seq(x, N: int) -> SlopeSeq:

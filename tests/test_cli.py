@@ -201,9 +201,9 @@ class TestMeasure:
         assert err == "error: depth-20 query at x=1/3 needs more than 3 cells\n"
 
     def test_window_over_cell_budget_fails_fast(self, capsys):
-        # 2**24 level-0 cells per band: over the default budget before any walk
+        # 2**25 level-0 cells in the window: over the default budget before any walk
         code, out, err = invoke(
-            capsys, "measure", "--x", "0", "--r", "4194304", "--alpha", "0",
+            capsys, "measure", "--x", "0", "--r", "8388608", "--alpha", "0",
             "--dir", "ge", "--depth", "1",
         )
         assert code == 1 and out == ""

@@ -2,20 +2,23 @@
 
 Up to depth 14 the reference is the uniform polyline engine; from depth
 15 to 200, where that engine cannot run, it is the kernel with one
-``Fraction`` per crossing.  Every engine computes exact Lebesgue
-measures of the same closed sets, so results must agree as rationals,
-not just overlap.
+``Fraction`` per crossing.  At every depth the kernel that walked each
+piece (one band line on one half of the window) on its own is a third
+reference.  Every engine computes exact Lebesgue measures of the same
+closed sets, so results must agree as rationals, not just overlap.
 """
 
 import random
 from fractions import Fraction as F
 from itertools import islice
 
-from oracles import _cell_slope, fraction_band_measures, uniform_quotient_set_sides
+from oracles import (_cell_slope, fraction_band_measures, piece_measures, query_pieces,
+                     uniform_quotient_set_sides)
 from takagi_lab.measure import (
     Dir,
     QuotientQuery,
     _measures,
+    _sides,
     certify_lower,
     quotient_set_bounds,
     quotient_set_sides,
@@ -141,20 +144,66 @@ def test_deep_cases_cover_the_required_mix():
 
 
 def test_equal_to_the_per_crossing_fraction_kernel():
-    # each band measured as two pieces, [x - r, x] and [x, x + r]
+    # each band measured on [x - r, x] and on [x, x + r]
     mismatches = []
     for case in deep_band_cases():
         x, r, depth, alpha, bands = case
-        pieces = [(c, ge, s, e) for c, ge in bands for s, e in ((x - r, x), (x, x + r))]
-        got = _measures(depth, alpha, pieces)
+        got = _measures(QuotientQuery(x, r, alpha, Dir.GE, depth))
         want = [half for sides in fraction_band_measures(*case) for half in sides]
         if got != want:
             mismatches.append((case, got, want))
     assert mismatches == []
 
 
+def edge_queries(seed=2026, count=400):
+    """Queries at depths 1-40 whose window ends or centre meet a cell edge."""
+    rng = random.Random(seed)
+    for i in range(count):
+        depth = rng.randrange(1, 41)
+        kind = i % 4
+        if kind == 0:  # negative, dyadic or not
+            x = -F(rng.randrange(1, 200), rng.choice((1, 3, 5, 7, 12, 1 << (depth + 1))))
+        else:  # dyadic on the level-n grid
+            x = F(rng.randrange(-(1 << (depth + 2)), 1 << (depth + 2)), 1 << (depth + 1))
+        if kind == 2:
+            r = F(3, 8)
+        elif kind == 3:  # narrower than one level-n cell
+            r = F(rng.choice(RADIUS_NUMERATORS), 1 << (depth + 4))
+        else:
+            r = F(rng.choice(RADIUS_NUMERATORS), 1 << rng.randrange(1, min(depth, 12) + 3))
+        alpha = _threshold(rng, (i // 4) % 5, x, depth)
+        yield QuotientQuery(x, r, alpha, Dir.GE if (i // 20) % 2 else Dir.LE, depth)
+
+
+def test_edge_queries_cover_the_required_mix():
+    queries = list(edge_queries())
+    assert any(q.x < 0 and q.x.denominator & (q.x.denominator - 1) for q in queries)
+    on_grid = [q for q in queries if not q.x.denominator & (q.x.denominator - 1)
+               and q.x.denominator <= 1 << (q.depth + 1)]
+    assert len(on_grid) >= 200 and any(q.x < 0 for q in on_grid)
+    assert sum(q.r == F(3, 8) for q in queries) >= 50
+    assert sum(q.r < F(1, 1 << (q.depth + 1)) for q in queries) >= 50
+    assert {q.direction for q in queries} == {Dir.GE, Dir.LE}
+
+
+def test_equal_to_the_per_piece_kernel():
+    # all four measures, and the certified lower bound as the sum of the
+    # two certified-in pieces, against the kernel that walked each piece
+    deep = [QuotientQuery(x, r, alpha, Dir.GE if i % 2 else Dir.LE, depth)
+            for i, (x, r, depth, alpha, _) in enumerate(deep_band_cases())]
+    mismatches = []
+    for query in [*seeded_queries(), *deep, *edge_queries()]:
+        # in_l, out_l, in_r, out_r; each piece is walked on its own
+        want = piece_measures(query.depth, query.alpha, query_pieces(query))
+        lo, _, _ = certify_lower(query.x, query.r, query.alpha, query.direction, 0,
+                                 depth=query.depth)
+        if list(_sides(query)) != want or lo != want[0] + want[2]:
+            mismatches.append(query)
+    assert mismatches == []
+
+
 def test_certified_lower_bound_is_the_bracket_lo():
-    # certify_lower measures only the two certified-in pieces
+    # certify_lower keeps the two certified-in measures of the query's walk
     deep = [QuotientQuery(x, r, alpha, direction, depth)
             for x, r, depth, alpha, _ in islice(deep_band_cases(), 50)
             for direction in Dir]

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import grid_measure_bracket
 from takagi_lab import measure
 from takagi_lab.measure import (
@@ -167,20 +168,19 @@ class TestCertifyLower:
         assert status == UNDECIDED and lo < 2
 
     def test_one_query_at_the_given_depth(self, monkeypatch):
-        # an unreachable target runs one kernel call, at the given depth,
-        # on the two certified-in pieces
+        # an unreachable target runs one kernel call, at the given depth
         calls = []
         kernel = measure._measures
 
-        def counting(n, alpha, pieces):
-            calls.append((n, len(pieces)))
-            return kernel(n, alpha, pieces)
+        def counting(query):
+            calls.append(query.depth)
+            return kernel(query)
 
         monkeypatch.setattr(measure, "_measures", counting)
         lo, depth, status = certify_lower(
             F(1, 3), F(1, 4), F(-3, 5), Dir.LE, F(2), depth=6
         )
-        assert calls == [(6, 2)]
+        assert calls == [6]
         assert (depth, status) == (6, UNDECIDED)
         assert lo == quotient_set_bounds(q(F(1, 3), F(1, 4), F(-3, 5), Dir.LE, 6)).lo
 
@@ -192,15 +192,15 @@ class TestCertifyLower:
         assert status == UNDECIDED
 
 
-def cells_needed(query, monkeypatch):
-    """Smallest cell budget under which the query completes."""
+def cells_needed(query, monkeypatch, module=measure, run=quotient_set_bounds):
+    """Smallest cell budget of ``module`` under which ``run(query)`` completes."""
     lo, hi = 1, 1 << 16
     with monkeypatch.context() as patch:
         while lo < hi:
             mid = (lo + hi) // 2
-            patch.setattr(measure, "BREAKPOINT_CAP", mid)
+            patch.setattr(module, "BREAKPOINT_CAP", mid)
             try:
-                quotient_set_bounds(query)
+                run(query)
             except BreakpointLimitError:
                 lo = mid + 1
             else:
@@ -240,18 +240,24 @@ class TestCellBudget:
         assert depth_used == 10
         assert lo == quotient_set_bounds(self.query(10)).lo
 
-    def test_lower_bound_needs_fewer_cells_than_the_bracket(self, monkeypatch):
-        # the full depth-10 bracket needs more than 100 cells; its lower
-        # bound alone does not
-        with monkeypatch.context() as patch:
-            patch.setattr(measure, "BREAKPOINT_CAP", 100)
-            with pytest.raises(BreakpointLimitError):
-                quotient_set_bounds(self.query(10))
-            lo, depth_used, _ = certify_lower(
-                F(1, 3), F(1, 2), F(-3, 5), Dir.LE, F(2), depth=10
-            )
-        assert depth_used == 10
-        assert lo == quotient_set_bounds(self.query(10)).lo
+    def test_bracket_needs_no_more_cells_than_the_pieces(self, monkeypatch):
+        # one walk over the window visits a subset of the cells that the
+        # four per-piece walks of the reference kernel visited together
+        def pieces(query):
+            return oracles.piece_measures(query.depth, query.alpha,
+                                          oracles.query_pieces(query))
+
+        for query in (self.query(10), self.query(16),
+                      q(F(1, 3), F(1, 4), F(-1), Dir.LE, 16),
+                      q(F(-5, 7), F(3, 8), F(1, 2), Dir.GE, 12)):
+            walk = cells_needed(query, monkeypatch)
+            assert walk <= cells_needed(query, monkeypatch, oracles, pieces)
+            with monkeypatch.context() as patch:
+                patch.setattr(measure, "BREAKPOINT_CAP", walk)
+                lo, depth_used, _ = certify_lower(query.x, query.r, query.alpha,
+                                                  query.direction, F(2), depth=query.depth)
+            assert depth_used == query.depth
+            assert lo == quotient_set_bounds(query).lo
 
     def test_over_budget_certificate_names_the_query(self, monkeypatch):
         # over the budget, certify_lower raises the error that names the

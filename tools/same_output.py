@@ -6,12 +6,13 @@ Exports REV with ``git archive`` into a temporary directory, generates
 every op of the three benchmark workloads for seeds 1-3 with
 ``bench/workloads.generate`` (writing the corpus files they read), adds
 the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS``, the
-refute and classify edge cases of ``REFUTE_OPS``, the twin edge cases of
+measure walks of ``WALK_OPS``, the refute and classify edge cases of
+``REFUTE_OPS``, the twin edge cases of
 ``TWIN_OPS``, the long slope walks of ``SLOPE_OPS``, the period-closed
 partial sums of ``ORBIT_OPS``, the failing ops of ``ERROR_OPS`` and the
 argument parsing cases of ``USAGE_OPS``, and runs each op through
 ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 151 ops in all.
+1 158 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -63,6 +64,27 @@ DEEP_OPS = (
     ["blowup", "--x", "3/8", "--n", "120", "--format", "json"],
     ["blowup", "--x", "-5/4", "--n", "200", "--format", "json"],
     ["lemma", "--x", "5/7", "--n", "300", "--format", "json"],
+)
+
+# Measure queries past the benchmark's mix, each one walk over its window:
+# integer thresholds (alpha = -1 LE and alpha = 0 GE), whose cells grow about
+# as 2**(depth/2); a dyadic centre on the level-n grid with r = 3/8; a
+# negative centre; and a window narrower than one level-n cell.
+WALK_OPS = (
+    ["measure", "--x", "1/3", "--r", "1/4", "--alpha", "-1", "--dir", "le", "--depth", "24",
+     "--format", "json"],
+    ["measure", "--x", "1/3", "--r", "1/4", "--alpha", "-1", "--dir", "le", "--depth", "28",
+     "--format", "json"],
+    ["measure", "--x", "1/3", "--r", "1/4", "--alpha", "0", "--dir", "ge", "--depth", "24",
+     "--format", "json"],
+    ["measure", "--x", "1/3", "--r", "1/4", "--alpha", "0", "--dir", "ge", "--depth", "28",
+     "--format", "json"],
+    ["measure", "--x", "1365/8192", "--r", "3/8", "--alpha", "1/3", "--dir", "le", "--depth", "12",
+     "--format", "json"],
+    ["measure", "--x", "-5/7", "--r", "1/8", "--alpha", "-2/5", "--dir", "ge", "--depth", "16",
+     "--format", "json"],
+    ["measure", "--x", "2/7", "--r", "1/131072", "--alpha", "-6", "--dir", "ge", "--depth", "14",
+     "--format", "json"],
 )
 
 # Refute and classify edge cases: the horizon heuristic's verdict at 3/19
@@ -218,6 +240,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
                        for i, op in enumerate(op_list))
     ops.extend((f"text op {i}", list(argv)) for i, argv in enumerate(TEXT_OPS))
     ops.extend((f"deep op {i}", list(argv)) for i, argv in enumerate(DEEP_OPS))
+    ops.extend((f"walk op {i}", list(argv)) for i, argv in enumerate(WALK_OPS))
     ops.extend((f"refute op {i}", list(argv)) for i, argv in enumerate(REFUTE_OPS))
     ops.extend((f"twin op {i}", list(argv)) for i, argv in enumerate(TWIN_OPS))
     ops.extend((f"slope op {i}", list(argv)) for i, argv in enumerate(SLOPE_OPS))
