@@ -156,7 +156,8 @@ def test_equal_to_the_per_crossing_fraction_kernel():
 
 
 def edge_queries(seed=2026, count=400):
-    """Queries at depths 1-40 whose window ends or centre meet a cell edge."""
+    """Queries at depths 1-40: negative centres, dyadic centres on the level-n
+    grid, r = 3/8 and windows narrower than one level-n cell."""
     rng = random.Random(seed)
     for i in range(count):
         depth = rng.randrange(1, 41)

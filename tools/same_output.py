@@ -7,10 +7,10 @@ every op of the three benchmark workloads for seeds 1-3 with
 ``bench/workloads.generate`` (writing the corpus files they read), adds
 the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS``, the
 measure walks of ``WALK_OPS``, the refute and classify edge cases of
-``REFUTE_OPS``, the twin edge cases of
-``TWIN_OPS``, the long slope walks of ``SLOPE_OPS``, the period-closed
-partial sums of ``ORBIT_OPS``, the failing ops of ``ERROR_OPS`` and the
-argument parsing cases of ``USAGE_OPS``, and runs each op through
+``REFUTE_OPS``, the twin edge cases of ``TWIN_OPS``, the long slope walks
+of ``SLOPE_OPS``, the period-closed partial sums of ``ORBIT_OPS``, the
+failing ops of ``ERROR_OPS`` and the argument parsing cases of
+``USAGE_OPS``, and runs each op through
 ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
 1 158 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
