@@ -22,15 +22,17 @@ function T:
   G_{n-1} at the nearer cell end, so it equals that of a twin whose
   scale is fixed by those, not by n (:func:`verify_lemma`).  Both halves of a blow-up at n are
   ``2**(first-n)`` times those at the first scale ``first = 2*n0 + 1``
-  (:func:`blowup_check`).  Within one :func:`refute` call each distinct
-  twin query runs once; nothing is kept between calls.
+  (:func:`blowup_check`).  One :func:`refute` call keys its twins by
+  integers, a lemma twin x' at scale n' by ``(x'.numerator, x'.denominator,
+  n')`` and a blow-up half by its centre's and its sign, so it costs its
+  distinct twin queries plus constant work per scale; nothing is kept.
 * :func:`refute` packages such certificates into horizon-N evidence,
   in one pipeline: :func:`classify` names the case, one scale list
   follows from the slope sums, and each scale gets its certificates.
   For slope sums oscillating on a bounded range it emits LE/GE pairs
   at the revisits of their minimum, whose thresholds differ by exactly
   1/5 with densities >= 2**-6 on both sides -- jointly incompatible
-  with any single derivative value; for drifting slope sums it emits
+  with any single finite derivative value; for drifting slope sums it emits
   one-sided certificates at record-and-reversal indices, with
   unboundedly growing thresholds; at a dyadic point it certifies one
   blow-up of the one-sided quotients, which rescales to every scale.
@@ -49,6 +51,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .exactnum import check_printable, dyadic_level, format_rat, is_dyadic, _to_fraction
 from .measure import CERTIFIED, Dir, UNDECIDED, certify_lower
@@ -97,19 +100,20 @@ DYADIC_CORPUS = tuple(Fraction(j, 1 << m) for j, m in ((0, 0), (1, 1), (1, 2), (
 
 _LEMMA_DEPTH_HEADROOM = 8
 
-# The kernel results of the running refute call, keyed by query; None
+# The kernel results of the running refute call, keyed by integers; None
 # outside one, so that no result outlives the call that computed it.
 _QUERIES: ContextVar[dict | None] = ContextVar("_QUERIES", default=None)
 
 
-def _certify(x, r, alpha, direction, target, *, depth):
-    """:func:`~takagi_lab.measure.certify_lower`, run once per distinct query in a refute call."""
+def _once(key: tuple[int, int, int], n: int, query) -> tuple[Fraction, str, Fraction]:
+    """``(lo, status, lo * 2**(n-1))`` of ``query()``, a certify_lower call at radius
+    2**-n, whose last item is lo's density; run once per key in a refute call."""
     queries = _QUERIES.get()
-    if queries is None:
-        return certify_lower(x, r, alpha, direction, target, depth=depth)
-    key = (x, r, alpha, direction, target, depth)
+    if queries is None:  # outside a refute call: keep nothing
+        queries = {}
     if key not in queries:
-        queries[key] = certify_lower(x, r, alpha, direction, target, depth=depth)
+        lo, _, status = query()
+        queries[key] = lo, status, lo * (1 << (n - 1))
     return queries[key]
 
 
@@ -218,6 +222,28 @@ def _lemma_twin(x: Fraction, n: int) -> tuple[Fraction, int]:
     return Fraction(twin_j * q + rest, q << (e + 2)), e + 3
 
 
+def _lemma(x, n: int) -> tuple[Fraction, int, Dir, Fraction, int, tuple]:
+    """``(x, sign, direction, alpha, n', entry)`` of the lemma at (x, n), where ``entry``
+    is its twin's in :func:`_once`."""
+    xf = _to_fraction(x)
+    if is_dyadic(xf):
+        raise ValueError("the one-scale estimate needs a non-dyadic centre")
+    if n < 1:
+        raise ValueError("scale index must be positive")
+    sign = slope(n, xf)
+    margin = SLOPE_MARGIN if sign == 1 else -SLOPE_MARGIN
+    direction = Dir.LE if sign == 1 else Dir.GE
+    tx, tn = _lemma_twin(xf, n)
+
+    def query():
+        return certify_lower(tx, Fraction(1, 1 << tn), slope_sum(tx, tn - 1) + margin,
+                             direction, Fraction(1, 1 << (tn + 5)),
+                             depth=tn + _LEMMA_DEPTH_HEADROOM)
+
+    key = (tx.numerator, tx.denominator, tn)  # tn too: x is its own twin at each n <= e + 2
+    return xf, sign, direction, slope_sum(xf, n - 1) + margin, tn, _once(key, tn, query)
+
+
 def verify_lemma(x, n: int) -> LemmaReport:
     """Certify the one-scale measure estimate at (x, n).
 
@@ -256,43 +282,19 @@ def verify_lemma(x, n: int) -> LemmaReport:
     ``depth_used`` is ``n + 8``, the depth of the full query the bracket
     equals.
     """
-    xf = _to_fraction(x)
-    if is_dyadic(xf):
-        raise ValueError("the one-scale estimate needs a non-dyadic centre")
-    if n < 1:
-        raise ValueError("scale index must be positive")
-    sign = slope(n, xf)
-    margin = SLOPE_MARGIN if sign == 1 else -SLOPE_MARGIN
-    direction = Dir.LE if sign == 1 else Dir.GE
-    alpha = slope_sum(xf, n - 1) + margin
-    tx, tn = _lemma_twin(xf, n)
-    lo, _, status = _certify(tx, Fraction(1, 1 << tn), slope_sum(tx, tn - 1) + margin,
-                             direction, Fraction(1, 1 << (tn + 5)),
-                             depth=tn + _LEMMA_DEPTH_HEADROOM)
-    return LemmaReport(
-        x=xf,
-        n=n,
-        sign=sign,
-        direction=direction,
-        alpha=alpha,
-        bound_required=Fraction(1, 1 << (n + 5)),
-        bound_certified=lo / (1 << (n - tn)),
-        depth_used=n + _LEMMA_DEPTH_HEADROOM,
-        status=status,
-    )
+    xf, sign, direction, alpha, tn, (lo, status, _) = _lemma(x, n)
+    return LemmaReport(x=xf, n=n, sign=sign, direction=direction, alpha=alpha,
+                       bound_required=Fraction(1, 1 << (n + 5)),
+                       bound_certified=lo / (1 << (n - tn)),
+                       depth_used=n + _LEMMA_DEPTH_HEADROOM, status=status)
 
 
 def certificate(x, n: int) -> DensityCertificate:
-    """Package :func:`verify_lemma` as a density bound at radius 2**-n."""
-    report = verify_lemma(x, n)
-    r = Fraction(1, 1 << n)
-    return DensityCertificate(
-        x=report.x,
-        r=r,
-        alpha=report.alpha,
-        direction=report.direction,
-        density_lo=report.bound_certified / (2 * r),
-    )
+    """The lemma at (x, n) as a density bound at radius 2**-n: its bracket over the
+    window, the twin's density ``lo * 2**(n'-1)``, read from the twin's entry."""
+    xf, _, direction, alpha, _, (_, _, density) = _lemma(x, n)
+    return DensityCertificate(x=xf, r=Fraction(1, 1 << n), alpha=alpha, direction=direction,
+                              density_lo=density)
 
 
 def classify(x, N: int) -> ClassificationReport:
@@ -371,10 +373,11 @@ def blowup_check(x, n: int) -> BlowupReport:
     if n <= 2 * n0:
         raise ValueError(f"need n > {2 * n0} at {xf} (level floor {n0})")
     first = _first_blowup_scale(xf)  # where the threshold first - 2*n0 is 1
-    halves = [_certify(xf, Fraction(1, 1 << (first + 1)), Fraction(sign), direction,
-                       Fraction(1, 1 << (first + 2)), depth=first + 4)
+    halves = [_once((xf.numerator, xf.denominator, sign), first + 1,
+                    partial(certify_lower, xf, Fraction(1, 1 << (first + 1)), Fraction(sign),
+                            direction, Fraction(1, 1 << (first + 2)), depth=first + 4))
               for sign, direction in ((1, Dir.GE), (-1, Dir.LE))]
-    (lo_ge, _, status_ge), (lo_le, _, status_le) = halves
+    (lo_ge, status_ge, _), (lo_le, status_le, _) = halves
     scale = 1 << (n - first)
     lo_ge, lo_le = lo_ge / scale, lo_le / scale
     return BlowupReport(
@@ -468,7 +471,7 @@ def _certificates(x: Fraction, case: str, n: int) -> list[DensityCertificate]:
 
 
 def refute(x, horizon: int) -> RefutationEvidence:
-    """Horizon-N evidence that no approximate derivative exists at x.
+    """Horizon-N evidence that no finite approximate derivative exists at x.
 
     One pipeline for every case: :func:`classify` gives the case,
     :func:`_scales` the scales, and :func:`_certificates` the

@@ -12,7 +12,8 @@ and takes only the shared flags that handler reads:
   adds decimal convenience values that are explicitly non-authoritative.
 
 All machine output is exact: JSON carries rationals as ``"p/q"``
-strings under a versioned ``"schema": "takagi-lab/1"`` key.
+strings under a versioned ``"schema": "takagi-lab/1"`` key, in exactly
+the bytes of ``json.dumps(payload, indent=2)`` (written by :func:`_json`).
 
 A named subcommand's arguments go straight to that subcommand's own
 parser, as the top-level parser would hand them on; the top-level parser
@@ -33,12 +34,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from math import gcd
+from json.encoder import encode_basestring_ascii
+from math import gcd, isfinite
 from pathlib import Path
 
 from . import analysis, measure
@@ -174,7 +175,33 @@ def _emit_json(command: str, result, approx=None) -> str:
     payload = {"schema": SCHEMA, "command": command, **body}
     if approx is not None:
         payload["approx"] = approx
-    return json.dumps(payload, indent=2)
+    return _json(payload)
+
+
+def _json(node, pad: str = "\n") -> str:
+    """``json.dumps(node, indent=2)`` for str-keyed dicts, lists, str, int, float, bool
+    and None, at the indent ``pad`` ends with.  A NaN or an infinity (no JSON form)
+    raises ``ValueError``, any other type ``TypeError``."""
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    if node is None or isinstance(node, bool):
+        return "null" if node is None else "true" if node else "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if isinstance(node, float):
+        if not isfinite(node):
+            raise ValueError(f"{node!r} has no JSON form")
+        return float.__repr__(node)
+    inner = pad + "  "
+    if isinstance(node, dict):
+        items, ends = [f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
+                       for key, value in node.items()], "{}"
+    elif isinstance(node, list):  # a list of plain ints (slope sums) skips the call per item
+        items, ends = ([*map(int.__repr__, node)] if all(type(item) is int for item in node)
+                       else [_json(item, inner) for item in node]), "[]"
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
 
 
 def _text_lines(result) -> list[str]:

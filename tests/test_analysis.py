@@ -14,6 +14,7 @@ from takagi_lab.analysis import (
     CASE_DIVERGENT,
     CASE_DYADIC,
     INSUFFICIENT_HORIZON,
+    DensityCertificate,
     blowup_check,
     certificate,
     classify,
@@ -385,6 +386,41 @@ class TestTwins:
         assert all(seen[sign, left] for sign in (1, -1) for left in (True, False))
         assert seen["below 0"] and seen["above 1"] and seen["in (0, 1)"]
         assert all(seen["e", e] for e in range(10))
+
+    def test_refute_reads_each_certificate_from_its_twin(self):
+        # every certificate of a refute call, read from the call's table, is
+        # the one certificate(x, n) computes alone and the full query's
+        # bracket over the window; near an integer the twin is x itself at
+        # both scales of a pair (-1/12: n = 2 and 3), so a table key without
+        # the twin's scale would hand the second scale the first's entry
+        rng = random.Random(22)
+        centres = [(F(13, 12), 40), (F(-1, 12), 40), (F(11, 12), 40), (F(-13, 12), 30),
+                   (F(-1, 3072), 40), (F(1572865, 1572864), 30), (F(-1, 1572864), 30)]
+        while len(centres) < 19:
+            x = F(rng.randrange(-10**4, 10**4), rng.randrange(3, 10**4))
+            if not is_dyadic(x):
+                centres.append((x, rng.randrange(8, 41)))
+        seen = Counter()
+        for x, horizon in centres:
+            evidence = refute(x, horizon)
+            certificates = [c for pair in evidence.pairs for c in (pair.le, pair.ge)]
+            certificates += evidence.singles
+            scales = [c.r.denominator.bit_length() - 1 for c in certificates]  # r = 2**-n
+            itself = sum(analysis._lemma_twin(x, n)[1] == n for n in scales)
+            # every scale certified, so no wrong density could drop one unseen
+            assert len(evidence.pairs) + len(evidence.singles) == len(
+                analysis._scales(classify(x, horizon))), x
+            for cert, n in zip(certificates, scales):
+                assert cert == certificate(x, n), (x, n)
+                report = full_query_verify_lemma(x, n)
+                assert cert == DensityCertificate(
+                    x=x, r=F(1, 1 << n), alpha=report.alpha, direction=report.direction,
+                    density_lo=report.bound_certified * (1 << (n - 1))), (x, n)
+            seen[evidence.case_hint] += bool(certificates)
+            seen["below 0"] += x < 0
+            seen["x is its twin at two scales"] += itself >= 2
+        assert seen[CASE_BOUNDED] and seen[CASE_DIVERGENT] and seen["below 0"]
+        assert seen["x is its twin at two scales"] >= 3
 
     @pytest.mark.parametrize("x", [F(0), F(1), F(1, 2), F(13, 64), F(-3, 8), F(5, 4)])
     def test_blowup_equals_the_full_queries(self, x):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import reference_run, reference_sample_rows
 from takagi_lab import analysis, cli, measure
@@ -602,6 +603,73 @@ class TestMachineOutputExactness:
     ])
     def test_exact_stdout(self, capsys, argv, stdout):
         assert invoke(capsys, *argv) == (0, stdout, "")
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+_json_text = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f\u00e9\u2028\U0001d11e'), st.characters()))
+_json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+              st.floats(allow_nan=False, allow_infinity=False),  # -0.0 and subnormals too
+              _json_text),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(_json_text, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """``cli._json`` against ``json.dumps(indent=2)``, the writer it replaced."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_json_trees)
+    @example({"": [], "a": {}, "b": [[], {}], "c": [-0.0, 5e-324, 1e308, -1.5, 0.1]})
+    @example([2**64 + 1, -(2**64) - 1, -7, 0, True, False, None,
+              'quote " backslash \\ nul \x00 tab \t \u00e9 \U0001d11e'])
+    def test_equals_json_dumps(self, node):
+        assert cli._json(node) == json.dumps(node, indent=2)
+
+    ARGVS = (
+        ["eval", "--x", "5/8"], ["eval", "--x", "1/4", "--classical", "--approx"],
+        ["enclose", "--x", "1/3", "--depth", "40", "--approx"],
+        ["slopes", "--x", "1/7", "--n", "40"], ["neighbors", "--x", "-5/7", "--n", "3"],
+        ["measure", "--x", "1/3", "--r", "1/8", "--alpha", "-2/5", "--dir", "le", "--depth", "8",
+         "--approx"],
+        ["lemma", "--x", "13/12", "--n", "5"], ["blowup", "--x", "-3/8", "--n", "6"],
+        ["classify", "--x", "1/2", "--n", "3"], ["classify", "--x", "3/19", "--n", "30"],
+        ["refute", "--x", "1/3", "--n", "1"], ["refute", "--x", "1/3", "--n", "12"],
+        ["refute", "--x", "1/7", "--n", "30"], ["refute", "--x", "3/8", "--n", "5"],
+        ["verify-all"],
+    )
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv))
+    def test_every_report_as_json_dumps_wrote_it(self, capsys, monkeypatch, argv):
+        payloads = []
+        real = cli._json
+
+        def recording(node, pad="\n"):  # keeps the whole payload, not its parts
+            if pad == "\n":
+                payloads.append(node)
+            return real(node, pad)
+
+        monkeypatch.setattr(cli, "_json", recording)
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code in (0, 2)
+        (payload,) = payloads
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("node", [F(1, 2), (1, 2), {1, 2}, {"a": [1, (2,)]}, [{"b": F(1)}]],
+                             ids=repr)
+    def test_other_types_raise_type_error(self, node):
+        with pytest.raises(TypeError):
+            cli._json(node)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_are_refused(self, value):
+        # json.dumps would write NaN / Infinity, which is not JSON
+        for node in (value, [value], {"approx": {"mid": value}}):
+            with pytest.raises(ValueError, match="has no JSON form"):
+                cli._json(node)
 
 
 class TestParserReuse:

@@ -9,10 +9,10 @@ the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS``, the
 measure walks of ``WALK_OPS``, the refute and classify edge cases of
 ``REFUTE_OPS``, the twin edge cases of ``TWIN_OPS``, the long slope walks
 of ``SLOPE_OPS``, the period-closed partial sums of ``ORBIT_OPS``, the
-failing ops of ``ERROR_OPS`` and the argument parsing cases of
-``USAGE_OPS``, and runs each op through
+JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS`` and
+the argument parsing cases of ``USAGE_OPS``, and runs each op through
 ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 158 ops in all.
+1 164 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -153,6 +153,19 @@ ORBIT_OPS = (
     ["eval", "--x", "12345/32768", "--classical"],
 )
 
+# JSON output that no benchmark op prints: floats under ``"approx"``, the
+# built-in corpus, an empty ``values`` list (a dyadic classify) and empty
+# ``pairs`` and ``singles`` (an insufficient horizon).
+JSON_OPS = (
+    ["eval", "--x", "1/4", "--approx", "--format", "json"],
+    ["enclose", "--x", "1/3", "--depth", "40", "--approx", "--format", "json"],
+    ["measure", "--x", "1/2", "--r", "1/16", "--alpha", "3", "--dir", "ge", "--depth", "12",
+     "--approx", "--format", "json"],
+    ["verify-all", "--format", "json"],
+    ["classify", "--x", "1/2", "--n", "3", "--format", "json"],
+    ["refute", "--x", "1/3", "--n", "1", "--format", "json"],
+)
+
 # Error paths: dyadic input refused or out of domain, and exact outputs too
 # long to print (which fail with the same message before or after the work).
 ERROR_OPS = (
@@ -245,6 +258,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
     ops.extend((f"twin op {i}", list(argv)) for i, argv in enumerate(TWIN_OPS))
     ops.extend((f"slope op {i}", list(argv)) for i, argv in enumerate(SLOPE_OPS))
     ops.extend((f"orbit op {i}", list(argv)) for i, argv in enumerate(ORBIT_OPS))
+    ops.extend((f"json op {i}", list(argv)) for i, argv in enumerate(JSON_OPS))
     ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
     ops.extend((f"usage op {i}", list(argv)) for i, argv in enumerate(USAGE_OPS))
     return ops
