@@ -22,10 +22,11 @@ function T:
   G_{n-1} at the nearer cell end, so it equals that of a twin whose
   scale is fixed by those, not by n (:func:`verify_lemma`).  Both halves of a blow-up at n are
   ``2**(first-n)`` times those at the first scale ``first = 2*n0 + 1``
-  (:func:`blowup_check`).  One :func:`refute` call keys its twins by
-  integers, a lemma twin x' at scale n' by ``(x'.numerator, x'.denominator,
-  n')`` and a blow-up half by its centre's and its sign, so it costs its
-  distinct twin queries plus constant work per scale; nothing is kept.
+  (:func:`blowup_check`).  :func:`refute` makes one table of lemma twins
+  per call and passes it down, keyed by integers, a twin x' at scale n'
+  by ``(x'.numerator, x'.denominator, n')``, so it costs its distinct
+  twin queries plus constant work per scale; nothing outlives the call.
+  Blow-ups are not tabled: a dyadic point has one scale.
 * :func:`refute` packages such certificates into horizon-N evidence,
   in one pipeline: :func:`classify` names the case, one scale list
   follows from the slope sums, and each scale gets its certificates.
@@ -47,11 +48,9 @@ infinite statement would forbid.
 from __future__ import annotations
 
 import dataclasses
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 
 from .exactnum import check_printable, dyadic_level, format_rat, is_dyadic, _to_fraction
 from .measure import CERTIFIED, Dir, UNDECIDED, certify_lower
@@ -99,23 +98,6 @@ NONDYADIC_CORPUS = (
 DYADIC_CORPUS = tuple(Fraction(j, 1 << m) for j, m in ((0, 0), (1, 1), (1, 2), (3, 2), (5, 3)))
 
 _LEMMA_DEPTH_HEADROOM = 8
-
-# The kernel results of the running refute call, keyed by integers; None
-# outside one, so that no result outlives the call that computed it.
-_QUERIES: ContextVar[dict | None] = ContextVar("_QUERIES", default=None)
-
-
-def _once(key: tuple[int, int, int], n: int, query) -> tuple[Fraction, str, Fraction]:
-    """``(lo, status, lo * 2**(n-1))`` of ``query()``, a certify_lower call at radius
-    2**-n, whose last item is lo's density; run once per key in a refute call."""
-    queries = _QUERIES.get()
-    if queries is None:  # outside a refute call: keep nothing
-        queries = {}
-    if key not in queries:
-        lo, _, status = query()
-        queries[key] = lo, status, lo * (1 << (n - 1))
-    return queries[key]
-
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -222,9 +204,11 @@ def _lemma_twin(x: Fraction, n: int) -> tuple[Fraction, int]:
     return Fraction(twin_j * q + rest, q << (e + 2)), e + 3
 
 
-def _lemma(x, n: int) -> tuple[Fraction, int, Dir, Fraction, int, tuple]:
-    """``(x, sign, direction, alpha, n', entry)`` of the lemma at (x, n), where ``entry``
-    is its twin's in :func:`_once`."""
+def _lemma(x, n: int, table: dict) -> tuple[Fraction, int, Dir, Fraction, int, tuple]:
+    """``(x, sign, direction, alpha, n', entry)`` of the lemma at (x, n), where ``entry`` is
+    ``(lo, status, lo * 2**(n'-1))`` of the query of its twin x' at scale n', the last item
+    lo's density, read from ``table`` at ``(x'.numerator, x'.denominator, n')`` or run and
+    stored there.  :func:`refute` passes one table for all its scales; blow-ups are not tabled."""
     xf = _to_fraction(x)
     if is_dyadic(xf):
         raise ValueError("the one-scale estimate needs a non-dyadic centre")
@@ -234,14 +218,13 @@ def _lemma(x, n: int) -> tuple[Fraction, int, Dir, Fraction, int, tuple]:
     margin = SLOPE_MARGIN if sign == 1 else -SLOPE_MARGIN
     direction = Dir.LE if sign == 1 else Dir.GE
     tx, tn = _lemma_twin(xf, n)
-
-    def query():
-        return certify_lower(tx, Fraction(1, 1 << tn), slope_sum(tx, tn - 1) + margin,
-                             direction, Fraction(1, 1 << (tn + 5)),
-                             depth=tn + _LEMMA_DEPTH_HEADROOM)
-
     key = (tx.numerator, tx.denominator, tn)  # tn too: x is its own twin at each n <= e + 2
-    return xf, sign, direction, slope_sum(xf, n - 1) + margin, tn, _once(key, tn, query)
+    if key not in table:
+        lo, _, status = certify_lower(tx, Fraction(1, 1 << tn), slope_sum(tx, tn - 1) + margin,
+                                      direction, Fraction(1, 1 << (tn + 5)),
+                                      depth=tn + _LEMMA_DEPTH_HEADROOM)
+        table[key] = lo, status, lo * (1 << (tn - 1))
+    return xf, sign, direction, slope_sum(xf, n - 1) + margin, tn, table[key]
 
 
 def verify_lemma(x, n: int) -> LemmaReport:
@@ -282,7 +265,7 @@ def verify_lemma(x, n: int) -> LemmaReport:
     ``depth_used`` is ``n + 8``, the depth of the full query the bracket
     equals.
     """
-    xf, sign, direction, alpha, tn, (lo, status, _) = _lemma(x, n)
+    xf, sign, direction, alpha, tn, (lo, status, _) = _lemma(x, n, {})
     return LemmaReport(x=xf, n=n, sign=sign, direction=direction, alpha=alpha,
                        bound_required=Fraction(1, 1 << (n + 5)),
                        bound_certified=lo / (1 << (n - tn)),
@@ -291,8 +274,13 @@ def verify_lemma(x, n: int) -> LemmaReport:
 
 def certificate(x, n: int) -> DensityCertificate:
     """The lemma at (x, n) as a density bound at radius 2**-n: its bracket over the
-    window, the twin's density ``lo * 2**(n'-1)``, read from the twin's entry."""
-    xf, _, direction, alpha, _, (_, _, density) = _lemma(x, n)
+    window, the twin's density ``lo * 2**(n'-1)`` (see :func:`verify_lemma`)."""
+    return _certificate(x, n, {})
+
+
+def _certificate(x, n: int, table: dict) -> DensityCertificate:
+    """:func:`certificate`, with the twin's entry read from ``table`` (see :func:`_lemma`)."""
+    xf, _, direction, alpha, _, (_, _, density) = _lemma(x, n, table)
     return DensityCertificate(x=xf, r=Fraction(1, 1 << n), alpha=alpha, direction=direction,
                               density_lo=density)
 
@@ -373,11 +361,10 @@ def blowup_check(x, n: int) -> BlowupReport:
     if n <= 2 * n0:
         raise ValueError(f"need n > {2 * n0} at {xf} (level floor {n0})")
     first = _first_blowup_scale(xf)  # where the threshold first - 2*n0 is 1
-    halves = [_once((xf.numerator, xf.denominator, sign), first + 1,
-                    partial(certify_lower, xf, Fraction(1, 1 << (first + 1)), Fraction(sign),
-                            direction, Fraction(1, 1 << (first + 2)), depth=first + 4))
+    halves = [certify_lower(xf, Fraction(1, 1 << (first + 1)), Fraction(sign), direction,
+                            Fraction(1, 1 << (first + 2)), depth=first + 4)
               for sign, direction in ((1, Dir.GE), (-1, Dir.LE))]
-    (lo_ge, status_ge, _), (lo_le, status_le, _) = halves
+    (lo_ge, _, status_ge), (lo_le, _, status_le) = halves
     scale = 1 << (n - first)
     lo_ge, lo_le = lo_ge / scale, lo_le / scale
     return BlowupReport(
@@ -447,7 +434,7 @@ def _scales(report: ClassificationReport) -> list[int]:
     return scales
 
 
-def _certificates(x: Fraction, case: str, n: int) -> list[DensityCertificate]:
+def _certificates(x: Fraction, case: str, n: int, table: dict) -> list[DensityCertificate]:
     """What :func:`refute` emits at scale n: ``[le, ge]``, ``[single]`` or ``[blow-up]``.
 
     The LE certificate at n and the GE certificate at ``n - 1`` of a
@@ -461,8 +448,8 @@ def _certificates(x: Fraction, case: str, n: int) -> list[DensityCertificate]:
                                    direction=Dir.GE,
                                    density_lo=rep.lo_one_sided / (2 * rep.radius))]
     if case == CASE_DIVERGENT:
-        return [certificate(x, n)]
-    le, ge = certificate(x, n), certificate(x, n - 1)
+        return [_certificate(x, n, table)]
+    le, ge = _certificate(x, n, table), _certificate(x, n - 1, table)
     if le.direction is not Dir.LE or ge.direction is not Dir.GE:
         raise RuntimeError(f"unexpected certificate directions at n={n}")
     if ge.alpha - le.alpha != Fraction(1, 5):
@@ -500,11 +487,8 @@ def refute(x, horizon: int) -> RefutationEvidence:
     scales = _scales(report)
     if scales:  # scale n prints radius 2**-n, a blow-up at n prints 2**-(n+1)
         check_printable(scales[-1] + (case == CASE_DYADIC))
-    token = _QUERIES.set({})
-    try:
-        found = {n: _certificates(xf, case, n) for n in scales}
-    finally:
-        _QUERIES.reset(token)
+    table: dict = {}  # the lemma twins' entries, shared by all scales of this call
+    found = {n: _certificates(xf, case, n, table) for n in scales}
     bad = [n for n in scales if min(c.density_lo for c in found[n]) < Fraction(1, 64)]
     good = [n for n in scales if n not in bad]
     if case == CASE_BOUNDED:

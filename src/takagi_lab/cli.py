@@ -378,6 +378,7 @@ def _slopes(args) -> int:
 
 
 def _neighbors(args) -> int:
+    check_printable(args.n)  # x_n or y_n has denominator 2**n
     lo, hi = dyadic_neighbors(parse_rat(args.x), args.n)
     _emit(args, {"x_n": lo, "y_n": hi}, text=lambda _: [f"{format_rat(lo)} {format_rat(hi)}"])
     return 0

@@ -342,6 +342,27 @@ class TestRefute:
             assert runs[0] == runs[1]
             assert len(set(runs[0])) == len(runs[0]) == queries
 
+    def test_no_call_reads_another_calls_table(self, monkeypatch):
+        # refute(1/3, 12) queries the twin of (1/3, 2) first; a certificate(1/3, 2)
+        # made inside its second query runs that query again, with its own table
+        real = analysis.certify_lower
+        calls, nested = [], []
+
+        def reentrant(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                before = len(calls)
+                nested.append(certificate(F(1, 3), 2))
+                nested.append(len(calls) - before)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "certify_lower", reentrant)
+        refute(F(1, 3), 12)
+        monkeypatch.setattr(analysis, "certify_lower", real)
+        cert, queries = nested
+        assert queries == 1
+        assert cert == certificate(F(1, 3), 2)
+
 
 class TestTwins:
     """Each certificate's bracket equals the full-depth query it replaces."""

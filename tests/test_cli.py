@@ -85,12 +85,14 @@ class TestUnprintableFailsFast:
         (["blowup", "--x", "1/2", "--n", "15000"], (analysis, "blowup_check")),
         # a refute report prints 2**-n at its largest qualifying scale n, or
         # at its one blow-up's n + 1 = 2*7199 + 2 here
-        (["refute", "--x", "1/3", "--n", "15000"], (analysis, "certificate")),
+        (["refute", "--x", "1/3", "--n", "15000"], (analysis, "_certificate")),
         (["refute", "--x", "1/7", "--n", "15000", "--format", "json"],
-         (analysis, "certificate")),
+         (analysis, "_certificate")),
         (["refute", "--x", f"1/{1 << 7200}"], (analysis, "blowup_check")),
+        # one of x_n and y_n has denominator 2**n
+        (["neighbors", "--x", "1/3", "--n", "30000000"], (cli, "dyadic_neighbors")),
     ], ids=["enclose", "enclose-json", "sample", "lemma", "blowup", "refute-pairs",
-            "refute-singles", "refute-dyadic"])
+            "refute-singles", "refute-dyadic", "neighbors"])
     def test_one_line_and_nothing_computed(self, capsys, monkeypatch, argv, patched):
         monkeypatch.setattr(*patched, self.never)
         code, out, err = invoke(capsys, *argv)
@@ -123,7 +125,7 @@ class TestUnprintableFailsFast:
 
     def test_refute_is_rejected_only_past_the_limit(self, capsys, monkeypatch):
         # at the smallest limit, 640 digits, 2**2126 prints and 2**2127 does not
-        def fake(x, n):  # the 1/3 pairs pass their direction and gap checks
+        def fake(x, n, table):  # the 1/3 pairs pass their direction and gap checks
             direction = measure.Dir.LE if n % 2 == 0 else measure.Dir.GE
             return analysis.DensityCertificate(x, F(1, 1 << n), F(-n, 5), direction, F(1, 32))
 
@@ -136,10 +138,10 @@ class TestUnprintableFailsFast:
             monkeypatch.setattr(analysis, "blowup_check", self.never)
             assert invoke(capsys, "refute", "--x", f"1/{1 << 1064}")[0] == 1
             # the largest qualifying scale at 1/3 is the largest even n <= N
-            monkeypatch.setattr(analysis, "certificate", fake)
+            monkeypatch.setattr(analysis, "_certificate", fake)
             code, out, _ = invoke(capsys, "refute", "--x", "1/3", "--n", "2127")
             assert code == 0 and f"1/{1 << 2126}" in out
-            monkeypatch.setattr(analysis, "certificate", self.never)
+            monkeypatch.setattr(analysis, "_certificate", self.never)
             code, _, err = invoke(capsys, "refute", "--x", "1/3", "--n", "2128")
             assert code == 1 and "too many to print" in err
         finally:
@@ -338,13 +340,13 @@ class TestOtherReports:
         assert invoke(capsys, *argv) == (1, "", f"error: {query} needs more than 3 cells\n")
 
     def test_invariant_failure_is_one_line(self, capsys, monkeypatch):
-        def wrong_direction(x, n):
+        def wrong_direction(x, n, table):
             return analysis.DensityCertificate(
                 x=F(x), r=F(1, 1 << n), alpha=F(0), direction=measure.Dir.GE,
                 density_lo=F(1),
             )
 
-        monkeypatch.setattr(analysis, "certificate", wrong_direction)
+        monkeypatch.setattr(analysis, "_certificate", wrong_direction)
         code, out, err = invoke(capsys, "refute", "--x", "1/3", "--n", "6")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "unexpected certificate directions" in err

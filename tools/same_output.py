@@ -12,7 +12,7 @@ of ``SLOPE_OPS``, the period-closed partial sums of ``ORBIT_OPS``, the
 JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS`` and
 the argument parsing cases of ``USAGE_OPS``, and runs each op through
 ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 164 ops in all.
+1 165 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -180,6 +180,7 @@ ERROR_OPS = (
     ["eval", "--x", "2/3", "--format", "json"],
     ["neighbors", "--x", "1/4", "--n", "2"],
     ["neighbors", "--x", "3", "--n", "0", "--format", "json"],
+    ["neighbors", "--x", "1/3", "--n", "20000"],
     ["sample", "--a", "1/3", "--b", "1", "--count", "3"],
     ["sample", "--a", "0", "--b", "2/3", "--count", "3"],
     ["sample", "--a", "1", "--b", "0", "--count", "3"],
