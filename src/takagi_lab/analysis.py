@@ -47,10 +47,9 @@ infinite statement would forbid.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import check_printable, dyadic_level, format_rat, is_dyadic, _to_fraction
 from .measure import CERTIFIED, Dir, UNDECIDED, certify_lower
@@ -99,8 +98,7 @@ DYADIC_CORPUS = tuple(Fraction(j, 1 << m) for j, m in ((0, 0), (1, 1), (1, 2), (
 
 _LEMMA_DEPTH_HEADROOM = 8
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of one one-scale measure certification."""
 
     x: Fraction
@@ -114,8 +112,7 @@ class LemmaReport:
     status: str
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Horizon-N evidence about the behaviour of the slope sums.
 
     ``case_hint`` is evidence at the stated horizon only, never a claim
@@ -131,8 +128,7 @@ class ClassificationReport:
     case_hint: str
 
 
-@dataclass(frozen=True)
-class DensityCertificate:
+class DensityCertificate(NamedTuple):
     """A certified density lower bound at one scale and threshold."""
 
     x: Fraction
@@ -142,8 +138,7 @@ class DensityCertificate:
     density_lo: Fraction
 
 
-@dataclass(frozen=True)
-class CertificatePair:
+class CertificatePair(NamedTuple):
     """LE/GE certificates whose thresholds bracket a forbidden gap."""
 
     index: int
@@ -154,8 +149,7 @@ class CertificatePair:
         return self.ge.alpha - self.le.alpha
 
 
-@dataclass(frozen=True)
-class BlowupReport:
+class BlowupReport(NamedTuple):
     """Blow-up of one-sided quotients around a dyadic point.
 
     ``lo_one_sided`` bounds the GE set at threshold ``n - 2*n0`` (all
@@ -178,8 +172,7 @@ class BlowupReport:
     status: str
 
 
-@dataclass(frozen=True)
-class RefutationEvidence:
+class RefutationEvidence(NamedTuple):
     """Everything :func:`refute` found at one point up to a horizon."""
 
     x: Fraction
@@ -517,7 +510,7 @@ def refute(x, horizon: int) -> RefutationEvidence:
                               singles=singles, status=status, detail=detail)
 
 
-# dataclass -> its field names, filled the first time to_jsonable meets one
+# record type -> its field names, filled the first time to_jsonable meets one
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
@@ -528,9 +521,9 @@ def to_jsonable(obj):
     ``"p/q"`` strings; no floats ever appear.  Accepted, subclasses
     included: ``str``, ``int``, ``bool`` and ``None`` (returned as they
     are), ``Fraction``, ``Enum`` members (their value, so ``Dir.GE`` gives
-    ``"ge"``), dataclass instances (a dict of their fields), ``list`` and
-    ``tuple`` (a list) and ``dict`` (its values converted).  Any other
-    type raises ``TypeError("cannot serialize <type name> exactly")``.
+    ``"ge"``), records (named tuples: a dict of their fields), ``list``
+    and other ``tuple`` (a list) and ``dict`` (its values converted).  Any
+    other type raises ``TypeError("cannot serialize <type name> exactly")``.
     """
     # the exact types of report data first; subclasses fall to the checks below
     cls = type(obj)
@@ -540,7 +533,7 @@ def to_jsonable(obj):
         return format_rat(obj)
     names = _FIELD_NAMES.get(cls)
     if names is not None:
-        return {name: to_jsonable(getattr(obj, name)) for name in names}
+        return {name: to_jsonable(value) for name, value in zip(names, obj)}
     if cls is tuple or cls is list:
         return [to_jsonable(item) for item in obj]
     if cls is dict:
@@ -549,9 +542,10 @@ def to_jsonable(obj):
         return format_rat(obj)
     if isinstance(obj, Enum):
         return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        names = _FIELD_NAMES[cls] = tuple(field.name for field in dataclasses.fields(obj))
-        return {name: to_jsonable(getattr(obj, name)) for name in names}
+    # only a tuple is probed for _fields: on an Enum it is a slow EnumType.__getattr__
+    if isinstance(obj, tuple) and hasattr(cls, "_fields"):
+        names = _FIELD_NAMES[cls] = cls._fields
+        return {name: to_jsonable(value) for name, value in zip(names, obj)}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(item) for item in obj]
     if isinstance(obj, dict):

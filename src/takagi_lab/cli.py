@@ -40,7 +40,6 @@ from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd, isfinite
-from pathlib import Path
 
 from . import analysis, measure
 from .exactnum import (_join, _to_fraction, check_printable, dyadic_neighbors,
@@ -324,7 +323,8 @@ def _verify_all(args) -> int:
     if args.jobs != 1:
         raise ValueError(f"--jobs must be 1 (entries run in one process), got {args.jobs}")
     if args.corpus is not None:
-        text = Path(args.corpus).read_text(encoding="utf-8")
+        with open(args.corpus, encoding="utf-8") as corpus:
+            text = corpus.read()
     else:
         text = _default_corpus()
     results = []

@@ -61,10 +61,10 @@ dyadic rationals, keeping every cell on a dyadic grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .exactnum import _to_fraction, is_dyadic
 from .takagi import Enclosure, _enclosure_nums
@@ -102,27 +102,35 @@ class Dir(str, Enum):
     LE = "le"
 
 
-@dataclass(frozen=True)
-class QuotientQuery:
-    """One level-set measurement request."""
-
+class _QuotientQuery(NamedTuple):
     x: Fraction
     r: Fraction
     alpha: Fraction
     direction: Dir
     depth: int
 
-    def __post_init__(self):
-        for name in ("x", "r", "alpha"):
-            object.__setattr__(self, name, _to_fraction(getattr(self, name)))
-        if not is_dyadic(self.r):
+
+class QuotientQuery(_QuotientQuery):
+    """One level-set measurement request."""
+
+    __slots__ = ()
+    __annotations__ = _QuotientQuery.__annotations__
+
+    def __new__(cls, x, r, alpha, direction, depth):
+        x, r, alpha = _to_fraction(x), _to_fraction(r), _to_fraction(alpha)
+        if not is_dyadic(r):
             raise ValueError("radius must be dyadic")
-        if not self.r > 0:
+        if not r > 0:
             raise ValueError("radius must be positive")
-        if not isinstance(self.direction, Dir):
+        if not isinstance(direction, Dir):
             raise TypeError("direction must be a Dir")
-        if self.depth < 1:
+        if depth < 1:
             raise ValueError("depth must be positive")
+        return tuple.__new__(cls, (x, r, alpha, direction, depth))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through it, so it checks too
+        return cls(*iterable)
 
 
 def _over_budget(q: QuotientQuery, cap: int) -> BreakpointLimitError:

@@ -31,9 +31,9 @@ textbook variant that includes that term is available through the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .exactnum import dyadic_level, is_dyadic, _to_fraction
 
@@ -54,16 +54,28 @@ __all__ = [
 DEFAULT_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """Certified interval [lo, hi] containing a real value (T(x), or a measure)."""
-
+class _Enclosure(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: {self.lo} > {self.hi}")
+
+class Enclosure(_Enclosure):
+    """Certified interval [lo, hi] containing a real value (T(x), or a measure)."""
+
+    __slots__ = ()
+    __annotations__ = _Enclosure.__annotations__
+    # tuple repetition and lexicographic order mean nothing for an interval:
+    # ``2 * e`` and ``e < f`` raise TypeError
+    __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
+
+    def __new__(cls, lo, hi):
+        if lo > hi:
+            raise ValueError(f"empty enclosure: {lo} > {hi}")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through it, so it checks too
+        return cls(*iterable)
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -76,8 +88,7 @@ class Enclosure:
         return Enclosure(self.lo + other.lo, self.hi + other.hi)
 
 
-@dataclass(frozen=True)
-class SlopeSeq:
+class SlopeSeq(NamedTuple):
     """Slope sums ``G_1'(x), ..., G_N'(x)`` at a non-dyadic point.
 
     Consecutive entries differ by exactly one and ``values[n-1]`` has

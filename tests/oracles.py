@@ -39,10 +39,11 @@ depth ``n + 8`` (lemma) or ``n + 4`` (each blow-up half), kept verbatim.
 
 :func:`reference_to_jsonable` is ``analysis.to_jsonable`` as it was
 before it checked exact types first: one ``isinstance`` chain per node
-and ``dataclasses.fields`` per report.  :func:`reference_run` is
-``cli.run`` as it was before a named subcommand parsed its own
-arguments: the top-level parser reads every argv and hands the tokens
-after the subcommand name on.  Both are kept verbatim.
+and ``dataclasses.fields`` per report, kept verbatim but for one branch
+that writes a report record (a named tuple) as a dict of its fields.
+:func:`reference_run` is ``cli.run`` as it was before a named
+subcommand parsed its own arguments: the top-level parser reads every
+argv and hands the tokens after the subcommand name on, kept verbatim.
 """
 
 from __future__ import annotations
@@ -905,6 +906,8 @@ def reference_to_jsonable(obj):
             field.name: reference_to_jsonable(getattr(obj, field.name))
             for field in dataclasses.fields(obj)
         }
+    if isinstance(obj, tuple) and hasattr(type(obj), "_fields"):  # a report record
+        return {name: reference_to_jsonable(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, (list, tuple)):
         return [reference_to_jsonable(item) for item in obj]
     if isinstance(obj, dict):

@@ -508,6 +508,12 @@ class TestVerifyAll:
         assert code == 0
         assert out.splitlines()[-1] == "all certified (2 entries)"
 
+    def test_missing_corpus_is_one_line(self, capsys, tmp_path):
+        missing = str(tmp_path / "no-such-corpus.txt")
+        code, out, err = invoke(capsys, "verify-all", "--corpus", missing)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and missing in err
+
     def test_malformed_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("lemma 1/3\n")
@@ -807,11 +813,14 @@ class TestUsage:
 
 class TestImportCost:
     def test_no_process_pool_imported(self):
-        # every launch imports the CLI; a process pool would pull in multiprocessing
+        # every launch imports the CLI; a process pool would pull in
+        # multiprocessing, and dataclasses and pathlib pull in inspect and
+        # more. Under -S no site hook preloads a module, so sys.modules
+        # holds what the import itself needed.
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys, takagi_lab.cli; "
-                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-                "if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, check=True)
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
+                "'dataclasses', 'inspect', 'pathlib') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
         assert proc.stdout == "[]\n"

@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from takagi_lab.analysis import blowup_check
+from takagi_lab.analysis import (CASE_BOUNDED, INSUFFICIENT_HORIZON, BlowupReport,
+                                 RefutationEvidence, blowup_check, classify, refute,
+                                 verify_lemma)
 from takagi_lab.cli import sample_rows
 from takagi_lab.exactnum import (
     check_printable,
@@ -20,7 +22,7 @@ from takagi_lab.exactnum import (
     parse_rat,
 )
 from takagi_lab.measure import Dir, QuotientQuery, certify_lower
-from takagi_lab.takagi import takagi_exact
+from takagi_lab.takagi import Enclosure, slope_seq, takagi_exact
 
 
 class TestDyadicArithmetic:
@@ -30,15 +32,72 @@ class TestDyadicArithmetic:
                 helper(0.5)  # noqa: intentional type error
 
 
+_DC = "DensityCertificate(x=Fraction(1, 3), r=Fraction({r}), alpha=Fraction({alpha}), " \
+      "direction=<Dir.{dir}: '{dir_value}'>, density_lo=Fraction({lo}))"
+_GE_DC = _DC.format(r="1, 8", alpha="-2, 5", dir="GE", dir_value="ge", lo="3569, 7168")
+
+# One record of each report type, built anew per call, with its repr text
+# as it was when the records were dataclasses.
+RECORDS = [
+    (lambda: Enclosure(F(1, 4), F(1, 2)), "Enclosure(lo=Fraction(1, 4), hi=Fraction(1, 2))"),
+    (lambda: slope_seq(F(1, 3), 4),
+     "SlopeSeq(point=Fraction(1, 3), values=(-1, 0, -1, 0), horizon=4)"),
+    (lambda: QuotientQuery(F(1, 3), F(1, 8), F(-1, 2), Dir.LE, 4),
+     "QuotientQuery(x=Fraction(1, 3), r=Fraction(1, 8), alpha=Fraction(-1, 2), "
+     "direction=<Dir.LE: 'le'>, depth=4)"),
+    (lambda: verify_lemma(F(1, 3), 2),
+     "LemmaReport(x=Fraction(1, 3), n=2, sign=1, direction=<Dir.LE: 'le'>, "
+     "alpha=Fraction(-3, 5), bound_required=Fraction(1, 128), "
+     "bound_certified=Fraction(18065, 78848), depth_used=10, status='certified')"),
+    (lambda: classify(F(1, 3), 4),
+     "ClassificationReport(x=Fraction(1, 3), horizon=4, seq=SlopeSeq(point=Fraction(1, 3), "
+     "values=(-1, 0, -1, 0), horizon=4), running_min=-1, running_max=0, min_hits=(1, 3), "
+     "case_hint='bounded-oscillation')"),
+    (lambda: refute(F(1, 3), 3).singles[0], _GE_DC),
+    (lambda: refute(F(1, 3), 4).pairs[0],
+     "CertificatePair(index=2, le="
+     + _DC.format(r="1, 4", alpha="-3, 5", dir="LE", dir_value="le", lo="18065, 39424")
+     + ", ge="
+     + _DC.format(r="1, 2", alpha="-2, 5", dir="GE", dir_value="ge", lo="72853, 96768")
+     + ")"),
+    (lambda: blowup_check(F(1, 4), 3),
+     "BlowupReport(x=Fraction(1, 4), n=3, base_level=1, threshold=1, "
+     "radius=Fraction(1, 16), bound_required=Fraction(1, 32), lo_one_sided=Fraction(1, 16), "
+     "lo_mirror=Fraction(1, 16), lo_full=Fraction(1, 8), depth_used=7, status='certified')"),
+    (lambda: refute(F(1, 3), 3),
+     "RefutationEvidence(x=Fraction(1, 3), horizon=3, case_hint='divergent', pairs=(), "
+     f"singles=({_GE_DC},), status='certified', "
+     "detail='1 one-sided certificates at growing thresholds')"),
+]
+
+
 class TestDyadicIsAFraction:
     def test_pickle_and_copies_keep_value_and_type(self):
         # dyadic values are plain Fractions, so a report holding them
         # pickles and copies as it is
-        report = blowup_check(F(1, 4), 3)
-        for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report),
-                      copy.deepcopy(report)):
-            assert clone == report
-            assert type(clone.x) is type(clone.radius) is F
+        for build, _ in RECORDS:
+            report = build()
+            for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                          copy.deepcopy(report)):
+                assert clone == report and type(clone) is type(report)
+                # tuple equality passes for any numerically equal field,
+                # so the field types are compared too
+                assert [type(v) for v in clone] == [type(v) for v in report]
+                if type(clone) is BlowupReport:
+                    assert type(clone.x) is type(clone.radius) is F
+
+    def test_records_are_immutable_hashable_and_keep_their_repr(self):
+        assert len({type(build()) for build, _ in RECORDS}) == 9
+        for build, text in RECORDS:
+            report, again = build(), build()
+            assert report == again and hash(report) == hash(again)
+            assert repr(report) == text
+            assert tuple(type(report).__annotations__) == type(report)._fields
+            for name in type(report)._fields:
+                with pytest.raises(AttributeError):
+                    setattr(report, name, None)
+        assert RefutationEvidence(F(1, 3), 1, CASE_BOUNDED, (), (),
+                                  INSUFFICIENT_HORIZON).detail == ""
 
 
 # Every entry point that takes a dyadic value refuses a float (even a

@@ -36,6 +36,14 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             Dir("above")
 
+    def test_replace_checks_and_coerces(self):
+        query = q(F(1, 2), F(1, 16), F(1), Dir.GE, 4)
+        assert type(query._replace(x=1).x) is F
+        with pytest.raises(ValueError, match="radius must be dyadic"):
+            query._replace(r=F(1, 3))
+        with pytest.raises(TypeError, match="direction must be a Dir"):
+            query._replace(direction="ge")
+
 
 class TestBlowupInstance:
     # around x = 1/2 the quotient is >= 3 on the whole right half of the

@@ -230,6 +230,18 @@ class TestEnclosures:
         with pytest.raises(ValueError):
             Enclosure(F(1), F(0))
 
+    def test_replace_checks_the_new_bounds(self):
+        assert Enclosure(F(0), F(1))._replace(lo=F(1, 2)) == Enclosure(F(1, 2), F(1))
+        with pytest.raises(ValueError, match="empty enclosure: 2 > 1"):
+            Enclosure(F(0), F(1))._replace(lo=F(2))
+
+    def test_no_tuple_repetition_or_order(self):
+        e, f = Enclosure(F(0), F(1)), Enclosure(F(1), F(2))
+        for op in (lambda: 2 * e, lambda: e * 2, lambda: e < f, lambda: e <= f,
+                   lambda: e > f, lambda: e >= f):
+            with pytest.raises(TypeError):
+                op()
+
 
 class TestSlopes:
     def test_examples_against_finite_differences(self):

@@ -12,7 +12,7 @@ of ``SLOPE_OPS``, the period-closed partial sums of ``ORBIT_OPS``, the
 JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS`` and
 the argument parsing cases of ``USAGE_OPS``, and runs each op through
 ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 165 ops in all.
+1 166 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -166,8 +166,9 @@ JSON_OPS = (
     ["refute", "--x", "1/3", "--n", "1", "--format", "json"],
 )
 
-# Error paths: dyadic input refused or out of domain, and exact outputs too
-# long to print (which fail with the same message before or after the work).
+# Error paths: dyadic input refused or out of domain, exact outputs too
+# long to print (which fail with the same message before or after the work),
+# and a corpus file that does not exist.
 ERROR_OPS = (
     ["measure", "--x", "1/2", "--r", "1/3", "--alpha", "1", "--dir", "ge", "--depth", "6"],
     ["measure", "--x", "1/3", "--r", "3/10", "--alpha", "0", "--dir", "le", "--depth", "4",
@@ -191,6 +192,7 @@ ERROR_OPS = (
     ["lemma", "--x", "1/3", "--n", "15000"],
     ["slopes", "--x", "3/8", "--n", "5"],
     ["slopes", "--x", "1/3", "--n", "0"],
+    ["verify-all", "--corpus", "no-such-corpus.txt"],
 )
 
 # Argument parsing: no command, an unknown command, options before the
