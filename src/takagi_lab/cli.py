@@ -15,9 +15,12 @@ All machine output is exact: JSON carries rationals as ``"p/q"``
 strings under a versioned ``"schema": "takagi-lab/1"`` key, in exactly
 the bytes of ``json.dumps(payload, indent=2)`` (written by :func:`_json`).
 
-A named subcommand's arguments go straight to that subcommand's own
-parser, as the top-level parser would hand them on; the top-level parser
-reads only an argv that is empty or does not start with a subcommand name.
+A named subcommand's plain arguments (each flag spelled in full, as
+``--flag value`` or a bare ``--approx``/``--classical``) are read from its
+flag table (:func:`_plain_args`).  Any other argv goes to the subcommand's
+own argparse parser, as the top-level parser would hand it on, which prints
+help and reports usage errors.  The top-level parser reads only an argv that
+is empty or does not start with a subcommand name.
 
 Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
@@ -36,9 +39,9 @@ import csv
 import functools
 import re
 import sys
+from _json import encode_basestring_ascii
 from collections.abc import Iterator
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from math import gcd, isfinite
 
 from . import analysis, measure
@@ -62,13 +65,16 @@ class _UsageError(Exception):
     pass
 
 
+# a negative rational like -3/5, which passes as an option value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems as exit code 1."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let negative rationals like -3/5 pass as option values
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -92,79 +98,93 @@ _CHECKS = {
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The argument parser and each subcommand's own parser by name, built on
-    the first ``run`` and reused after."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
+    """The argument parser, each subcommand's own parser by name and each
+    subcommand's flag table (see :func:`_plain_args`) by name, built on the
+    first ``run`` and reused after."""
     parser = _Parser(prog="takagi-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    tables = {}
 
     def add(name, handler, help_text, *, fmt=True, approx=False):
+        """Add a subcommand; returns the function that adds one of its flags."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=handler, parser=p, command=name)
+        start = {"run": handler, "parser": p, "command": name}
+        p.set_defaults(**start)
+        flags, required = {}, set()
+        tables[name] = flags, start, required
+
+        def arg(flag, **kwargs):
+            action = flags[flag] = p.add_argument(flag, **kwargs)
+            # as in argparse, an action's default (unless SUPPRESS) wins over set_defaults
+            if action.default is not argparse.SUPPRESS:
+                start[action.dest] = action.default
+            if action.required:
+                required.add(flag)
+
         if fmt:
-            p.add_argument("--format", dest="fmt", choices=("text", "json"),
-                           default="text")
+            arg("--format", dest="fmt", choices=("text", "json"), default="text")
         if approx:
-            p.add_argument("--approx", action="store_true",
-                           help="add non-authoritative decimal values to the output")
-        return p
+            arg("--approx", action="store_true",
+                help="add non-authoritative decimal values to the output")
+        return arg
 
-    p = add("eval", _eval, "exact T(x) at a dyadic point", approx=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--classical", action="store_true",
-                   help="include the distance-to-integers term")
+    arg = add("eval", _eval, "exact T(x) at a dyadic point", approx=True)
+    arg("--x", required=True)
+    arg("--classical", action="store_true",
+        help="include the distance-to-integers term")
 
-    p = add("enclose", _enclose, "certified enclosure of T(x)", approx=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--classical", action="store_true")
+    arg = add("enclose", _enclose, "certified enclosure of T(x)", approx=True)
+    arg("--x", required=True)
+    arg("--depth", type=int, default=DEFAULT_DEPTH)
+    arg("--classical", action="store_true")
 
-    p = add("slopes", _slopes, "slope sums G_1'(x)..G_N'(x)")
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", type=int, required=True, help="horizon N")
+    arg = add("slopes", _slopes, "slope sums G_1'(x)..G_N'(x)")
+    arg("--x", required=True)
+    arg("--n", type=int, required=True, help="horizon N")
 
-    p = add("neighbors", _neighbors, "level-n grid neighbours around x")
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", type=int, required=True)
+    arg = add("neighbors", _neighbors, "level-n grid neighbours around x")
+    arg("--x", required=True)
+    arg("--n", type=int, required=True)
 
-    p = add("measure", _measure, "certified measure bracket for a quotient level set",
-            approx=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--r", required=True, help="dyadic radius")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--dir", required=True, choices=("ge", "le"))
-    p.add_argument("--depth", type=int, required=True)
+    arg = add("measure", _measure, "certified measure bracket for a quotient level set",
+              approx=True)
+    arg("--x", required=True)
+    arg("--r", required=True, help="dyadic radius")
+    arg("--alpha", required=True)
+    arg("--dir", required=True, choices=("ge", "le"))
+    arg("--depth", type=int, required=True)
 
-    p = add("lemma", _check, "certify the one-scale measure estimate at (x, n)")
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", type=int, required=True)
+    arg = add("lemma", _check, "certify the one-scale measure estimate at (x, n)")
+    arg("--x", required=True)
+    arg("--n", type=int, required=True)
 
-    p = add("blowup", _check, "certify the quotient blow-up at a dyadic point")
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", type=int, required=True)
+    arg = add("blowup", _check, "certify the quotient blow-up at a dyadic point")
+    arg("--x", required=True)
+    arg("--n", type=int, required=True)
 
-    p = add("classify", _classify, "horizon evidence about the slope sums at x")
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", type=int, required=True, help="horizon N")
+    arg = add("classify", _classify, "horizon evidence about the slope sums at x")
+    arg("--x", required=True)
+    arg("--n", type=int, required=True, help="horizon N")
 
-    p = add("refute", _refute, "emit certificates against approximate derivability")
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", type=int, default=20, help="horizon N")
+    arg = add("refute", _refute, "emit certificates against approximate derivability")
+    arg("--x", required=True)
+    arg("--n", type=int, default=20, help="horizon N")
 
-    p = add("sample", _sample, "CSV enclosure samples of T on [a, b]",
-            fmt=False, approx=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--classical", action="store_true")
+    arg = add("sample", _sample, "CSV enclosure samples of T on [a, b]",
+              fmt=False, approx=True)
+    arg("--a", required=True)
+    arg("--b", required=True)
+    arg("--count", type=int, required=True)
+    arg("--depth", type=int, default=20)
+    arg("--classical", action="store_true")
 
-    p = add("verify-all", _verify_all, "run a corpus of lemma/blowup checks")
-    p.add_argument("--corpus", default=None, help="file with '<kind> <x> <n>' lines")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="must be 1: corpus entries run in one process")
+    arg = add("verify-all", _verify_all, "run a corpus of lemma/blowup checks")
+    arg("--corpus", default=None, help="file with '<kind> <x> <n>' lines")
+    arg("--jobs", type=int, default=1,
+        help="must be 1: corpus entries run in one process")
 
-    return parser, sub.choices
+    return parser, sub.choices, tables
 
 
 def _emit_json(command: str, result, approx=None) -> str:
@@ -180,7 +200,9 @@ def _emit_json(command: str, result, approx=None) -> str:
 def _json(node, pad: str = "\n") -> str:
     """``json.dumps(node, indent=2)`` for str-keyed dicts, lists, str, int, float, bool
     and None, at the indent ``pad`` ends with.  A NaN or an infinity (no JSON form)
-    raises ``ValueError``, any other type ``TypeError``."""
+    raises ``ValueError``, any other type ``TypeError``.  Strings go through the C
+    escaper of ``_json``, which ``json.encoder`` re-exports; importing it from
+    ``_json`` leaves the ``json`` package unloaded."""
     if isinstance(node, str):
         return encode_basestring_ascii(node)
     if node is None or isinstance(node, bool):
@@ -330,6 +352,8 @@ def _verify_all(args) -> int:
     results = []
     # only JSON output carries the reports; text shows their statuses
     entries = _parse_corpus(text, check_printable_reports=args.fmt == "json")
+    if not entries:  # only a corpus file can have none
+        raise ValueError(f"corpus {args.corpus} has no entries")
     for index, (lineno, kind, x_text, x, n) in enumerate(entries):
         try:
             report = _CHECKS[kind][1](x, n)
@@ -433,14 +457,52 @@ def _sample(args) -> int:
     return 0
 
 
+def _plain_args(table, argv) -> argparse.Namespace | None:
+    """The namespace the subcommand's parser gives a plain ``argv``, else None.
+
+    ``table`` holds the subcommand's actions by flag, the namespace before any
+    flag is read and the required flags.  Plain: str items only; each flag
+    spelled in full and, unless a ``store_true``, followed by a value that
+    passes its ``type`` and ``choices`` and starts with ``-`` only as a
+    negative number; no required flag missing.  A repeated flag keeps its
+    last value, as in argparse.
+    """
+    flags, start, required = table
+    values, seen = dict(start), set()
+    items = iter(argv)
+    for flag in items:
+        action = flags.get(flag) if isinstance(flag, str) else None
+        if action is None:
+            return None
+        seen.add(flag)
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+            continue
+        value = next(items, None)
+        if not isinstance(value, str) or (value.startswith("-")
+                                          and not _NEGATIVE_NUMBER.match(value)):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values) if required <= seen else None
+
+
 def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser, commands = _build_parser()
+    parser, commands, tables = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
         if argv and argv[0] in commands:  # as the top-level parser would hand them on
-            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            args, extras = _plain_args(tables[argv[0]], argv[1:]), []
+            if args is None:  # argparse reads any other argv, and reports what is wrong
+                args, extras = commands[argv[0]].parse_known_args(argv[1:])
         else:  # an empty argv, an unknown command or a top-level option
             args, extras = parser.parse_known_args(argv)
         if extras:  # a flag the subcommand does not take: show that subcommand's usage

@@ -1,6 +1,10 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -514,6 +518,15 @@ class TestVerifyAll:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and missing in err
 
+    @pytest.mark.parametrize("text", ["", "# kind x n\n\n   # nothing else\n"],
+                             ids=["empty", "comments-only"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_corpus_without_entries_is_an_error(self, capsys, tmp_path, text, fmt):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text)
+        assert invoke(capsys, "verify-all", "--corpus", str(corpus), "--format", fmt) == (
+            1, "", f"error: corpus {corpus} has no entries\n")
+
     def test_malformed_corpus(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("lemma 1/3\n")
@@ -742,7 +755,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [["-h"], ["measure", "-h"]], ids=["top-level", "measure"])
     def test_help(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        parser, commands = cli._build_parser()
+        parser, commands, _ = cli._build_parser()
         helped = commands[argv[0]] if argv[0] in commands else parser
         expected = (0, helped.format_help(), "")
         assert self.outcome(capsys, run, argv) == expected
@@ -811,16 +824,131 @@ class TestUsage:
         assert err.count("error:") == 1 and "--depth-cap" in err
 
 
+# option values for the argv property below that no flag's type or choices
+# accept, or that look like a flag
+_ODD_VALUES = (st.sampled_from(["-0.5", "ten", "", "-", "GE", "1.5", "--x", "-h"])
+               | st.text(alphabet="-=0123456789/abx ", max_size=4))
+
+
+@st.composite
+def _subcommand_argvs(draw):
+    """A subcommand's argv: its flags, the required ones first most of the time,
+    each spelled in full or else abbreviated or as ``--flag=value``, with a value
+    its type and choices accept or else an odd one, and now and then a junk
+    token (help, ``--``, an unknown flag, a positional) among them."""
+    tables = cli._build_parser()[2]
+    name = draw(st.sampled_from(sorted(tables)))
+    flags, _, required = tables[name]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4))
+    if draw(st.integers(0, 3)):
+        chosen = draw(st.permutations(sorted(required))) + chosen
+    argv = [name]
+    for flag in chosen:
+        action = flags[flag]
+        if draw(st.integers(0, 9)) == 0:
+            value = draw(_ODD_VALUES)
+        elif action.choices:
+            value = draw(st.sampled_from(action.choices))
+        elif action.type is int:
+            value = str(draw(st.integers(-2, 8)))
+        else:
+            value = draw(st.sampled_from(["0", "1", "1/2", "1/3", "-3/5", "1/8"]))
+        spelling = draw(st.integers(0, 39))
+        if spelling == 0:  # abbreviated
+            flag = flag[:draw(st.integers(min(3, len(flag)), len(flag)))]
+        if spelling == 1:
+            argv.append(f"{flag}={value}")
+        elif action.nargs == 0:
+            argv.append(flag)
+        else:
+            argv += [flag, value]
+    if draw(st.integers(0, 3)) == 0:
+        junk = st.sampled_from(["-h", "--help", "--", "--bogus", "extra"]) | _ODD_VALUES
+        argv.insert(draw(st.integers(1, len(argv))), draw(junk))
+    return argv
+
+
+class TestPlainArgs:
+    """A plain subcommand argv is read from the subcommand's flag table, without
+    argparse; any other goes to argparse, and both give the same namespace."""
+
+    @staticmethod
+    def outcome(runner, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = runner(list(argv))
+            except SystemExit as exc:  # -h
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(deadline=None, max_examples=300)
+    @given(_subcommand_argvs())
+    @example(["measure", "--depth", "4", "--x", "1/3", "--alpha", "-1", "--r", "1/8",
+              "--dir", "le", "--x", "-3/5", "--approx", "--approx"])
+    @example(["sample", "--a", "0", "--b", "1/2", "--count", "3", "--classical"])
+    @example(["eval", "--x", ""])
+    def test_same_namespace_and_outcome_as_argparse(self, argv):
+        _, commands, tables = cli._build_parser()
+        plain = cli._plain_args(tables[argv[0]], argv[1:])
+        if plain is not None:
+            assert argparse.ArgumentParser.parse_known_args(commands[argv[0]], argv[1:]) == (
+                plain, [])
+        assert self.outcome(run, argv) == self.outcome(reference_run, argv)
+
+    @pytest.mark.parametrize("rest", [["--x", 5], [b"--x", "1/4"], ["--x", None]])
+    def test_non_str_items_go_to_argparse(self, rest):
+        assert cli._plain_args(cli._build_parser()[2]["eval"], rest) is None
+
+    def test_readme_examples_skip_argparse(self, monkeypatch, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert len(examples) == 11 and all(words[0] == "takagi-lab" for words in examples)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse read a README example")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        (tmp_path / "corpus.txt").write_text("lemma 1/3 2\nblowup 1/2 3\n")
+        monkeypatch.chdir(tmp_path)
+        for words in examples:
+            argv = words[1:words.index(">")] if ">" in words else words[1:]
+            assert self.outcome(run, argv)[0] == 0, argv
+
+    def test_tables_hold_every_flag_as_a_plain_store(self):
+        # the flag table reads one value per store flag and none per store_true
+        # flag, takes a default as it is, and converts a value only by type
+        _, commands, tables = cli._build_parser()
+        assert tables.keys() == commands.keys()
+        for name, sub in commands.items():
+            flags, start, required = tables[name]
+            assert [action for action in sub._actions
+                    if not isinstance(action, argparse._HelpAction)] == [*flags.values()]
+            for flag, action in flags.items():
+                assert action.option_strings == [flag]
+                if type(action) is argparse._StoreTrueAction:
+                    assert (action.nargs, action.const, action.default) == (0, True, False)
+                else:
+                    assert type(action) is argparse._StoreAction
+                    assert (action.nargs, action.const) == (None, None)
+                    assert action.type in (None, int)
+                    assert action.type is None or not isinstance(action.default, str)
+                assert start[action.dest] is action.default
+            assert required == {flag for flag, action in flags.items() if action.required}
+
+
 class TestImportCost:
     def test_no_process_pool_imported(self):
         # every launch imports the CLI; a process pool would pull in
         # multiprocessing, and dataclasses and pathlib pull in inspect and
-        # more. Under -S no site hook preloads a module, so sys.modules
-        # holds what the import itself needed.
+        # more; the JSON writer needs only the C string escaper of _json.
+        # Under -S no site hook preloads a module, so sys.modules holds what
+        # the import itself needed.
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys, takagi_lab.cli; "
                 "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', "
-                "'dataclasses', 'inspect', 'pathlib') if m in sys.modules))")
+                "'dataclasses', 'inspect', 'pathlib', 'json') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
         assert proc.stdout == "[]\n"

@@ -12,7 +12,7 @@ of ``SLOPE_OPS``, the period-closed partial sums of ``ORBIT_OPS``, the
 JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS`` and
 the argument parsing cases of ``USAGE_OPS``, and runs each op through
 ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 166 ops in all.
+1 175 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -199,7 +199,11 @@ ERROR_OPS = (
 # command, ``--`` after a command and before it, ``=`` and abbreviated flags
 # (an ambiguous one too), flags a subcommand does not take, a stray
 # positional, a negative rational as a value, and help at the top level
-# and after a command (printed to stdout with exit code 0).
+# and after a command (printed to stdout with exit code 0).  Then the edge of
+# the plain argv that a subcommand's flag table reads: a repeated flag, which
+# keeps its last value; a value that looks like a flag; a negative value
+# that is not a rational; a value that fails its type or choices; a flag with
+# no value; an empty value; and help after flags.
 USAGE_OPS = (
     [],
     ["frobnicate", "--x", "1/2"],
@@ -215,6 +219,15 @@ USAGE_OPS = (
     ["-h"],
     ["measure", "-h"],
     ["eval"],
+    ["eval", "--x", "1/2", "--x", "1/4"],
+    ["eval", "--x", "1/4", "--approx", "--approx"],
+    ["eval", "--x", "--format", "json"],
+    ["measure", "--x", "1/3", "--r", "1/8", "--alpha", "-0.5", "--dir", "ge", "--depth", "6"],
+    ["enclose", "--x", "1/3", "--depth", "ten"],
+    ["measure", "--x", "1/3", "--r", "1/8", "--alpha", "1/2", "--dir", "up", "--depth", "6"],
+    ["eval", "--format", "json", "--x"],
+    ["eval", "--x", ""],
+    ["eval", "--x", "1/4", "--format", "json", "-h"],
 )
 
 # Runs in a child interpreter with one tree's src/ on PYTHONPATH: reads a
