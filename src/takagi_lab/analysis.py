@@ -14,19 +14,19 @@ function T:
   g_n'(x) = -1).  Its bracket is that of one measure query at depth
   ``n + 8``: the 2/5 margin is exactly tight against worst-case tails
   (6/15), so the engine needs the real tail's slack.
-* Every certificate reduces, by self-affinity
+* Every lemma reduces, by self-affinity
   ``T(y) = G_k(y) + 2**-k * T(2**k * y)``, to the query of a canonical
   twin at a smaller or equal scale, rescaled exactly.  A lemma bracket
   at (x, n), times ``2**(n-1)``, depends only on where x sits in its
   level-(n-1) cell, on the sign of ``g_n'(x)`` and on the slope jump of
   G_{n-1} at the nearer cell end, so it equals that of a twin whose
-  scale is fixed by those, not by n (:func:`verify_lemma`).  Both halves of a blow-up at n are
-  ``2**(first-n)`` times those at the first scale ``first = 2*n0 + 1``
-  (:func:`blowup_check`).  :func:`refute` makes one table of lemma twins
-  per call and passes it down, keyed by integers, a twin x' at scale n'
-  by ``(x'.numerator, x'.denominator, n')``, so it costs its distinct
-  twin queries plus constant work per scale; nothing outlives the call.
-  Blow-ups are not tabled: a dyadic point has one scale.
+  scale is fixed by those, not by n (:func:`verify_lemma`).  :func:`refute`
+  makes one table of lemma twins per call and passes it down, keyed by
+  integers, a twin x' at scale n' by ``(x'.numerator, x'.denominator, n')``,
+  so it costs its distinct twin queries plus constant work per scale;
+  nothing outlives the call.
+* A blow-up at a dyadic point runs no query: both of its halves are the
+  whole half-ball at every scale, in closed form (:func:`blowup_check`).
 * :func:`refute` packages such certificates into horizon-N evidence,
   in one pipeline: :func:`classify` names the case, one scale list
   follows from the slope sums, and each scale gets its certificates.
@@ -35,8 +35,8 @@ function T:
   1/5 with densities >= 2**-6 on both sides -- jointly incompatible
   with any single finite derivative value; for drifting slope sums it emits
   one-sided certificates at record-and-reversal indices, with
-  unboundedly growing thresholds; at a dyadic point it certifies one
-  blow-up of the one-sided quotients, which rescales to every scale.
+  unboundedly growing thresholds; at a dyadic point it states the
+  blow-up of the one-sided quotients, which holds at every scale.
 
 Finite horizons are treated honestly: liminf/limsup of the slope sums
 are not decidable from finitely many digits, so classification output
@@ -155,8 +155,8 @@ class BlowupReport(NamedTuple):
     ``lo_one_sided`` bounds the GE set at threshold ``n - 2*n0`` (all
     of it sits on the right of x), ``lo_mirror`` the LE set at the
     negated threshold on the left, and ``lo_full`` their sum -- the
-    certified measure of ``{y : |quotient| >= threshold}``, expected to
-    be the full punctured ball ``2**-n``.
+    certified measure of ``{y : |quotient| >= threshold}``, which is the
+    full punctured ball ``2**-n``.
     """
 
     x: Fraction
@@ -201,7 +201,7 @@ def _lemma(x, n: int, table: dict) -> tuple[Fraction, int, Dir, Fraction, int, t
     """``(x, sign, direction, alpha, n', entry)`` of the lemma at (x, n), where ``entry`` is
     ``(lo, status, lo * 2**(n'-1))`` of the query of its twin x' at scale n', the last item
     lo's density, read from ``table`` at ``(x'.numerator, x'.denominator, n')`` or run and
-    stored there.  :func:`refute` passes one table for all its scales; blow-ups are not tabled."""
+    stored there.  :func:`refute` passes one table for all its scales."""
     xf = _to_fraction(x)
     if is_dyadic(xf):
         raise ValueError("the one-scale estimate needs a non-dyadic centre")
@@ -328,21 +328,24 @@ def blowup_check(x, n: int) -> BlowupReport:
     Dividing by y - x, the right half of the ball has quotient
     ``>= n - 2*n0`` and the left half quotient ``<= -(n - 2*n0)``, so
     the GE query certifies the right half and the mirrored LE query the
-    left half; their sum is the full ball ``2**-n``.  Each half is the
-    bracket of one query at depth ``n + 4``, and the report is certified
-    only when both halves reach ``2**-(n+2)``.
+    left half; their sum is the full ball ``2**-n``.
 
-    Those queries run at the first scale ``first = 2*n0 + 1`` and are
-    rescaled.  For ``n >= first``, ``2**n*x`` is an integer, so G_n is
-    affine on each half-ball and T(x) = G_n(x), and
-    ``G_{n+4}(x+h) = G_n(x+h) + 2**-n*G_4(2**n*h)``.  On the right half,
-    G_n has slope ``n - n0 + S``, where S sums the right slopes of
-    ``g_1 .. g_n0`` at x, so the GE condition
-    ``G_{n+4}(x+h) >= T(x) + (n - 2*n0)*h`` reads ``(n0 + S)*t + G_4(t) >= 0``
-    in ``t = 2**n*h``: n drops out.  The left half, and the tail band
-    ``2**-(n+5) = 2**-n*2**-5`` of the pieces that use it, scale the same
-    way.  So both halves at n are ``2**(first-n)`` times those at first.
-    ``depth_used`` is ``n + 4``.
+    Each half equals the bracket of one query at depth ``n + 4``, in
+    closed form, so no query runs.  Since ``n >= 2*n0 + 1``, ``2**n*x`` is
+    an integer, so G_n is affine on each half-ball, ``T(x) = G_n(x)``
+    exactly, and ``G_{n+4}(x+h) = G_n(x+h) + 2**-n*G_4(2**n*h)``.  On the
+    right half the GE query certifies y in when
+    ``G_{n+4}(y) >= T(x) + (n - 2*n0)*(y - x)``: G_{n+4} itself bounds T
+    from below, and T(x) needs no enclosure.  There G_n has slope
+    ``n - n0 + S``, where S sums the right slopes of ``g_1 .. g_n0`` at x,
+    so in ``t = 2**n*h`` the test reads ``(n0 + S)*t + G_4(t) >= 0``.  Each
+    slope is +1 or -1, so ``S >= -n0``, and ``G_4 >= 0``: the test holds on
+    the whole closed right half, of length ``2**-(n+1)``.  On the left half
+    the true quotient is negative, below the threshold, so the certified-in
+    set there is empty.  The LE query mirrors both halves.  So
+    ``lo_one_sided = lo_mirror = 2**-(n+1)``, twice the required
+    ``2**-(n+2)``, ``lo_full = 2**-n`` and the report is certified;
+    ``depth_used`` is ``n + 4``, the depth of the query the bracket equals.
 
     The clamp to ``n0 >= 0`` matters at integers: x is on the level-0
     grid, but the series has no k = 0 term to contribute |h|, so only
@@ -353,26 +356,10 @@ def blowup_check(x, n: int) -> BlowupReport:
     n0 = max(dyadic_level(xf), 0)
     if n <= 2 * n0:
         raise ValueError(f"need n > {2 * n0} at {xf} (level floor {n0})")
-    first = _first_blowup_scale(xf)  # where the threshold first - 2*n0 is 1
-    halves = [certify_lower(xf, Fraction(1, 1 << (first + 1)), Fraction(sign), direction,
-                            Fraction(1, 1 << (first + 2)), depth=first + 4)
-              for sign, direction in ((1, Dir.GE), (-1, Dir.LE))]
-    (lo_ge, _, status_ge), (lo_le, _, status_le) = halves
-    scale = 1 << (n - first)
-    lo_ge, lo_le = lo_ge / scale, lo_le / scale
-    return BlowupReport(
-        x=xf,
-        n=n,
-        base_level=n0,
-        threshold=n - 2 * n0,
-        radius=Fraction(1, 1 << (n + 1)),
-        bound_required=Fraction(1, 1 << (n + 2)),
-        lo_one_sided=lo_ge,
-        lo_mirror=lo_le,
-        lo_full=lo_ge + lo_le,
-        depth_used=n + 4,
-        status=CERTIFIED if status_ge == status_le == CERTIFIED else UNDECIDED,
-    )
+    half = Fraction(1, 1 << (n + 1))
+    return BlowupReport(x=xf, n=n, base_level=n0, threshold=n - 2 * n0, radius=half,
+                        bound_required=Fraction(1, 1 << (n + 2)), lo_one_sided=half,
+                        lo_mirror=half, lo_full=2 * half, depth_used=n + 4, status=CERTIFIED)
 
 
 def _first_blowup_scale(x: Fraction) -> int:
@@ -397,8 +384,8 @@ def _scales(report: ClassificationReport) -> list[int]:
       reverses it.  For upward drift the GE certificates there have
       thresholds ``G_j' - 2/5`` that grow without bound; downward drift
       mirrors.
-    * Dyadic: the first blow-up scale alone; its blow-up, rescaled,
-      is the blow-up at every larger scale (:func:`blowup_check`).
+    * Dyadic: the first blow-up scale alone; the blow-up holds at every
+      larger scale too (:func:`blowup_check`).
     """
     if report.case_hint == CASE_DYADIC:
         return [_first_blowup_scale(report.x)]
@@ -461,10 +448,11 @@ def refute(x, horizon: int) -> RefutationEvidence:
     forbidden threshold gap of exactly 1/5; divergent evidence yields
     the one-sided certificates of its certified scales, at growing
     thresholds; a dyadic point yields the one blow-up at its first scale,
-    whose detail states the threshold ``n - 2*n0`` at every scale
-    ``n >= 2*n0 + 1``.  A point is certified when any scale certifies,
-    undecided when scales exist but none certifies, and
-    ``insufficient-horizon`` when no index qualifies below the horizon.
+    density 1/2 with no measure query, whose detail states the threshold
+    ``n - 2*n0`` at every scale ``n >= 2*n0 + 1``.  A point is certified
+    when any scale certifies, undecided when scales exist but none
+    certifies, and ``insufficient-horizon`` when no index qualifies below
+    the horizon.
 
     The largest radius exponent the report prints is known from the slope
     sums alone: the largest scale n (its radius is ``2**-n``), or the
@@ -472,7 +460,7 @@ def refute(x, horizon: int) -> RefutationEvidence:
     ``ValueError`` of :func:`~takagi_lab.exactnum.check_printable` is
     raised before any measure query.  At a non-dyadic point the report
     prints that radius only if its certificate certifies, as every lemma
-    measured so far has.
+    measured so far has; a dyadic point's always does.
     """
     xf = _to_fraction(x)
     report = classify(xf, horizon)
@@ -498,10 +486,9 @@ def refute(x, horizon: int) -> RefutationEvidence:
             detail = f"{len(singles)} one-sided certificates at growing thresholds"
         else:  # the one scale is the first, 2*n0 + 1
             detail = f"thresholds n - {good[0] - 1} for every n >= {good[0]}"
-    elif bad:
+    elif bad:  # never dyadic: a blow-up's density is 1/2
         status = UNDECIDED
-        detail = (f"blow-ups at n >= {bad[0]} did not certify" if case == CASE_DYADIC
-                  else f"qualifying indices {bad} did not certify")
+        detail = f"qualifying indices {bad} did not certify"
     else:
         status = INSUFFICIENT_HORIZON
         detail = ("no qualifying minimum revisit below the horizon" if case == CASE_BOUNDED

@@ -26,7 +26,7 @@ Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
 precondition errors, on an integer argument too large to compute with,
 on an exact result too long to print, on a query over its cell budget
-(a certificate's too) or past ``MEASURE_DEPTH_MAX``, on a failed internal
+(a lemma's too) or past ``MEASURE_DEPTH_MAX``, on a failed internal
 invariant and when memory runs out, each reported as one ``error:`` line.
 ``verify-all`` runs its entries in order in one process; its ``--jobs``
 must be 1.
@@ -56,8 +56,8 @@ SCHEMA = "takagi-lab/1"
 # depth**2.3, and the widest window (r = 1/2) takes about 1.2 s at depth 1024;
 # at other slopes the cells visited can grow about as 2**(depth/2) (x = 1/3,
 # r = 1/4, alpha = -1, LE), until the cell budget stops the query.
-# Certificates run their own queries through ``measure.certify_lower``,
-# unbounded here.
+# Lemma certificates run their own queries through ``measure.certify_lower``,
+# unbounded here; a blow-up runs none.
 MEASURE_DEPTH_MAX = 1024
 
 
@@ -461,17 +461,17 @@ def _plain_args(table, argv) -> argparse.Namespace | None:
     """The namespace the subcommand's parser gives a plain ``argv``, else None.
 
     ``table`` holds the subcommand's actions by flag, the namespace before any
-    flag is read and the required flags.  Plain: str items only; each flag
-    spelled in full and, unless a ``store_true``, followed by a value that
-    passes its ``type`` and ``choices`` and starts with ``-`` only as a
-    negative number; no required flag missing.  A repeated flag keeps its
-    last value, as in argparse.
+    flag is read and the required flags; ``argv`` holds str items only, as
+    :func:`run` checks.  Plain: each flag spelled in full and, unless a
+    ``store_true``, followed by a value that passes its ``type`` and
+    ``choices`` and starts with ``-`` only as a negative number; no required
+    flag missing.  A repeated flag keeps its last value, as in argparse.
     """
     flags, start, required = table
     values, seen = dict(start), set()
     items = iter(argv)
     for flag in items:
-        action = flags.get(flag) if isinstance(flag, str) else None
+        action = flags.get(flag)
         if action is None:
             return None
         seen.add(flag)
@@ -479,8 +479,7 @@ def _plain_args(table, argv) -> argparse.Namespace | None:
             values[action.dest] = action.const
             continue
         value = next(items, None)
-        if not isinstance(value, str) or (value.startswith("-")
-                                          and not _NEGATIVE_NUMBER.match(value)):
+        if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
             return None
         if action.type is not None:
             try:
@@ -499,6 +498,9 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
+        for item in argv:  # a command line yields only str; a library caller may not
+            if not isinstance(item, str):
+                raise _UsageError(f"argument {item!r} is not a string")
         if argv and argv[0] in commands:  # as the top-level parser would hand them on
             args, extras = _plain_args(tables[argv[0]], argv[1:]), []
             if args is None:  # argparse reads any other argv, and reports what is wrong

@@ -26,3 +26,13 @@ def short_over_budget(monkeypatch):
         monkeypatch.setattr(analysis, "certify_lower", certify)
 
     return cap
+
+
+@pytest.fixture
+def no_query(monkeypatch):
+    """Fail any measure query: a 3-cell budget, and ``analysis.certify_lower`` raises."""
+    def never(*args, **kwargs):
+        raise AssertionError("ran a measure query")
+
+    monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
+    monkeypatch.setattr(analysis, "certify_lower", never)

@@ -164,27 +164,14 @@ class TestBlowup:
         assert type(report.x) is F
         assert to_jsonable(report)["x"] == "0"
 
-    def test_uncertified_mirror_is_undecided(self, monkeypatch):
-        real = analysis.certify_lower
-
-        def le_half_fails(x, r, alpha, direction, target, **kwargs):
-            if direction is Dir.LE:
-                return F(0), 0, UNDECIDED
-            return real(x, r, alpha, direction, target, **kwargs)
-
-        monkeypatch.setattr(analysis, "certify_lower", le_half_fails)
-        report = blowup_check(F(1, 2), 3)
-        assert report.lo_one_sided == F(1, 16)  # the GE half alone certifies
-        assert report.lo_full < report.radius * 2
-        assert report.status == UNDECIDED
-
-    def test_over_budget_raises(self, monkeypatch):
-        # both halves run at the first scale 2*1 + 1 = 3, depth 7, for every n
-        monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
-        for n in (3, 9):
-            with pytest.raises(BreakpointLimitError,
-                               match=r"^depth-7 query at x=3/4 needs more than 3 cells$"):
-                blowup_check(F(3, 4), n)
+    def test_runs_no_query(self, no_query):
+        # the report is in closed form, so neither a 3-cell budget nor a
+        # certify_lower that raises reaches it, at the first scale or above
+        for n in (3, 9, 4000):
+            report = blowup_check(F(3, 4), n)
+            assert report.status == CERTIFIED
+            assert report.lo_one_sided == report.lo_mirror == report.radius == F(1, 1 << (n + 1))
+            assert (report.lo_full, report.depth_used) == (F(1, 1 << n), n + 4)
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -194,7 +181,7 @@ class TestBlowup:
 
 
 class TestOneDepthSuffices:
-    """Each certificate runs one query; these pin why one depth suffices."""
+    """Each lemma runs one query and a blow-up none; these pin why one depth suffices."""
 
     def test_lemma_certifies_seven_levels_below_its_depth(self):
         rng = random.Random(9)
@@ -212,20 +199,22 @@ class TestOneDepthSuffices:
             checked += 1
 
     def test_blowup_halves_are_exact_at_every_scale(self):
-        # the identity a dyadic refute states for every n >= first: both
-        # halves are the whole half-ball, at levels 0-9 (every centre of
-        # (0, 1) up to level 5) shifted below 0 and above 1, and at integers,
-        # whose level is clamped to 0
+        # the closed form equals the two full-depth queries it replaces, at
+        # the first three scales of every dyadic of level <= 10 in [0, 1]
+        # (2 049 points), of seeded centres of levels 0-20 shifted below 0
+        # and above 1, and of integers, whose level is clamped to 0
         rng = random.Random(19)
-        centres = [F(m) for m in range(-3, 4)]
-        for level in range(10):
+        centres = [F(k, 1 << 11) for k in range((1 << 11) + 1)]
+        centres += [F(m) for m in range(-3, 5)]
+        for level in range(21):
             odd = range(1, 1 << (level + 1), 2)
-            for k in rng.sample(odd, min(len(odd), 32)):
-                centres += [m + F(k, 1 << (level + 1)) for m in (-2, 0, 1)]
+            for k in rng.sample(odd, min(len(odd), 8)):
+                centres += [m + F(k, 1 << (level + 1)) for m in (-2, 1)]
         for x in centres:
             first = analysis._first_blowup_scale(x)
-            for n in range(first, first + 8):
+            for n in range(first, first + 3):
                 report = blowup_check(x, n)
+                assert report == full_query_blowup_check(x, n), (x, n)
                 assert report.lo_one_sided == report.lo_mirror == report.radius, (x, n)
 
 
@@ -265,12 +254,16 @@ class TestRefute:
         assert cert.density_lo == F(1, 2)
         assert evidence.detail == "thresholds n - 0 for every n >= 1"
 
-    def test_dyadic_status_follows_the_certificates(self, short_over_budget):
-        short_over_budget(2)  # the blow-up's queries come back short
-        evidence = refute(F(1, 2), 5)
-        assert evidence.status == UNDECIDED
-        assert evidence.singles == ()
-        assert evidence.detail == "blow-ups at n >= 1 did not certify"
+    def test_dyadic_status_follows_the_certificates(self, no_query):
+        # the one blow-up has density 1/2 in closed form, so a dyadic refute
+        # certifies with no measure query, under any cell budget
+        for x, detail in ((F(1, 2), "thresholds n - 0 for every n >= 1"),
+                          (F(-3, 8), "thresholds n - 4 for every n >= 5"),
+                          (F(2), "thresholds n - 0 for every n >= 1")):
+            evidence = refute(x, 5)
+            assert (evidence.status, evidence.detail) == (CERTIFIED, detail), x
+            (cert,) = evidence.singles
+            assert cert.density_lo == F(1, 2)
 
     def test_divergent_single_sided(self):
         evidence = refute(F(1, 7), 30)
@@ -305,7 +298,8 @@ class TestRefute:
         (F(1, 7), 2, 64, (CASE_DIVERGENT, INSUFFICIENT_HORIZON,
                           "no record-and-reversal index below the horizon")),
         (F(1, 2), 5, 64, (CASE_DYADIC, CERTIFIED, "thresholds n - 0 for every n >= 1")),
-        (F(1, 2), 5, 1, (CASE_DYADIC, UNDECIDED, "blow-ups at n >= 1 did not certify")),
+        # a blow-up runs no query, so no cell budget stops it
+        (F(1, 2), 5, 1, (CASE_DYADIC, CERTIFIED, "thresholds n - 0 for every n >= 1")),
         # all 30 revisits, indices 2..60: the lemma's query runs at depth n + 8
         (F(1, 3), 60, 64, (CASE_BOUNDED, CERTIFIED,
                            "30 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
@@ -315,8 +309,7 @@ class TestRefute:
                           "5 certificate pairs at thresholds -3/5 (LE) / -2/5 (GE)")),
         (F(1, 7), 30, 7, (CASE_DIVERGENT, CERTIFIED,
                           "1 one-sided certificates at growing thresholds")),
-        # the one blow-up runs its query at n = 1, which fits in 8 cells
-        (F(1, 2), 5, 3, (CASE_DYADIC, CERTIFIED, "thresholds n - 0 for every n >= 1")),
+        (F(3, 4), 5, 3, (CASE_DYADIC, CERTIFIED, "thresholds n - 2 for every n >= 3")),
     ])
     def test_status_and_detail(self, short_over_budget, x, horizon, budget_bits, expected):
         short_over_budget(1 << budget_bits)
@@ -332,8 +325,8 @@ class TestRefute:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "certify_lower", counted)
-        # 60 lemmas (n = 1..60) share four twin queries; the blow-up runs two
-        for x, queries in ((F(1, 3), 4), (F(1, 2), 2)):
+        # 60 lemmas (n = 1..60) share four twin queries; the blow-up runs none
+        for x, queries in ((F(1, 3), 4), (F(1, 2), 0)):
             runs = []
             for _ in range(2):  # no result outlives a call: the second runs them all again
                 calls.clear()

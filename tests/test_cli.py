@@ -323,22 +323,23 @@ class TestOtherReports:
         assert code == 0
         assert len(payload["result"]["pairs"]) >= 3
 
-    def test_refute_dyadic_undecided(self, capsys, short_over_budget):
-        # the one blow-up runs its query at n = 1; over 2 cells it comes back short
-        short_over_budget(2)
-        code, out, _ = invoke(capsys, "refute", "--x", "1/2", "--n", "5",
-                              "--format", "json")
-        assert code == 2
-        assert json.loads(out)["result"]["status"] == "undecided"
+    # a blow-up runs no query, so a 3-cell budget and a certify_lower that
+    # raises leave it certified
+    @pytest.mark.parametrize("argv", [
+        ["blowup", "--x", "3/4", "--n", "4"],
+        ["refute", "--x", "3/4", "--n", "5"],
+    ], ids=["blowup", "refute-dyadic"])
+    def test_dyadic_certifies_with_no_query(self, capsys, no_query, argv):
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["status"] == "certified"
 
     # each names the query its certificate runs (a lemma at its own scale:
     # TestLemma); nothing is printed on stdout
     @pytest.mark.parametrize("argv, query", [
         (["lemma", "--x", "1/3", "--n", "6", "--format", "json"], "depth-11 query at x=1/6"),
-        (["blowup", "--x", "3/4", "--n", "4"], "depth-7 query at x=3/4"),
         (["refute", "--x", "1/3", "--n", "12", "--format", "json"], "depth-10 query at x=1/3"),
-        (["refute", "--x", "3/4", "--n", "5"], "depth-7 query at x=3/4"),
-    ], ids=["lemma-twin", "blowup", "refute", "refute-dyadic"])
+    ], ids=["lemma-twin", "refute"])
     def test_over_budget_is_one_line(self, capsys, monkeypatch, argv, query):
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
         assert invoke(capsys, *argv) == (1, "", f"error: {query} needs more than 3 cells\n")
@@ -493,6 +494,12 @@ class TestVerifyAll:
                               "--format", "json")
         assert code == 2
         assert json.loads(out)["certified"] is False
+
+    def test_blowup_entries_run_no_query(self, capsys, tmp_path, no_query):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("blowup 0 1\nblowup -3/8 7\nblowup 5/4 4000\n")
+        code, out, _ = invoke(capsys, "verify-all", "--corpus", str(corpus))
+        assert (code, out.splitlines()[-1]) == (0, "all certified (3 entries)")
 
     def test_over_budget_entry_names_its_line(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(measure, "BREAKPOINT_CAP", 3)
@@ -765,6 +772,16 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert invoke(capsys, )[0] == 1
 
+    # a library caller can pass what no command line yields
+    @pytest.mark.parametrize("argv, item", [
+        (["eval", "--x", 5], "5"),
+        (["eval", b"--x", "1/4"], "b'--x'"),
+        (["eval", "--x", None], "None"),
+        ([5], "5"),
+    ], ids=["int-value", "bytes-flag", "none-value", "int-command"])
+    def test_non_str_item_is_one_line(self, capsys, argv, item):
+        assert invoke(capsys, *argv) == (1, "", f"error: argument {item} is not a string\n")
+
     def test_unknown_command(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 1
 
@@ -895,10 +912,6 @@ class TestPlainArgs:
             assert argparse.ArgumentParser.parse_known_args(commands[argv[0]], argv[1:]) == (
                 plain, [])
         assert self.outcome(run, argv) == self.outcome(reference_run, argv)
-
-    @pytest.mark.parametrize("rest", [["--x", 5], [b"--x", "1/4"], ["--x", None]])
-    def test_non_str_items_go_to_argparse(self, rest):
-        assert cli._plain_args(cli._build_parser()[2]["eval"], rest) is None
 
     def test_readme_examples_skip_argparse(self, monkeypatch, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -9,10 +9,11 @@ the text-mode ops of ``TEXT_OPS``, the deep ops of ``DEEP_OPS``, the
 measure walks of ``WALK_OPS``, the refute and classify edge cases of
 ``REFUTE_OPS``, the twin edge cases of ``TWIN_OPS``, the long slope walks
 of ``SLOPE_OPS``, the period-closed partial sums of ``ORBIT_OPS``, the
-JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS`` and
-the argument parsing cases of ``USAGE_OPS``, and runs each op through
+JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS``,
+the argument parsing cases of ``USAGE_OPS`` and the dyadic blow-ups and
+refutes of ``DYADIC_OPS``, and runs each op through
 ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 175 ops in all.
+1 226 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -54,9 +55,9 @@ TEXT_OPS = (
 
 # Past every benchmark op (depth 48 at most, blow-ups to n = 14): each
 # depth-200 measure query visits about 140 000 cells and sums its crossings
-# over 21 denominators per band, the refute certifies 100 pairs, and the
-# blow-ups (one dyadic centre negative) and the lemma run single
-# certificates at query depths 124, 204 and 308.
+# over 21 denominators per band, the refute certifies 100 pairs, the
+# blow-ups (one dyadic centre negative) report depths 124 and 204, and the
+# lemma runs one query at depth 308.
 DEEP_OPS = (
     ["measure", "--x", "1/3", "--r", "1/2", "--alpha", "1/2", "--dir", "ge", "--depth", "200"],
     ["measure", "--x", "1/3", "--r", "1/2", "--alpha", "1/2", "--dir", "le", "--depth", "200"],
@@ -110,8 +111,8 @@ REFUTE_OPS = (
 # Certificates whose twin reduction meets an edge case: lemmas at a centre
 # below 0, above 1 and next to an integer on either side (the cell end is
 # 1 or 0, so the lemma runs as itself), a lemma at n = 300 below 0, a
-# divergent refute over 200 scales, and blow-ups rescaled from their first
-# scale: at 3/8 under refute, whose detail states every scale, and at -3/8.
+# divergent refute over 200 scales, and blow-ups past their first scale:
+# at 3/8 under refute, whose detail states every scale, and at -3/8.
 TWIN_OPS = (
     ["lemma", "--x", "-5/7", "--n", "40", "--format", "json"],
     ["lemma", "--x", "13/12", "--n", "30", "--format", "json"],
@@ -230,6 +231,23 @@ USAGE_OPS = (
     ["eval", "--x", "1/4", "--format", "json", "-h"],
 )
 
+# Dyadic centres, each with its first blow-up scale 2*level + 1: integers
+# (level clamped to 0), centres below 0 and above 1, and one centre of each
+# level 0-10 (1/3's binary digits to that level).
+_DYADIC_CENTRES = ([("0", 1), ("1", 1), ("-2", 1), ("-5/8", 5), ("13/8", 5)]
+                   + [(f"{(2 << level) // 3 | 1}/{2 << level}", 2 * level + 1)
+                      for level in range(11)])
+
+# Blow-ups at each centre's first scale and five above, a refute at each
+# centre, a blow-up at scale 4000, and both in text mode.
+DYADIC_OPS = tuple(
+    [["blowup", "--x", x, "--n", str(n), "--format", "json"]
+     for x, first in _DYADIC_CENTRES for n in (first, first + 5)]
+    + [["refute", "--x", x, "--n", "5", "--format", "json"] for x, _ in _DYADIC_CENTRES]
+    + [["blowup", "--x", "5/8", "--n", "4000", "--format", "json"],
+       ["blowup", "--x", "3/8", "--n", "10"],
+       ["refute", "--x", "-5/8", "--n", "3"]])
+
 # Runs in a child interpreter with one tree's src/ on PYTHONPATH: reads a
 # JSON list of argvs on stdin, writes [code, stdout, stderr] for each.
 RUNNER = """
@@ -277,6 +295,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
     ops.extend((f"json op {i}", list(argv)) for i, argv in enumerate(JSON_OPS))
     ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
     ops.extend((f"usage op {i}", list(argv)) for i, argv in enumerate(USAGE_OPS))
+    ops.extend((f"dyadic op {i}", list(argv)) for i, argv in enumerate(DYADIC_OPS))
     return ops
 
 
