@@ -323,6 +323,17 @@ class TestOtherReports:
         assert code == 0
         assert len(payload["result"]["pairs"]) >= 3
 
+    def test_refute_dyadic_certified(self, capsys, short_over_budget):
+        # a 2-cell budget that leaves every query short: the one blow-up at
+        # n = 1 runs none, so its whole half-ball is still certified
+        short_over_budget(2)
+        code, out, _ = invoke(capsys, "refute", "--x", "1/2", "--n", "5",
+                              "--format", "json")
+        result = json.loads(out)["result"]
+        assert (code, result["status"]) == (0, "certified")
+        assert result["singles"][0]["density_lo"] == "1/2"
+        assert result["detail"] == "thresholds n - 0 for every n >= 1"
+
     # a blow-up runs no query, so a 3-cell budget and a certify_lower that
     # raises leave it certified
     @pytest.mark.parametrize("argv", [
