@@ -15,12 +15,12 @@ All machine output is exact: JSON carries rationals as ``"p/q"``
 strings under a versioned ``"schema": "takagi-lab/1"`` key, in exactly
 the bytes of ``json.dumps(payload, indent=2)`` (written by :func:`_json`).
 
-A named subcommand's plain arguments (each flag spelled in full, as
-``--flag value`` or a bare ``--approx``/``--classical``) are read from its
-flag table (:func:`_plain_args`).  Any other argv goes to the subcommand's
-own argparse parser, as the top-level parser would hand it on, which prints
-help and reports usage errors.  The top-level parser reads only an argv that
-is empty or does not start with a subcommand name.
+One table, ``_COMMANDS``, is the spec of the argv.  A named subcommand's
+plain arguments (each flag spelled in full, as ``--flag value`` or a bare
+``--approx``/``--classical``) are read from it (:func:`_plain_args`); any
+other argv builds argparse parsers from it (:func:`_build_parser`), which
+print help and report usage errors.  The top-level parser reads only an argv
+that is empty or does not start with a subcommand name.
 
 Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
@@ -34,7 +34,6 @@ must be 1.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import re
@@ -43,6 +42,7 @@ from _json import encode_basestring_ascii
 from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, isfinite
+from types import SimpleNamespace
 
 from . import analysis, measure
 from .exactnum import (_join, _to_fraction, check_printable, dyadic_neighbors,
@@ -69,18 +69,6 @@ class _UsageError(Exception):
 _NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit code 1."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
 def _parse_dyadic(text: str) -> Fraction:
     value = parse_rat(text)
     if not is_dyadic(value):
@@ -95,96 +83,6 @@ _CHECKS = {
     "lemma": (parse_rat, lambda x, n: analysis.verify_lemma(x, n), 5),
     "blowup": (_parse_dyadic, lambda x, n: analysis.blowup_check(x, n), 2),
 }
-
-
-@functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser], dict[str, tuple]]:
-    """The argument parser, each subcommand's own parser by name and each
-    subcommand's flag table (see :func:`_plain_args`) by name, built on the
-    first ``run`` and reused after."""
-    parser = _Parser(prog="takagi-lab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    tables = {}
-
-    def add(name, handler, help_text, *, fmt=True, approx=False):
-        """Add a subcommand; returns the function that adds one of its flags."""
-        p = sub.add_parser(name, help=help_text)
-        start = {"run": handler, "parser": p, "command": name}
-        p.set_defaults(**start)
-        flags, required = {}, set()
-        tables[name] = flags, start, required
-
-        def arg(flag, **kwargs):
-            action = flags[flag] = p.add_argument(flag, **kwargs)
-            # as in argparse, an action's default (unless SUPPRESS) wins over set_defaults
-            if action.default is not argparse.SUPPRESS:
-                start[action.dest] = action.default
-            if action.required:
-                required.add(flag)
-
-        if fmt:
-            arg("--format", dest="fmt", choices=("text", "json"), default="text")
-        if approx:
-            arg("--approx", action="store_true",
-                help="add non-authoritative decimal values to the output")
-        return arg
-
-    arg = add("eval", _eval, "exact T(x) at a dyadic point", approx=True)
-    arg("--x", required=True)
-    arg("--classical", action="store_true",
-        help="include the distance-to-integers term")
-
-    arg = add("enclose", _enclose, "certified enclosure of T(x)", approx=True)
-    arg("--x", required=True)
-    arg("--depth", type=int, default=DEFAULT_DEPTH)
-    arg("--classical", action="store_true")
-
-    arg = add("slopes", _slopes, "slope sums G_1'(x)..G_N'(x)")
-    arg("--x", required=True)
-    arg("--n", type=int, required=True, help="horizon N")
-
-    arg = add("neighbors", _neighbors, "level-n grid neighbours around x")
-    arg("--x", required=True)
-    arg("--n", type=int, required=True)
-
-    arg = add("measure", _measure, "certified measure bracket for a quotient level set",
-              approx=True)
-    arg("--x", required=True)
-    arg("--r", required=True, help="dyadic radius")
-    arg("--alpha", required=True)
-    arg("--dir", required=True, choices=("ge", "le"))
-    arg("--depth", type=int, required=True)
-
-    arg = add("lemma", _check, "certify the one-scale measure estimate at (x, n)")
-    arg("--x", required=True)
-    arg("--n", type=int, required=True)
-
-    arg = add("blowup", _check, "certify the quotient blow-up at a dyadic point")
-    arg("--x", required=True)
-    arg("--n", type=int, required=True)
-
-    arg = add("classify", _classify, "horizon evidence about the slope sums at x")
-    arg("--x", required=True)
-    arg("--n", type=int, required=True, help="horizon N")
-
-    arg = add("refute", _refute, "emit certificates against approximate derivability")
-    arg("--x", required=True)
-    arg("--n", type=int, default=20, help="horizon N")
-
-    arg = add("sample", _sample, "CSV enclosure samples of T on [a, b]",
-              fmt=False, approx=True)
-    arg("--a", required=True)
-    arg("--b", required=True)
-    arg("--count", type=int, required=True)
-    arg("--depth", type=int, default=20)
-    arg("--classical", action="store_true")
-
-    arg = add("verify-all", _verify_all, "run a corpus of lemma/blowup checks")
-    arg("--corpus", default=None, help="file with '<kind> <x> <n>' lines")
-    arg("--jobs", type=int, default=1,
-        help="must be 1: corpus entries run in one process")
-
-    return parser, sub.choices, tables
 
 
 def _emit_json(command: str, result, approx=None) -> str:
@@ -457,62 +355,162 @@ def _sample(args) -> int:
     return 0
 
 
-def _plain_args(table, argv) -> argparse.Namespace | None:
-    """The namespace the subcommand's parser gives a plain ``argv``, else None.
+# -- the argv spec ----------------------------------------------------
 
-    ``table`` holds the subcommand's actions by flag, the namespace before any
-    flag is read and the required flags; ``argv`` holds str items only, as
-    :func:`run` checks.  Plain: each flag spelled in full and, unless a
-    ``store_true``, followed by a value that passes its ``type`` and
-    ``choices`` and starts with ``-`` only as a negative number; no required
-    flag missing.  A repeated flag keeps its last value, as in argparse.
+# The one spec of the argv: each subcommand's handler, help text and flags, which
+# :func:`_plain_args` reads and :func:`_build_parser` builds argparse parsers from.
+# A flag maps to (dest, type, default, required, choices, help); its type is None
+# (the value as given), int, or bool for a bare flag that stores True.
+_COMMANDS = {
+    "eval": (_eval, "exact T(x) at a dyadic point", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--approx": ("approx", bool, False, False, None,
+                     "add non-authoritative decimal values to the output"),
+        "--x": ("x", None, None, True, None, None),
+        "--classical": ("classical", bool, False, False, None,
+                        "include the distance-to-integers term")}),
+    "enclose": (_enclose, "certified enclosure of T(x)", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--approx": ("approx", bool, False, False, None,
+                     "add non-authoritative decimal values to the output"),
+        "--x": ("x", None, None, True, None, None),
+        "--depth": ("depth", int, DEFAULT_DEPTH, False, None, None),
+        "--classical": ("classical", bool, False, False, None, None)}),
+    "slopes": (_slopes, "slope sums G_1'(x)..G_N'(x)", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--x": ("x", None, None, True, None, None),
+        "--n": ("n", int, None, True, None, "horizon N")}),
+    "neighbors": (_neighbors, "level-n grid neighbours around x", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--x": ("x", None, None, True, None, None),
+        "--n": ("n", int, None, True, None, None)}),
+    "measure": (_measure, "certified measure bracket for a quotient level set", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--approx": ("approx", bool, False, False, None,
+                     "add non-authoritative decimal values to the output"),
+        "--x": ("x", None, None, True, None, None),
+        "--r": ("r", None, None, True, None, "dyadic radius"),
+        "--alpha": ("alpha", None, None, True, None, None),
+        "--dir": ("dir", None, None, True, ("ge", "le"), None),
+        "--depth": ("depth", int, None, True, None, None)}),
+    "lemma": (_check, "certify the one-scale measure estimate at (x, n)", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--x": ("x", None, None, True, None, None),
+        "--n": ("n", int, None, True, None, None)}),
+    "blowup": (_check, "certify the quotient blow-up at a dyadic point", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--x": ("x", None, None, True, None, None),
+        "--n": ("n", int, None, True, None, None)}),
+    "classify": (_classify, "horizon evidence about the slope sums at x", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--x": ("x", None, None, True, None, None),
+        "--n": ("n", int, None, True, None, "horizon N")}),
+    "refute": (_refute, "emit certificates against approximate derivability", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--x": ("x", None, None, True, None, None),
+        "--n": ("n", int, 20, False, None, "horizon N")}),
+    "sample": (_sample, "CSV enclosure samples of T on [a, b]", {
+        "--approx": ("approx", bool, False, False, None,
+                     "add non-authoritative decimal values to the output"),
+        "--a": ("a", None, None, True, None, None),
+        "--b": ("b", None, None, True, None, None),
+        "--count": ("count", int, None, True, None, None),
+        "--depth": ("depth", int, 20, False, None, None),
+        "--classical": ("classical", bool, False, False, None, None)}),
+    "verify-all": (_verify_all, "run a corpus of lemma/blowup checks", {
+        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--corpus": ("corpus", None, None, False, None, "file with '<kind> <x> <n>' lines"),
+        "--jobs": ("jobs", int, 1, False, None, "must be 1: corpus entries run in one process")}),
+}
+
+
+def _plain_args(command: str, argv) -> SimpleNamespace | None:
+    """The namespace the subcommand's argparse parser gives a plain ``argv``, else None.
+
+    Read from ``_COMMANDS`` alone; ``argv`` holds str items only, as :func:`run`
+    checks.  Plain: each flag spelled in full and, unless bare, followed by a value
+    that passes its type and choices and starts with ``-`` only as a negative
+    number; no required flag missing.  A repeated flag keeps its last value.
     """
-    flags, start, required = table
-    values, seen = dict(start), set()
+    flags = _COMMANDS[command][2]
+    values = {"command": command}
     items = iter(argv)
     for flag in items:
-        action = flags.get(flag)
-        if action is None:
+        spec = flags.get(flag)
+        if spec is None:
             return None
-        seen.add(flag)
-        if action.nargs == 0:  # store_true
-            values[action.dest] = action.const
+        dest, kind, _, _, choices, _ = spec
+        if kind is bool:
+            values[dest] = True
             continue
         value = next(items, None)
         if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
             return None
-        if action.type is not None:
+        if kind is not None:
             try:
-                value = action.type(value)
-            except (TypeError, ValueError):
+                value = kind(value)
+            except ValueError:
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-    return argparse.Namespace(**values) if required <= seen else None
+        values[dest] = value
+    for dest, _, default, required, _, _ in flags.values():
+        if required and dest not in values:
+            return None
+        values.setdefault(dest, default)
+    return SimpleNamespace(**values)
+
+
+@functools.cache
+def _build_parser():
+    """The top-level argparse parser and each subcommand's by name, from ``_COMMANDS``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse variant that reports usage problems as exit code 1."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            raise _UsageError(message)
+
+    parser = Parser(prog="takagi-lab", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", parser_class=Parser)
+    for name, (_, summary, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(command=name)
+        for flag, (dest, kind, default, required, choices, help_text) in flags.items():
+            how = {"action": "store_true"} if kind is bool else {"type": kind, "choices": choices}
+            command.add_argument(flag, dest=dest, default=default, required=required,
+                                 help=help_text, **how)
+    return parser, sub.choices
 
 
 def run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser, commands, tables = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
         for item in argv:  # a command line yields only str; a library caller may not
             if not isinstance(item, str):
                 raise _UsageError(f"argument {item!r} is not a string")
-        if argv and argv[0] in commands:  # as the top-level parser would hand them on
-            args, extras = _plain_args(tables[argv[0]], argv[1:]), []
-            if args is None:  # argparse reads any other argv, and reports what is wrong
+        args = _plain_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+        if args is None:  # argparse reads any other argv, and reports what is wrong
+            parser, commands = _build_parser()
+            if argv and argv[0] in commands:  # as the top-level parser would hand them on
                 args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        else:  # an empty argv, an unknown command or a top-level option
-            args, extras = parser.parse_known_args(argv)
-        if extras:  # a flag the subcommand does not take: show that subcommand's usage
-            getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(extras)}")
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return 1
-        return args.run(args)
+            else:  # an empty argv, an unknown command or a top-level option
+                args, extras = parser.parse_known_args(argv)
+            if extras:  # a flag the subcommand does not take: show that subcommand's usage
+                usage = commands.get(args.command, parser)
+                usage.error(f"unrecognized arguments: {' '.join(extras)}")
+            if args.command is None:
+                parser.print_usage(sys.stderr)
+                return 1
+        return _COMMANDS[args.command][0](args)
     except (_UsageError, ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

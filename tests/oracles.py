@@ -43,7 +43,9 @@ and ``dataclasses.fields`` per report, kept verbatim but for one branch
 that writes a report record (a named tuple) as a dict of its fields.
 :func:`reference_run` is ``cli.run`` as it was before a named
 subcommand parsed its own arguments: the top-level parser reads every
-argv and hands the tokens after the subcommand name on, kept verbatim.
+argv and hands the tokens after the subcommand name on, kept verbatim
+but for finding the handler and the usage to show in ``cli._COMMANDS``
+and the built subparsers, since the namespace no longer carries them.
 """
 
 from __future__ import annotations
@@ -919,15 +921,16 @@ def reference_to_jsonable(obj):
 
 def reference_run(argv=None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = cli._build_parser()[0]
+    parser, commands = cli._build_parser()
     try:
         args, extras = parser.parse_known_args(argv)
         if extras:  # a flag the subcommand does not take: show that subcommand's usage
-            getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(extras)}")
+            usage = commands.get(args.command, parser)
+            usage.error(f"unrecognized arguments: {' '.join(extras)}")
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return args.run(args)
+        return cli._COMMANDS[args.command][0](args)
     except (cli._UsageError, ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -773,7 +772,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [["-h"], ["measure", "-h"]], ids=["top-level", "measure"])
     def test_help(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        parser, commands, _ = cli._build_parser()
+        parser, commands = cli._build_parser()
         helped = commands[argv[0]] if argv[0] in commands else parser
         expected = (0, helped.format_help(), "")
         assert self.outcome(capsys, run, argv) == expected
@@ -864,20 +863,20 @@ def _subcommand_argvs(draw):
     each spelled in full or else abbreviated or as ``--flag=value``, with a value
     its type and choices accept or else an odd one, and now and then a junk
     token (help, ``--``, an unknown flag, a positional) among them."""
-    tables = cli._build_parser()[2]
-    name = draw(st.sampled_from(sorted(tables)))
-    flags, _, required = tables[name]
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = cli._COMMANDS[name][2]
+    required = sorted(flag for flag, spec in flags.items() if spec[3])
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4))
     if draw(st.integers(0, 3)):
-        chosen = draw(st.permutations(sorted(required))) + chosen
+        chosen = draw(st.permutations(required)) + chosen
     argv = [name]
     for flag in chosen:
-        action = flags[flag]
+        _, kind, _, _, choices, _ = flags[flag]
         if draw(st.integers(0, 9)) == 0:
             value = draw(_ODD_VALUES)
-        elif action.choices:
-            value = draw(st.sampled_from(action.choices))
-        elif action.type is int:
+        elif choices:
+            value = draw(st.sampled_from(choices))
+        elif kind is int:
             value = str(draw(st.integers(-2, 8)))
         else:
             value = draw(st.sampled_from(["0", "1", "1/2", "1/3", "-3/5", "1/8"]))
@@ -886,7 +885,7 @@ def _subcommand_argvs(draw):
             flag = flag[:draw(st.integers(min(3, len(flag)), len(flag)))]
         if spelling == 1:
             argv.append(f"{flag}={value}")
-        elif action.nargs == 0:
+        elif kind is bool:
             argv.append(flag)
         else:
             argv += [flag, value]
@@ -897,8 +896,9 @@ def _subcommand_argvs(draw):
 
 
 class TestPlainArgs:
-    """A plain subcommand argv is read from the subcommand's flag table, without
-    argparse; any other goes to argparse, and both give the same namespace."""
+    """A plain subcommand argv is read from the argv table, without argparse;
+    any other goes to argparse built from the table, and both give the same
+    namespace."""
 
     @staticmethod
     def outcome(runner, argv):
@@ -917,11 +917,10 @@ class TestPlainArgs:
     @example(["sample", "--a", "0", "--b", "1/2", "--count", "3", "--classical"])
     @example(["eval", "--x", ""])
     def test_same_namespace_and_outcome_as_argparse(self, argv):
-        _, commands, tables = cli._build_parser()
-        plain = cli._plain_args(tables[argv[0]], argv[1:])
+        plain = cli._plain_args(argv[0], argv[1:])
         if plain is not None:
-            assert argparse.ArgumentParser.parse_known_args(commands[argv[0]], argv[1:]) == (
-                plain, [])
+            args, extras = cli._build_parser()[1][argv[0]].parse_known_args(argv[1:])
+            assert (vars(args), extras) == (vars(plain), [])
         assert self.outcome(run, argv) == self.outcome(reference_run, argv)
 
     def test_readme_examples_skip_argparse(self, monkeypatch, tmp_path):
@@ -930,36 +929,37 @@ class TestPlainArgs:
         examples = [shlex.split(line, comments=True) for line in block.splitlines()]
         assert len(examples) == 11 and all(words[0] == "takagi-lab" for words in examples)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("argparse read a README example")
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
         (tmp_path / "corpus.txt").write_text("lemma 1/3 2\nblowup 1/2 3\n")
         monkeypatch.chdir(tmp_path)
+        cli._build_parser.cache_clear()
         for words in examples:
             argv = words[1:words.index(">")] if ">" in words else words[1:]
             assert self.outcome(run, argv)[0] == 0, argv
+        assert cli._build_parser.cache_info().misses == 0  # no argparse parser was built
 
     def test_tables_hold_every_flag_as_a_plain_store(self):
-        # the flag table reads one value per store flag and none per store_true
-        # flag, takes a default as it is, and converts a value only by type
-        _, commands, tables = cli._build_parser()
-        assert tables.keys() == commands.keys()
-        for name, sub in commands.items():
-            flags, start, required = tables[name]
-            assert [action for action in sub._actions
-                    if not isinstance(action, argparse._HelpAction)] == [*flags.values()]
-            for flag, action in flags.items():
-                assert action.option_strings == [flag]
-                if type(action) is argparse._StoreTrueAction:
-                    assert (action.nargs, action.const, action.default) == (0, True, False)
+        # the plain parse reads one value per typed flag and none per bare flag,
+        # takes a default as it is (argparse would run a str default through its
+        # type) and converts a value only by type; argparse is built to match
+        commands = cli._build_parser()[1]
+        assert commands.keys() == cli._COMMANDS.keys()
+        for name, (handler, _, flags) in cli._COMMANDS.items():
+            assert callable(handler)
+            dests = [dest for dest, *_ in flags.values()]
+            assert len(set(dests)) == len(dests) and "command" not in dests
+            for dest, kind, default, required, choices, _ in flags.values():
+                assert kind in (None, int, bool)
+                if kind is bool:
+                    assert (default, required, choices) == (False, False, None)
                 else:
-                    assert type(action) is argparse._StoreAction
-                    assert (action.nargs, action.const) == (None, None)
-                    assert action.type in (None, int)
-                    assert action.type is None or not isinstance(action.default, str)
-                assert start[action.dest] is action.default
-            assert required == {flag for flag, action in flags.items() if action.required}
+                    assert kind is None or not isinstance(default, str)
+                    assert choices is None or all(type(c) is (kind or str) for c in choices)
+            built = [action for action in commands[name]._actions if action.dest != "help"]
+            assert all(action.nargs in (0, None) for action in built)
+            assert [(action.option_strings, action.dest, bool if action.nargs == 0
+                     else action.type, action.default, action.required, action.choices,
+                     action.help) for action in built] == [
+                ([flag], *spec) for flag, spec in flags.items()]
 
 
 class TestImportCost:
@@ -976,3 +976,20 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
         assert proc.stdout == "[]\n"
+
+    def test_plain_run_leaves_argparse_unloaded(self):
+        # a plain argv is read from the argv table: no parser is built and
+        # argparse is not imported; a usage error still builds the parsers
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import contextlib, io, sys\n"
+                "from takagi_lab import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.run(['eval', '--x', '1/4', '--format', 'json'])\n"
+                "print(code, 'argparse' in sys.modules, cli._build_parser.cache_info().misses)\n"
+                "print(cli.run(['eval', '--x']))\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"})
+        assert proc.stdout == "0 False 0\n1\n"
+        expected = "error: argument --x: expected one argument\n"
+        assert proc.stderr == TestUsage.EVAL_USAGE + expected
