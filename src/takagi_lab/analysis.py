@@ -49,11 +49,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .exactnum import check_printable, dyadic_level, format_rat, is_dyadic, _to_fraction
 from .measure import CERTIFIED, Dir, UNDECIDED, certify_lower
-from .takagi import SlopeSeq, slope, slope_seq, slope_sum
+from .takagi import SlopeSeq, _digits, slope_seq
 
 __all__ = [
     "CASE_BOUNDED",
@@ -184,17 +185,30 @@ class RefutationEvidence(NamedTuple):
     detail: str = ""
 
 
-def _lemma_twin(x: Fraction, n: int) -> tuple[Fraction, int]:
-    """The twin ``(x', n')`` whose lemma bracket is x's, rescaled; see :func:`verify_lemma`."""
+def _lemma_twin(x: Fraction, n: int) -> tuple[int, int, int]:
+    """The twin ``(x', n')`` whose lemma bracket is x's, rescaled (see :func:`verify_lemma`),
+    as ``(x'.numerator, x'.denominator, n')``."""
     p, q = x.numerator, x.denominator
     j, rest = divmod(p << (n - 1), q)  # 2**(n-1)*x = j + u with u = rest/q
     left = 2 * rest < q
     end = j if left else j + 1
     e = (end & -end).bit_length() - 1 if end else n  # the end 0 is an integer
     if n <= e + 2:
-        return x, n
-    twin_j = 1 << e if left else (1 << e) - 1
-    return Fraction(twin_j * q + rest, q << (e + 2)), e + 3
+        return p, q, n
+    num, den = (1 << e if left else (1 << e) - 1) * q + rest, q << (e + 2)
+    common = gcd(num, den)
+    return num // common, den // common, e + 3
+
+
+def _sign_and_threshold(p: int, q: int, n: int) -> tuple[int, Fraction]:
+    """``(g_n'(x), G_{n-1}'(x) + g_n'(x) * SLOPE_MARGIN)`` at the non-dyadic ``x = p/q``:
+    the lemma's sign and threshold, from one integer of binary digits, ``b_{n+1}`` the
+    lowest (:func:`~takagi_lab.takagi._slope_digits`), and the threshold one Fraction."""
+    digits = _digits(p % q, q, n)
+    sign = 1 - 2 * (digits & 1)
+    total = n - 1 - 2 * (digits >> 1).bit_count()  # G_{n-1}'(x), from b_2 .. b_n
+    den = SLOPE_MARGIN.denominator
+    return sign, Fraction(total * den + sign * SLOPE_MARGIN.numerator, den)
 
 
 def _lemma(x, n: int, table: dict) -> tuple[Fraction, int, Dir, Fraction, int, tuple]:
@@ -203,21 +217,22 @@ def _lemma(x, n: int, table: dict) -> tuple[Fraction, int, Dir, Fraction, int, t
     lo's density, read from ``table`` at ``(x'.numerator, x'.denominator, n')`` or run and
     stored there.  :func:`refute` passes one table for all its scales."""
     xf = _to_fraction(x)
-    if is_dyadic(xf):
+    p, q = xf.numerator, xf.denominator
+    if not q & (q - 1):
         raise ValueError("the one-scale estimate needs a non-dyadic centre")
     if n < 1:
         raise ValueError("scale index must be positive")
-    sign = slope(n, xf)
-    margin = SLOPE_MARGIN if sign == 1 else -SLOPE_MARGIN
+    sign, alpha = _sign_and_threshold(p, q, n)
     direction = Dir.LE if sign == 1 else Dir.GE
-    tx, tn = _lemma_twin(xf, n)
-    key = (tx.numerator, tx.denominator, tn)  # tn too: x is its own twin at each n <= e + 2
+    key = _lemma_twin(xf, n)  # n' too: x is its own twin at each n <= e + 2
     if key not in table:
-        lo, _, status = certify_lower(tx, Fraction(1, 1 << tn), slope_sum(tx, tn - 1) + margin,
-                                      direction, Fraction(1, 1 << (tn + 5)),
+        tp, tq, tn = key
+        lo, _, status = certify_lower(Fraction(tp, tq), Fraction(1, 1 << tn),
+                                      _sign_and_threshold(tp, tq, tn)[1], direction,
+                                      Fraction(1, 1 << (tn + 5)),
                                       depth=tn + _LEMMA_DEPTH_HEADROOM)
         table[key] = lo, status, lo * (1 << (tn - 1))
-    return xf, sign, direction, slope_sum(xf, n - 1) + margin, tn, table[key]
+    return xf, sign, direction, alpha, key[2], table[key]
 
 
 def verify_lemma(x, n: int) -> LemmaReport:
@@ -432,7 +447,8 @@ def _certificates(x: Fraction, case: str, n: int, table: dict) -> list[DensityCe
     le, ge = _certificate(x, n, table), _certificate(x, n - 1, table)
     if le.direction is not Dir.LE or ge.direction is not Dir.GE:
         raise RuntimeError(f"unexpected certificate directions at n={n}")
-    if ge.alpha - le.alpha != Fraction(1, 5):
+    (a, b), (c, d) = ge.alpha.as_integer_ratio(), le.alpha.as_integer_ratio()
+    if 5 * (a * d - c * b) != b * d:  # a/b - c/d == 1/5, in integers
         raise RuntimeError(f"threshold gap at n={n} is not 1/5")
     return [le, ge]
 
@@ -470,7 +486,8 @@ def refute(x, horizon: int) -> RefutationEvidence:
         check_printable(scales[-1] + (case == CASE_DYADIC))
     table: dict = {}  # the lemma twins' entries, shared by all scales of this call
     found = {n: _certificates(xf, case, n, table) for n in scales}
-    bad = [n for n in scales if min(c.density_lo for c in found[n]) < Fraction(1, 64)]
+    bad = [n for n in scales  # a density below 2**-6, in integers
+           if any(c.density_lo.numerator << 6 < c.density_lo.denominator for c in found[n])]
     good = [n for n in scales if n not in bad]
     if case == CASE_BOUNDED:
         pairs, singles = tuple(CertificatePair(n, *found[n]) for n in good), ()

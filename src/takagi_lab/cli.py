@@ -13,7 +13,9 @@ and takes only the shared flags that handler reads:
 
 All machine output is exact: JSON carries rationals as ``"p/q"``
 strings under a versioned ``"schema": "takagi-lab/1"`` key, in exactly
-the bytes of ``json.dumps(payload, indent=2)`` (written by :func:`_json`).
+the bytes of ``json.dumps(analysis.to_jsonable(payload), indent=2)``, the
+``--approx`` decimals under ``"approx"`` the only floats.  :func:`_json`
+writes them in one pass over the report's records, building no such tree.
 
 One table, ``_COMMANDS``, is the spec of the argv.  A named subcommand's
 plain arguments (each flag spelled in full, as ``--flag value`` or a bare
@@ -40,6 +42,7 @@ import re
 import sys
 from _json import encode_basestring_ascii
 from collections.abc import Iterator
+from enum import Enum
 from fractions import Fraction
 from math import gcd, isfinite
 from types import SimpleNamespace
@@ -86,40 +89,70 @@ _CHECKS = {
 
 
 def _emit_json(command: str, result, approx=None) -> str:
-    data = analysis.to_jsonable(result)
     # a verify-all run keeps its fields at the top level
-    body = data if command == "verify-all" else {"result": data}
-    payload = {"schema": SCHEMA, "command": command, **body}
+    payload = {"schema": SCHEMA, "command": command,
+               **(result if command == "verify-all" else {"result": result})}
     if approx is not None:
-        payload["approx"] = approx
+        payload["approx"] = {key: _Approx(value) for key, value in approx.items()}
     return _json(payload)
 
 
+class _Approx(float):
+    """An ``--approx`` value: the one kind of float :func:`_json` writes."""
+
+
+# record type -> its field names as JSON strings, filled the first time _json meets one
+_KEYS: dict[type, tuple[str, ...]] = {}
+
+
 def _json(node, pad: str = "\n") -> str:
-    """``json.dumps(node, indent=2)`` for str-keyed dicts, lists, str, int, float, bool
-    and None, at the indent ``pad`` ends with.  A NaN or an infinity (no JSON form)
-    raises ``ValueError``, any other type ``TypeError``.  Strings go through the C
-    escaper of ``_json``, which ``json.encoder`` re-exports; importing it from
-    ``_json`` leaves the ``json`` package unloaded."""
-    if isinstance(node, str):
+    """``json.dumps(analysis.to_jsonable(node), indent=2)``, at the indent ``pad`` ends
+    with, written in one pass over ``node``.
+
+    The exact types of report data are written directly: ``str``, ``int``, ``bool`` and
+    None as they are, a ``Fraction`` as ``"p/q"``, a record (named tuple) as an object of
+    its fields, a ``dict`` as an object (a key that is no ``str`` raises ``TypeError``),
+    a ``list`` or ``tuple`` as an array (of plain ints in one join) and an ``Enum``
+    member as its value.  Any other node goes through ``analysis.to_jsonable`` once, so
+    a subclass is written as there and any other type, a float among them, raises its
+    ``TypeError``.  Only an :class:`_Approx` is written as a JSON number; a NaN or an
+    infinity (no JSON form) raises ``ValueError``.  Strings go through the C escaper of
+    ``_json``, which ``json.encoder`` re-exports; importing it from ``_json`` leaves the
+    ``json`` package unloaded.
+    """
+    cls = type(node)
+    if cls is str:
         return encode_basestring_ascii(node)
-    if node is None or isinstance(node, bool):
+    if cls is Fraction:
+        return f'"{_join(node.numerator, node.denominator)}"'
+    if cls is int:
+        return repr(node)
+    if cls is bool or node is None:
         return "null" if node is None else "true" if node else "false"
-    if isinstance(node, int):
-        return int.__repr__(node)
-    if isinstance(node, float):
+    inner = pad + "  "
+    keys = _KEYS.get(cls)
+    # only a tuple is probed for _fields: on an Enum it is a slow EnumType.__getattr__
+    if keys is None and issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        keys = _KEYS[cls] = tuple(map(encode_basestring_ascii, cls._fields))
+    if keys is not None:
+        items, ends = [f"{key}: {_json(value, inner)}" for key, value in zip(keys, node)], "{}"
+    elif cls is dict:
+        items, ends = [f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
+                       for key, value in node.items()], "{}"
+    elif cls is list or cls is tuple:  # a list of plain ints (slope sums) skips the call per item
+        items, ends = ([*map(repr, node)] if all(type(item) is int for item in node)
+                       else [_json(item, inner) for item in node]), "[]"
+    elif cls is _Approx:
         if not isfinite(node):
             raise ValueError(f"{node!r} has no JSON form")
         return float.__repr__(node)
-    inner = pad + "  "
-    if isinstance(node, dict):
-        items, ends = [f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
-                       for key, value in node.items()], "{}"
-    elif isinstance(node, list):  # a list of plain ints (slope sums) skips the call per item
-        items, ends = ([*map(int.__repr__, node)] if all(type(item) is int for item in node)
-                       else [_json(item, inner) for item in node]), "[]"
+    elif isinstance(node, Enum):
+        return _json(node.value, pad)
     else:
-        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+        data = analysis.to_jsonable(node)
+        if data is node:  # a str or int subclass, which to_jsonable returns as it is
+            return encode_basestring_ascii(node) if isinstance(node, str) else int.__repr__(node)
+        return _json(data, pad)
     return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
 
 
@@ -477,7 +510,8 @@ def _build_parser():
             self.print_usage(sys.stderr)
             raise _UsageError(message)
 
-    parser = Parser(prog="takagi-lab", description=__doc__.splitlines()[0])
+    # the module docstring's first line, written out: under -OO __doc__ is None
+    parser = Parser(prog="takagi-lab", description="Command-line front end.")
     sub = parser.add_subparsers(dest="command", parser_class=Parser)
     for name, (_, summary, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)

@@ -222,7 +222,11 @@ def _slope_digits(x, n: int) -> int:
     xf = _to_fraction(x)
     if is_dyadic(xf):
         raise ValueError(f"slopes are eventually undefined at dyadic {xf}")
-    r, q = _orbit(xf)
+    return _digits(*_orbit(xf), n)
+
+
+def _digits(r: int, q: int, n: int) -> int:
+    """:func:`_slope_digits` of ``x = r/q mod 1``, ``0 <= r < q``, from the integers."""
     return (r << (n + 1)) // q & ((1 << n) - 1)
 
 

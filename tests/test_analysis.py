@@ -30,7 +30,7 @@ from takagi_lab.measure import (
     QuotientQuery,
     quotient_set_bounds,
 )
-from takagi_lab.takagi import Enclosure, slope_seq
+from takagi_lab.takagi import Enclosure, slope, slope_seq, slope_sum
 
 
 class TestVerifyLemma:
@@ -356,6 +356,33 @@ class TestRefute:
         assert queries == 1
         assert cert == certificate(F(1, 3), 2)
 
+    def test_each_certificate_is_the_public_one(self):
+        # refute reads signs, thresholds and twin keys from x's integers; each
+        # certificate it emits is the one certificate(x, n) makes alone, with
+        # the sign and threshold of takagi's slope functions, at centres of
+        # every sign with odd and even denominators
+        rng = random.Random(28)
+        seen = Counter()
+        while seen["centres"] < 150:
+            q = rng.randrange(3, 400, 2) << rng.randrange(4)
+            x = F(rng.randrange(-3 * q, 3 * q), q)
+            if is_dyadic(x):
+                continue
+            evidence = refute(x, rng.randrange(1, 50))
+            certificates = [c for pair in evidence.pairs for c in (pair.le, pair.ge)]
+            for cert in certificates + list(evidence.singles):
+                n = cert.r.denominator.bit_length() - 1  # r = 2**-n
+                assert cert == certificate(x, n), (x, n)
+                sign = slope(n, x)
+                assert cert.direction is (Dir.LE if sign == 1 else Dir.GE)
+                assert cert.alpha == slope_sum(x, n - 1) + sign * F(2, 5)
+                seen[cert.direction] += 1
+            seen["centres"] += 1
+            seen[evidence.case_hint] += 1
+            seen["even q"] += x.denominator % 2 == 0
+        assert seen[Dir.LE] and seen[Dir.GE] and seen["even q"]
+        assert seen[CASE_BOUNDED] and seen[CASE_DIVERGENT]
+
 
 class TestTwins:
     """Each certificate's bracket equals the full-depth query it replaces."""
@@ -383,7 +410,7 @@ class TestTwins:
                 end = rng.randrange(-(1 << (n + 1)), 2 << n)
             j = end if left else end - 1
             x = (j + u) / (1 << (n - 1))
-            _, tn = analysis._lemma_twin(x, n)
+            *_, tn = analysis._lemma_twin(x, n)
             report = verify_lemma(x, n)
             assert report == full_query_verify_lemma(x, n), (x, n)
             seen["twin" if tn < n else "itself"] += 1
@@ -420,7 +447,7 @@ class TestTwins:
             certificates = [c for pair in evidence.pairs for c in (pair.le, pair.ge)]
             certificates += evidence.singles
             scales = [c.r.denominator.bit_length() - 1 for c in certificates]  # r = 2**-n
-            itself = sum(analysis._lemma_twin(x, n)[1] == n for n in scales)
+            itself = sum(analysis._lemma_twin(x, n)[2] == n for n in scales)
             # every scale certified, so no wrong density could drop one unseen
             assert len(evidence.pairs) + len(evidence.singles) == len(
                 analysis._scales(classify(x, horizon))), x
@@ -516,27 +543,26 @@ class TestSerializerReference:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_report_the_cli_prints(self, capsys, monkeypatch, seed):
-        reports, depth = [], [0]
-        real = analysis.to_jsonable
+        # the CLI writes each report straight from its records: its bytes are
+        # json.dumps of the reference tree, and to_jsonable gives that tree
+        payloads, outputs = [], []
+        real = cli._json
 
-        def recording(obj):  # keeps the outermost object of each call
-            if not depth[0]:
-                reports.append(obj)
-            depth[0] += 1
-            try:
-                return real(obj)
-            finally:
-                depth[0] -= 1
+        def recording(node, pad="\n"):  # keeps the whole payload, not its parts
+            if pad == "\n":
+                payloads.append(node)
+            return real(node, pad)
 
-        monkeypatch.setattr(analysis, "to_jsonable", recording)
+        monkeypatch.setattr(cli, "_json", recording)
         argvs = _cli_argvs(random.Random(seed))
         for argv in argvs:
             assert cli.run(argv) in (0, 2), argv
-        capsys.readouterr()
-        assert len(reports) == len(argvs)
+            outputs.append(capsys.readouterr().out)
+        assert len(payloads) == len(argvs)
         monkeypatch.undo()
-        for obj in reports:
-            self.same(obj)
+        for payload, out in zip(payloads, outputs):  # no argv asks for --approx
+            self.same(payload)
+            assert out == json.dumps(reference_to_jsonable(payload), indent=2) + "\n"
 
     def test_edge_nodes(self):
         nodes = [True, False, None, "ge", 2**70 + 1, -(2**65), 0, F(-7, 3), F(-4), F(0),

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -6,17 +7,18 @@ import random
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_run, reference_sample_rows
+from oracles import reference_run, reference_sample_rows, reference_to_jsonable
 from takagi_lab import analysis, cli, measure
 from takagi_lab.cli import run, sample_rows
 from takagi_lab.exactnum import parse_rat
-from takagi_lab.takagi import Enclosure
+from takagi_lab.takagi import Enclosure, SlopeSeq
 
 
 def invoke(capsys, *argv):
@@ -656,8 +658,58 @@ _json_trees = st.recursive(
 )
 
 
+def _approx(tree):
+    """``tree`` with each float marked as an ``--approx`` value, the one float the writer takes."""
+    if type(tree) is float:
+        return cli._Approx(tree)
+    if type(tree) is list:
+        return [_approx(item) for item in tree]
+    if type(tree) is dict:
+        return {key: _approx(value) for key, value in tree.items()}
+    return tree
+
+
+# report records, each field of its own type: negative and huge rationals,
+# empty tuples, both directions and arbitrary text
+_fractions = st.fractions() | st.builds(F, st.integers(-(2**300), 2**300), st.integers(1, 2**300))
+_ints = st.integers(-(2**70), 2**70)
+_text = st.text(max_size=6)
+_dirs = st.sampled_from(measure.Dir)
+_int_tuples = st.lists(_ints, max_size=6).map(tuple)
+_certs = st.builds(analysis.DensityCertificate, _fractions, _fractions, _fractions, _dirs,
+                   _fractions)
+_pairs = st.builds(analysis.CertificatePair, _ints, _certs, _certs)
+_slope_seqs = st.builds(SlopeSeq, _fractions, _int_tuples, _ints)
+_records = st.one_of(
+    st.builds(lambda a, b: Enclosure(min(a, b), max(a, b)), _fractions, _fractions),
+    st.builds(measure.QuotientQuery, _fractions,
+              st.builds(lambda k, m: F(2 * k + 1, 1 << m), st.integers(0, 99), st.integers(0, 99)),
+              _fractions, _dirs, st.integers(1, 2**70)),
+    _slope_seqs,
+    _certs,
+    _pairs,
+    st.builds(analysis.ClassificationReport, _fractions, _ints, _slope_seqs, _ints, _ints,
+              _int_tuples, _text),
+    st.builds(analysis.RefutationEvidence, _fractions, _ints, _text,
+              st.lists(_pairs, max_size=3).map(tuple), st.lists(_certs, max_size=3).map(tuple),
+              _text, _text),
+    st.builds(analysis.LemmaReport, _fractions, _ints, _ints, _dirs, _fractions, _fractions,
+              _fractions, _ints, _text),
+    st.builds(analysis.BlowupReport, _fractions, _ints, _ints, _ints, _fractions, _fractions,
+              _fractions, _fractions, _fractions, _ints, _text),
+)
+# what handlers pass: records alone, in lists, and in dicts beside None and bools
+_report_data = st.recursive(
+    _records | st.none() | st.booleans() | _dirs,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_text, children, max_size=3)),
+    max_leaves=6,
+)
+
+
 class TestJsonWriter:
-    """``cli._json`` against ``json.dumps(indent=2)``, the writer it replaced."""
+    """``cli._json`` against ``json.dumps(indent=2)`` of the reference tree, the bytes it replaced."""
 
     @settings(deadline=None, max_examples=300)
     @given(_json_trees)
@@ -665,7 +717,22 @@ class TestJsonWriter:
     @example([2**64 + 1, -(2**64) - 1, -7, 0, True, False, None,
               'quote " backslash \\ nul \x00 tab \t \u00e9 \U0001d11e'])
     def test_equals_json_dumps(self, node):
-        assert cli._json(node) == json.dumps(node, indent=2)
+        # a float is written only as an --approx value; in report data it raises
+        assert cli._json(_approx(node)) == json.dumps(node, indent=2)
+        try:
+            expected = json.dumps(reference_to_jsonable(node), indent=2)
+        except TypeError:
+            with pytest.raises(TypeError, match="^cannot serialize float exactly$"):
+                cli._json(node)
+        else:
+            assert cli._json(node) == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(_report_data)
+    @example((analysis.RefutationEvidence(F(-1, 3), 0, "", (), (), "", ""), [], {}, ()))
+    @example({"none": None, "yes": True, "no": False, "d": measure.Dir.GE, "big": F(-(10**300), 7)})
+    def test_records_equal_the_reference(self, data):
+        assert cli._json(data) == json.dumps(reference_to_jsonable(data), indent=2)
 
     ARGVS = (
         ["eval", "--x", "5/8"], ["eval", "--x", "1/4", "--classical", "--approx"],
@@ -694,20 +761,54 @@ class TestJsonWriter:
         code, out, _ = invoke(capsys, *argv, "--format", "json")
         assert code in (0, 2)
         (payload,) = payloads
-        assert out == json.dumps(payload, indent=2) + "\n"
+        # the report data as the reference tree, the approx block as it is
+        tree = {key: value if key == "approx" else reference_to_jsonable(value)
+                for key, value in payload.items()}
+        assert out == json.dumps(tree, indent=2) + "\n"
+        assert all(type(value) is cli._Approx for value in payload.get("approx", {}).values())
 
     @pytest.mark.parametrize("node", [F(1, 2), (1, 2), {1, 2}, {"a": [1, (2,)]}, [{"b": F(1)}]],
                              ids=repr)
     def test_other_types_raise_type_error(self, node):
-        with pytest.raises(TypeError):
-            cli._json(node)
+        # a type to_jsonable refuses raises its TypeError, alone or anywhere in
+        # report data; whatever it accepts is written as the reference tree
+        try:
+            expected = json.dumps(reference_to_jsonable(node), indent=2)
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=f"^{exc}$"):
+                cli._json(node)
+        else:
+            assert cli._json(node) == expected
+        for leaf in (1.5, {3}, object(), F(1, 3) + 0j):
+            with pytest.raises(TypeError, match=f"^cannot serialize {type(leaf).__name__} exactly$"):
+                cli._json([{"x": leaf}, node])
+        with pytest.raises(TypeError):  # a report's keys are str; json.dumps would quote an int
+            cli._json([{1: "one"}, node])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_floats_are_refused(self, value):
-        # json.dumps would write NaN / Infinity, which is not JSON
+        # json.dumps would write NaN / Infinity, which is not JSON; only an
+        # --approx value can be a float, and in report data any float raises
+        with pytest.raises(ValueError, match="has no JSON form"):
+            cli._emit_json("enclose", {"x": F(1, 3)}, {"mid": value})
         for node in (value, [value], {"approx": {"mid": value}}):
-            with pytest.raises(ValueError, match="has no JSON form"):
+            with pytest.raises(TypeError, match="^cannot serialize float exactly$"):
                 cli._json(node)
+
+    @pytest.mark.parametrize("where", ["record", "handler dict"])
+    def test_a_float_in_report_data_raises(self, capsys, monkeypatch, where):
+        # the --approx block is built from floats; a float anywhere else is
+        # no exact value and raises, as to_jsonable does
+        if where == "record":
+            monkeypatch.setattr(analysis, "blowup_check", lambda x, n: analysis.BlowupReport(
+                F(1, 2), n, 0, n, F(1, 8), F(1, 16), F(1, 8), F(1, 8), 0.25, n + 4, "certified"))
+            argv = ["blowup", "--x", "1/2", "--n", "2", "--format", "json"]
+        else:
+            monkeypatch.setattr(cli, "takagi_exact", lambda x, classical: 0.25)
+            argv = ["eval", "--x", "1/4", "--approx", "--format", "json"]
+        with pytest.raises(TypeError, match="^cannot serialize float exactly$"):
+            cli.run(argv)
+        assert capsys.readouterr().out == ""
 
 
 class TestParserReuse:
@@ -960,6 +1061,56 @@ class TestPlainArgs:
                      else action.type, action.default, action.required, action.choices,
                      action.help) for action in built] == [
                 ([flag], *spec) for flag, spec in flags.items()]
+
+
+class TestWriterBuildsNoTree:
+    def test_json_ops_never_call_to_jsonable(self, capsys, monkeypatch, tmp_path):
+        # every --format json op of the bench workloads (seed 1) and of the
+        # byte-identity gate's JSON_OPS prints the same bytes when to_jsonable
+        # cannot run: the writer reads the records themselves
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ and tools/ as they are
+        monkeypatch.setattr(sys, "path", list(sys.path))  # same_output puts bench/ on it
+        spec = importlib.util.spec_from_file_location("same_output", root / "tools" / "same_output.py")
+        same_output = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(same_output)
+        ops = [(label, argv) for label, argv in same_output.generate_ops(tmp_path)
+               if ("seed 1 op" in label or label.startswith("json op")) and "json" in argv]
+        seen = Counter(label.split()[0] for label, _ in ops)
+        assert all(seen[name] for name in ("measure-deep", "certify-corpus", "graph-sample", "json"))
+        expected = [invoke(capsys, *argv) for _, argv in ops]
+
+        def never(obj):
+            raise AssertionError(f"built a tree of a {type(obj).__name__}")
+
+        monkeypatch.setattr(analysis, "to_jsonable", never)
+        for (label, argv), before in zip(ops, expected):
+            assert invoke(capsys, *argv) == before, label
+
+
+class TestOptimizedInterpreter:
+    @staticmethod
+    def launch(argv, *flags):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, *flags, "-m", "takagi_lab.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80",
+                                   "PYTHONDONTWRITEBYTECODE": "1"})
+
+    @pytest.mark.parametrize("argv", [["-h"], ["eval", "-h"]], ids=" ".join)
+    def test_help_without_docstrings(self, argv):
+        # -OO strips docstrings; the help text does not come from one
+        plain, optimized = self.launch(argv), self.launch(argv, "-OO")
+        assert (optimized.returncode, optimized.stderr) == (0, "")
+        assert optimized.stdout == plain.stdout
+        assert ("Command-line front end." in plain.stdout) == (argv == ["-h"])
+
+    def test_usage_error_without_docstrings(self):
+        proc = self.launch(["eval", "--bogus"], "-OO")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("usage: takagi-lab eval ")
+        assert proc.stderr.count("error:") == 1
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
 
 
 class TestImportCost:

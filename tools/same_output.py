@@ -13,7 +13,7 @@ JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS``,
 the argument parsing cases of ``USAGE_OPS`` and the dyadic blow-ups and
 refutes of ``DYADIC_OPS``, and runs each op through
 ``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 226 ops in all.
+1 228 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -155,10 +155,13 @@ ORBIT_OPS = (
 )
 
 # JSON output that no benchmark op prints: floats under ``"approx"``, the
-# built-in corpus, an empty ``values`` list (a dyadic classify) and empty
-# ``pairs`` and ``singles`` (an insufficient horizon).
+# built-in corpus, an empty ``values`` list (a dyadic classify), empty
+# ``pairs`` and ``singles`` (an insufficient horizon), a handler's dict of
+# negative rationals and an enclosure whose ``lo`` and ``hi`` are one value.
 JSON_OPS = (
     ["eval", "--x", "1/4", "--approx", "--format", "json"],
+    ["neighbors", "--x", "-5/7", "--n", "3", "--format", "json"],
+    ["enclose", "--x", "3/8", "--format", "json"],
     ["enclose", "--x", "1/3", "--depth", "40", "--approx", "--format", "json"],
     ["measure", "--x", "1/2", "--r", "1/16", "--alpha", "3", "--dir", "ge", "--depth", "12",
      "--approx", "--format", "json"],
