@@ -52,7 +52,6 @@ from .analysis import (
     certificate,
     classify,
     refute,
-    to_jsonable,
     verify_lemma,
 )
 

@@ -47,7 +47,6 @@ infinite statement would forbid.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -74,7 +73,6 @@ __all__ = [
     "blowup_check",
     "certificate",
     "refute",
-    "to_jsonable",
 ]
 
 CASE_BOUNDED = "bounded-oscillation"
@@ -512,48 +510,3 @@ def refute(x, horizon: int) -> RefutationEvidence:
                   else "no record-and-reversal index below the horizon")
     return RefutationEvidence(x=xf, horizon=horizon, case_hint=case, pairs=pairs,
                               singles=singles, status=status, detail=detail)
-
-
-# record type -> its field names, filled the first time to_jsonable meets one
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-
-def to_jsonable(obj):
-    """Recursively convert reports to JSON-ready data.
-
-    Rationals (``Fraction``, so every dyadic value too) become exact
-    ``"p/q"`` strings; no floats ever appear.  Accepted, subclasses
-    included: ``str``, ``int``, ``bool`` and ``None`` (returned as they
-    are), ``Fraction``, ``Enum`` members (their value, so ``Dir.GE`` gives
-    ``"ge"``), records (named tuples: a dict of their fields), ``list``
-    and other ``tuple`` (a list) and ``dict`` (its values converted).  Any
-    other type raises ``TypeError("cannot serialize <type name> exactly")``.
-    """
-    # the exact types of report data first; subclasses fall to the checks below
-    cls = type(obj)
-    if cls is str or cls is int or cls is bool or obj is None:
-        return obj
-    if cls is Fraction:
-        return format_rat(obj)
-    names = _FIELD_NAMES.get(cls)
-    if names is not None:
-        return {name: to_jsonable(value) for name, value in zip(names, obj)}
-    if cls is tuple or cls is list:
-        return [to_jsonable(item) for item in obj]
-    if cls is dict:
-        return {key: to_jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, Fraction):
-        return format_rat(obj)
-    if isinstance(obj, Enum):
-        return obj.value
-    # only a tuple is probed for _fields: on an Enum it is a slow EnumType.__getattr__
-    if isinstance(obj, tuple) and hasattr(cls, "_fields"):
-        names = _FIELD_NAMES[cls] = cls._fields
-        return {name: to_jsonable(value) for name, value in zip(names, obj)}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: to_jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} exactly")

@@ -12,10 +12,11 @@ and takes only the shared flags that handler reads:
   adds decimal convenience values that are explicitly non-authoritative.
 
 All machine output is exact: JSON carries rationals as ``"p/q"``
-strings under a versioned ``"schema": "takagi-lab/1"`` key, in exactly
-the bytes of ``json.dumps(analysis.to_jsonable(payload), indent=2)``, the
-``--approx`` decimals under ``"approx"`` the only floats.  :func:`_json`
-writes them in one pass over the report's records, building no such tree.
+strings under a versioned ``"schema": "takagi-lab/1"`` key, in the bytes
+``json.dumps(tree, indent=2)`` writes for the tree of the reference
+serializer in ``tests/oracles.py``; the ``--approx`` decimals under
+``"approx"`` are the only floats.  Only this module writes report data:
+JSON (:func:`_json`) and text (:func:`_text_lines`), in one pass, no tree.
 
 One table, ``_COMMANDS``, is the spec of the argv.  A named subcommand's
 plain arguments (each flag spelled in full, as ``--flag value`` or a bare
@@ -106,19 +107,19 @@ _KEYS: dict[type, tuple[str, ...]] = {}
 
 
 def _json(node, pad: str = "\n") -> str:
-    """``json.dumps(analysis.to_jsonable(node), indent=2)``, at the indent ``pad`` ends
-    with, written in one pass over ``node``.
+    """``json.dumps(tree, indent=2)`` for the reference serializer's tree of ``node``, at
+    the indent ``pad`` ends with, written in one pass over ``node``.
 
     The exact types of report data are written directly: ``str``, ``int``, ``bool`` and
     None as they are, a ``Fraction`` as ``"p/q"``, a record (named tuple) as an object of
     its fields, a ``dict`` as an object (a key that is no ``str`` raises ``TypeError``),
     a ``list`` or ``tuple`` as an array (of plain ints in one join) and an ``Enum``
-    member as its value.  Any other node goes through ``analysis.to_jsonable`` once, so
-    a subclass is written as there and any other type, a float among them, raises its
-    ``TypeError``.  Only an :class:`_Approx` is written as a JSON number; a NaN or an
-    infinity (no JSON form) raises ``ValueError``.  Strings go through the C escaper of
-    ``_json``, which ``json.encoder`` re-exports; importing it from ``_json`` leaves the
-    ``json`` package unloaded.
+    member as its value.  Any other type, a float or a subclass of one of those among
+    them, raises ``TypeError("cannot serialize <type name> exactly")``.  Only an
+    :class:`_Approx` is written as a JSON number; a NaN or an infinity (no JSON form)
+    raises ``ValueError``.  Strings go through the C escaper of ``_json``, which
+    ``json.encoder`` re-exports; importing it from ``_json`` leaves the ``json`` package
+    unloaded.
     """
     cls = type(node)
     if cls is str:
@@ -149,30 +150,42 @@ def _json(node, pad: str = "\n") -> str:
     elif isinstance(node, Enum):
         return _json(node.value, pad)
     else:
-        data = analysis.to_jsonable(node)
-        if data is node:  # a str or int subclass, which to_jsonable returns as it is
-            return encode_basestring_ascii(node) if isinstance(node, str) else int.__repr__(node)
-        return _json(data, pad)
+        raise TypeError(f"cannot serialize {cls.__name__} exactly")
     return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
 
 
 def _text_lines(result) -> list[str]:
-    data = analysis.to_jsonable(result)
+    """One ``label: value`` line per leaf of ``result``, in the order :func:`_json` writes.
+
+    Records are walked by their fields, dicts by their items and lists and tuples by
+    index, and a label joins the keys on the way with dots; an empty container prints no
+    line, a leaf ``str`` of its JSON value and a ``result`` that is a leaf one unlabelled
+    line.  Any other leaf type, a float among them, raises the ``TypeError`` of ``_json``.
+    """
     out: list[str] = []
 
-    def walk(prefix: str, node) -> None:
-        items = node.items() if isinstance(node, dict) else enumerate(node)
+    def walk(label: str | None, node) -> None:
+        cls = type(node)
+        if cls is dict:
+            items = node.items()
+        elif cls is list or cls is tuple:
+            items = enumerate(node)
+        elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+            items = zip(cls._fields, node)
+        else:  # a leaf
+            if isinstance(node, Enum):
+                return walk(label, node.value)
+            if cls is Fraction:
+                node = _join(node.numerator, node.denominator)
+            elif not (cls is str or cls is int or cls is bool or node is None):
+                raise TypeError(f"cannot serialize {cls.__name__} exactly")
+            out.append(f"{node}" if label is None else f"{label}: {node}")
+            return
+        prefix = "" if label is None else f"{label}."
         for key, value in items:
-            label = f"{prefix}{key}"
-            if isinstance(value, (dict, list)):
-                walk(f"{label}.", value)
-            else:
-                out.append(f"{label}: {value}")
+            walk(f"{prefix}{key}", value)
 
-    if isinstance(data, (dict, list)):
-        walk("", data)
-    else:
-        out.append(str(data))
+    walk(None, result)
     return out
 
 

@@ -41,6 +41,9 @@ depth ``n + 8`` (lemma) or ``n + 4`` (each blow-up half), kept verbatim.
 before it checked exact types first: one ``isinstance`` chain per node
 and ``dataclasses.fields`` per report, kept verbatim but for one branch
 that writes a report record (a named tuple) as a dict of its fields.
+:func:`reference_text_lines` is ``cli._text_lines`` as it was before it
+walked the records itself: it rendered the tree of ``to_jsonable``, kept
+verbatim but for :func:`reference_to_jsonable` in its place.
 :func:`reference_run` is ``cli.run`` as it was before a named
 subcommand parsed its own arguments: the top-level parser reads every
 argv and hands the tokens after the subcommand name on, kept verbatim
@@ -917,6 +920,26 @@ def reference_to_jsonable(obj):
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
     raise TypeError(f"cannot serialize {type(obj).__name__} exactly")
+
+
+def reference_text_lines(result) -> list[str]:
+    data = reference_to_jsonable(result)
+    out: list[str] = []
+
+    def walk(prefix: str, node) -> None:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            label = f"{prefix}{key}"
+            if isinstance(value, (dict, list)):
+                walk(f"{label}.", value)
+            else:
+                out.append(f"{label}: {value}")
+
+    if isinstance(data, (dict, list)):
+        walk("", data)
+    else:
+        out.append(str(data))
+    return out
 
 
 def reference_run(argv=None) -> int:

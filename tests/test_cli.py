@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -7,14 +6,14 @@ import random
 import shlex
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_run, reference_sample_rows, reference_to_jsonable
+from oracles import (reference_run, reference_sample_rows, reference_text_lines,
+                     reference_to_jsonable)
 from takagi_lab import analysis, cli, measure
 from takagi_lab.cli import run, sample_rows
 from takagi_lab.exactnum import parse_rat
@@ -770,7 +769,7 @@ class TestJsonWriter:
     @pytest.mark.parametrize("node", [F(1, 2), (1, 2), {1, 2}, {"a": [1, (2,)]}, [{"b": F(1)}]],
                              ids=repr)
     def test_other_types_raise_type_error(self, node):
-        # a type to_jsonable refuses raises its TypeError, alone or anywhere in
+        # a type the reference refuses raises its TypeError, alone or anywhere in
         # report data; whatever it accepts is written as the reference tree
         try:
             expected = json.dumps(reference_to_jsonable(node), indent=2)
@@ -795,20 +794,35 @@ class TestJsonWriter:
             with pytest.raises(TypeError, match="^cannot serialize float exactly$"):
                 cli._json(node)
 
-    @pytest.mark.parametrize("where", ["record", "handler dict"])
+    @pytest.mark.parametrize("where", ["record", "record as text", "handler dict"])
     def test_a_float_in_report_data_raises(self, capsys, monkeypatch, where):
         # the --approx block is built from floats; a float anywhere else is
-        # no exact value and raises, as to_jsonable does
-        if where == "record":
+        # no exact value and raises, in JSON and in text, before a line is printed
+        if where.startswith("record"):
             monkeypatch.setattr(analysis, "blowup_check", lambda x, n: analysis.BlowupReport(
                 F(1, 2), n, 0, n, F(1, 8), F(1, 16), F(1, 8), F(1, 8), 0.25, n + 4, "certified"))
-            argv = ["blowup", "--x", "1/2", "--n", "2", "--format", "json"]
+            fmt = "text" if where == "record as text" else "json"
+            argv = ["blowup", "--x", "1/2", "--n", "2", "--format", fmt]
         else:
             monkeypatch.setattr(cli, "takagi_exact", lambda x, classical: 0.25)
             argv = ["eval", "--x", "1/4", "--approx", "--format", "json"]
         with pytest.raises(TypeError, match="^cannot serialize float exactly$"):
             cli.run(argv)
         assert capsys.readouterr().out == ""
+
+
+class TestTextRenderer:
+    """``cli._text_lines`` against the renderer it replaced, which printed the reference tree."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_report_data)
+    @example(F(-7, 3))
+    @example(measure.Dir.LE)
+    @example(None)
+    @example(((), [analysis.RefutationEvidence(F(1, 3), 1, "", (), (), "", "")], {"": ()}))
+    @example({"none": None, "yes": True, "no": False, "d": {"": measure.Dir.GE}, "big": F(2**70)})
+    def test_records_equal_the_reference(self, data):
+        assert cli._text_lines(data) == reference_text_lines(data)
 
 
 class TestParserReuse:
@@ -1061,31 +1075,6 @@ class TestPlainArgs:
                      else action.type, action.default, action.required, action.choices,
                      action.help) for action in built] == [
                 ([flag], *spec) for flag, spec in flags.items()]
-
-
-class TestWriterBuildsNoTree:
-    def test_json_ops_never_call_to_jsonable(self, capsys, monkeypatch, tmp_path):
-        # every --format json op of the bench workloads (seed 1) and of the
-        # byte-identity gate's JSON_OPS prints the same bytes when to_jsonable
-        # cannot run: the writer reads the records themselves
-        root = Path(__file__).resolve().parents[1]
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ and tools/ as they are
-        monkeypatch.setattr(sys, "path", list(sys.path))  # same_output puts bench/ on it
-        spec = importlib.util.spec_from_file_location("same_output", root / "tools" / "same_output.py")
-        same_output = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(same_output)
-        ops = [(label, argv) for label, argv in same_output.generate_ops(tmp_path)
-               if ("seed 1 op" in label or label.startswith("json op")) and "json" in argv]
-        seen = Counter(label.split()[0] for label, _ in ops)
-        assert all(seen[name] for name in ("measure-deep", "certify-corpus", "graph-sample", "json"))
-        expected = [invoke(capsys, *argv) for _, argv in ops]
-
-        def never(obj):
-            raise AssertionError(f"built a tree of a {type(obj).__name__}")
-
-        monkeypatch.setattr(analysis, "to_jsonable", never)
-        for (label, argv), before in zip(ops, expected):
-            assert invoke(capsys, *argv) == before, label
 
 
 class TestOptimizedInterpreter:
