@@ -37,7 +37,6 @@ must be 1.
 
 from __future__ import annotations
 
-import csv
 import functools
 import re
 import sys
@@ -50,9 +49,9 @@ from types import SimpleNamespace
 
 from . import analysis, measure
 from .exactnum import (_join, _to_fraction, check_printable, dyadic_neighbors,
-                       format_rat, format_ratio, is_dyadic, parse_rat)
-from .takagi import (DEFAULT_DEPTH, _enclosure_nums, slope_seq, takagi_enclosure,
-                     takagi_exact)
+                       format_dyadic, format_rat, format_ratio, is_dyadic, parse_rat)
+from .takagi import (DEFAULT_DEPTH, _enclosure_nums, _grid_nums, slope_seq,
+                     takagi_enclosure, takagi_exact)
 
 SCHEMA = "takagi-lab/1"
 
@@ -206,9 +205,14 @@ def sample_rows(a, b, count: int, depth: int,
                 *, approx: bool = False, classical: bool = False) -> Iterator[list[str]]:
     """Enclosure rows "y,lo,hi" at equally spaced points of the dyadic range [a, b].
 
-    The arguments are checked at the call; each row is then computed as it
-    is read, at ``y_i = (top + i*inc) / den`` on one common denominator,
-    and formatted from integers.
+    The arguments are checked at the call; each row is then computed from
+    integers as it is read.  A dyadic step puts every point on the level-m
+    grid, ``m`` the least level that holds ``a`` and the step, where ``T`` is
+    exact.  With the step ``s/2**m`` and ``s <= m``, the rows walk that grid
+    (:func:`takagi._grid_nums`): ``s`` integer steps per row, no more than
+    Horner's rule takes at level ``m``, and each value reduced by its trailing
+    zeros.  Any other grid runs Horner's rule on the orbit of each point
+    ``y_i = (top + i*inc) / den``, on one common denominator.
     """
     a, b = _to_fraction(a), _to_fraction(b)
     if not (is_dyadic(a) and is_dyadic(b)):
@@ -219,14 +223,30 @@ def sample_rows(a, b, count: int, depth: int,
         raise ValueError("need at least two sample points")
     if depth < 1:
         raise ValueError("enclosure depth must be positive")
+    step = (b - a) / (count - 1)
+    if is_dyadic(step):
+        m = max(a.denominator, step.denominator).bit_length() - 1
+        s = step.numerator * (1 << m) // step.denominator
+        if s <= m:  # s walk steps cost no more than Horner's rule
+            k0 = a.numerator * (1 << m) // a.denominator
+
+            def walk_row(k: int, num: int) -> list[str]:
+                value = format_dyadic(num, m)
+                cells = [format_dyadic(k, m), value, value]
+                if approx:
+                    cells.append(repr(num / (1 << m)))  # int division rounds correctly
+                return cells
+
+            return map(walk_row, range(k0, k0 + count * s, s),
+                       _grid_nums(k0, s, count, m, classical))
+    else:
+        # a + step is then not dyadic: one end of its enclosure has a
+        # denominator that is a multiple of 2**(depth + 1)
+        check_printable(depth + 1)
     unit = max(a.denominator, b.denominator)  # a and b are multiples of 1/unit
     a_num, b_num = a.numerator * (unit // a.denominator), b.numerator * (unit // b.denominator)
     # y_i = a + i*(b - a)/(count - 1) = (top + i*inc) / den
     den, top, inc = unit * (count - 1), a_num * (count - 1), b_num - a_num
-    if not is_dyadic((b - a) / (count - 1)):
-        # a + step is then not dyadic: one end of its enclosure has a
-        # denominator that is a multiple of 2**(depth + 1)
-        check_printable(depth + 1)
 
     def row(num: int) -> list[str]:
         common = gcd(num, den)
@@ -395,9 +415,9 @@ def _refute(args) -> int:
 def _sample(args) -> int:
     rows = sample_rows(_parse_dyadic(args.a), _parse_dyadic(args.b), args.count,
                        args.depth, approx=args.approx, classical=args.classical)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["y", "lo", "hi"] + (["approx"] if args.approx else []))
-    writer.writerows(rows)
+    # no field needs CSV quoting: each is "p/q", an int or a float's repr
+    sys.stdout.write("y,lo,hi,approx\n" if args.approx else "y,lo,hi\n")
+    sys.stdout.writelines(f"{','.join(row)}\n" for row in rows)
     return 0
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "parse_rat",
     "format_rat",
     "format_ratio",
+    "format_dyadic",
     "check_printable",
     "is_dyadic",
     "frac_part",
@@ -68,6 +69,17 @@ def format_ratio(num: int, den: int) -> str:
     """:func:`format_rat` of ``num / den`` (``den > 0``), reduced by one ``gcd``."""
     common = gcd(num, den)
     return _join(num // common, den // common)
+
+
+def format_dyadic(num: int, m: int) -> str:
+    """:func:`format_rat` of ``num / 2**m`` (``m >= 0``), reduced by the trailing zeros of ``num``."""
+    zeros = (num & -num).bit_length() - 1  # -1 for num = 0, which prints as an integer
+    try:
+        if 0 <= zeros < m:
+            return f"{num >> zeros}/{1 << (m - zeros)}"
+        return str(num >> m)
+    except ValueError:
+        raise _too_many_digits() from None
 
 
 def _join(num: int, den: int) -> str:

@@ -19,10 +19,27 @@ whole periods more are one repunit ``(2**(m*P) - 1) / (2**P - 1)``
 times the period's sum, and the last ``t < P`` terms a short walk, at
 most ``L + 2*P`` steps in all instead of ``n``.  An orbit that does not
 return within ``n`` steps costs one comparison per step more than the
-plain loop.  A value of ``T`` that needs a limit
-is an :class:`Enclosure` using the tail estimate
-``0 <= T(x) - G_n(x) <= sum_{k>n} 2**-(k+1) = 2**-(n+1)``, which
-follows from ``sup g_k = 2**-(k+1)``.
+plain loop.
+
+On a grid of equally spaced dyadic points, ``T`` is an integer walk.  On
+the level-m grid ``D_m`` every ``g_i`` with ``i >= m`` vanishes, so
+``T = G_{m-1}`` there, and ``N(j) = 2**m * T(j/2**m)`` is an integer:
+each ``g_i(j/2**m)`` with ``i < m`` is a distance between points of
+``D_m``.  Each such ``g_i`` has its corners on ``D_{i+1}``, inside
+``D_m``, so ``G_{m-1}`` is affine from ``j/2**m`` to ``(j+1)/2**m``, with
+slope ``sum_{i=1}^{m-1} (1 - 2*b_{i+1})``, where ``b_1 .. b_m`` are the
+binary digits of ``j mod 2**m``, most significant first.  The digits
+``b_2 .. b_m`` are the low ``M = m - 1`` bits of ``j``, so the slope is
+``M - 2*popcount(j mod 2**M)``, and across the cell, of width ``2**-m``,
+``N(j+1) = N(j) + M - 2*popcount(j mod 2**M)``.  The classical term
+``g_0``, of slope ``1 - 2*b_1``, makes ``M = m``.  On the integers
+(``m = 0``) ``T`` vanishes in both variants, and ``M = 0``.
+:func:`_grid_nums` starts ``N`` from one Horner sum and takes ``s`` steps
+per point of a grid with step ``s/2**m``.
+
+A value of ``T`` that needs a limit is an :class:`Enclosure` using the
+tail estimate ``0 <= T(x) - G_n(x) <= sum_{k>n} 2**-(k+1) = 2**-(n+1)``,
+which follows from ``sup g_k = 2**-(k+1)``.
 
 The series here starts at k = 1 (no distance-to-integers term).  The
 textbook variant that includes that term is available through the
@@ -31,6 +48,7 @@ textbook variant that includes that term is available through the
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -170,6 +188,23 @@ def takagi_exact(x, *, classical: bool = False) -> Fraction:
     A non-dyadic ``x`` raises ``ValueError``.
     """
     return G(dyadic_level(x) + 1, x, classical=classical)
+
+
+def _grid_nums(k0: int, s: int, count: int, m: int, classical: bool) -> Iterator[int]:
+    """``N(k) = 2**m * T(k / 2**m)`` at ``k = k0 + i*s`` for ``i < count``, ``s > 0``:
+    one Horner sum at ``k0``, then ``s`` steps of the grid walk per point."""
+    q = 1 << m
+    num = _partial_num(m, k0 % q, q, classical) >> m  # q * 2**m * T(k0/q), over 2**m
+    bits = m if classical else max(m - 1, 0)  # the module docstring's M
+    mask = (1 << bits) - 1
+    # one flat loop over the grid indices, yielding at every s-th: faster than
+    # an inner loop per point
+    due = k0
+    for k in range(k0, k0 + count * s):
+        if k == due:
+            yield num
+            due += s
+        num += bits - 2 * (k & mask).bit_count()
 
 
 def _enclosure_nums(p: int, q: int, depth: int, classical: bool) -> tuple[int, int, int]:

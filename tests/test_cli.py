@@ -418,6 +418,10 @@ class TestSample:
         (F(1, 4), F(3, 2), 600, 64),      # non-dyadic step, 599 in most denominators
         (F(-5), F(-9, 2), 7, 3),          # integer end, shallow depth
         (F(3, 16), F(7, 16), 1025, 48),
+        (F(1, 1024), F(1), 2, 8),         # dyadic step 1023/1024: 1023 > 10 walk steps
+        (F(0), F(3), 4, 5),               # integer grid: step 1 on the level-0 grid
+        (F(-1, 2), F(1, 2), 3, 1),        # step 1/2 on the level-1 grid, walked
+        (F(0), F(1, 1 << 2000), 9, 3),    # a walk on the level-2003 grid
     ])
     def test_rows_equal_the_per_point_reference(self, a, b, count, depth):
         for approx in (False, True):
@@ -436,6 +440,20 @@ class TestSample:
             approx, classical = rng.random() < 0.5, rng.random() < 0.5
             assert list(sample_rows(a, b, count, depth, approx=approx, classical=classical)) \
                 == reference_sample_rows(a, b, count, depth, approx=approx,
+                                         classical=classical)
+
+    def test_rows_equal_the_reference_across_grid_levels(self):
+        # a and b - a at independent levels, so that the step s/2**m has s on
+        # both sides of the level m: walked when s <= m, by Horner's rule else
+        rng = random.Random(30)
+        for _ in range(200):
+            a = F(rng.randrange(-40, 40), 1 << rng.randrange(0, 13))
+            width = F(rng.randrange(1, 40), 1 << rng.randrange(0, 13))
+            count = rng.choice(((1 << rng.randrange(0, 7)) + 1, rng.randrange(2, 70)))
+            depth, approx, classical = rng.randrange(1, 70), rng.random() < 0.5, rng.random() < 0.5
+            assert list(sample_rows(a, a + width, count, depth, approx=approx,
+                                    classical=classical)) \
+                == reference_sample_rows(a, a + width, count, depth, approx=approx,
                                          classical=classical)
 
     def test_rows_stream_until_one_cannot_print(self, capsys):

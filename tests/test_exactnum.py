@@ -15,6 +15,7 @@ from takagi_lab.exactnum import (
     check_printable,
     dyadic_level,
     dyadic_neighbors,
+    format_dyadic,
     format_rat,
     format_ratio,
     frac_part,
@@ -163,6 +164,13 @@ class TestParseFormat:
         for num, den in cases:
             assert format_ratio(num, den) == format_rat(F(num, den))
 
+    def test_dyadic_formats_in_lowest_terms_like_format_rat(self):
+        rng = random.Random(23)
+        cases = [(0, 0), (0, 7), (5, 0), (-6, 2), (-8, 2), (12, 1), (3 << 80, 81), (1 << 90, 90)]
+        cases += [(rng.randrange(-10**6, 10**6), rng.randrange(0, 40)) for _ in range(500)]
+        for num, m in cases:
+            assert format_dyadic(num, m) == format_rat(F(num, 1 << m))
+
 
 class TestCheckPrintable:
     @pytest.mark.parametrize("limit", [640, 4300, 12345, 100_000])
@@ -179,6 +187,11 @@ class TestCheckPrintable:
             assert format_ratio(3 << first, 3 << (first + 1)) == "1/2"
             with pytest.raises(ValueError, match="too many to print"):
                 format_ratio(1, 1 << first)
+            # so does the dyadic one, on a fraction and on an integer
+            assert format_dyadic(3 << first, first + 1) == "3/2"
+            for num, m in ((1, first), (1 << first, 0), (-5 << (first + 3), 3)):
+                with pytest.raises(ValueError, match="too many to print"):
+                    format_dyadic(num, m)
             with pytest.raises(ValueError, match=f"more than {limit} decimal digits"):
                 check_printable(first)
         finally:

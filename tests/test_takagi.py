@@ -15,6 +15,7 @@ from oracles import (
 from takagi_lab.exactnum import dyadic_neighbors, is_dyadic
 from takagi_lab.takagi import (
     Enclosure,
+    _grid_nums,
     G,
     g,
     slope,
@@ -197,6 +198,40 @@ class TestExactValues:
         # the textbook variant adds the distance-to-integers tent
         assert takagi_exact(F(1, 4), classical=True) == F(1, 2)
         assert takagi_periodic(F(1, 3)) == F(1, 3)  # series value, k >= 1
+
+
+class TestGridWalk:
+    """The grid walk against one exact value per point."""
+
+    @staticmethod
+    def exact(k0, s, count, m, classical):
+        return [takagi_exact(F(k0 + i * s, 1 << m), classical=classical) * (1 << m)
+                for i in range(count)]
+
+    def test_matches_takagi_exact_on_seeded_grids(self):
+        rng = random.Random(30)
+        cases = [(k0, s, 9, m, classical) for m in (0, 1, 2) for k0 in (-5, 0, 3)
+                 for s in (1, 2, 3) for classical in (False, True)]
+        while len(cases) < 400:
+            m = rng.randrange(0, 24)
+            k0 = rng.randrange(-3 << m, 3 << m)
+            cases.append((k0, rng.randrange(1, 2 * m + 3), rng.randrange(1, 40), m,
+                          rng.random() < 0.5))
+        for k0, s, count, m, classical in cases:
+            assert list(_grid_nums(k0, s, count, m, classical)) \
+                == self.exact(k0, s, count, m, classical)
+
+    @pytest.mark.parametrize("classical", [False, True])
+    def test_deep_grid(self, classical):
+        k0 = -(1 << 1999) // 3
+        assert list(_grid_nums(k0, 5, 12, 2000, classical)) \
+            == self.exact(k0, 5, 12, 2000, classical)
+
+    def test_values_are_integers_and_periodic(self):
+        # N(k) = 2**m * T(k / 2**m) has period 2**m in k
+        nums = list(_grid_nums(-16, 1, 48, 4, False))
+        assert all(type(num) is int for num in nums)
+        assert nums[:16] == nums[16:32] == nums[32:]
 
 
 class TestEnclosures:

@@ -10,10 +10,10 @@ measure walks of ``WALK_OPS``, the refute and classify edge cases of
 ``REFUTE_OPS``, the twin edge cases of ``TWIN_OPS``, the long slope walks
 of ``SLOPE_OPS``, the period-closed partial sums of ``ORBIT_OPS``, the
 JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS``,
-the argument parsing cases of ``USAGE_OPS`` and the dyadic blow-ups and
-refutes of ``DYADIC_OPS``, and runs each op through
-``takagi_lab.cli.run`` in-process, once in a fresh interpreter per tree:
-1 228 ops in all.
+the argument parsing cases of ``USAGE_OPS``, the dyadic blow-ups and
+refutes of ``DYADIC_OPS`` and the sample grids of ``SAMPLE_OPS``, and runs
+each op through ``takagi_lab.cli.run`` in-process, once in a fresh
+interpreter per tree: 1 233 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -251,6 +251,18 @@ DYADIC_OPS = tuple(
        ["blowup", "--x", "3/8", "--n", "10"],
        ["refute", "--x", "-5/8", "--n", "3"]])
 
+# Sample grids on both sides of the walk rule (a dyadic step s/2**m is walked
+# when s <= m): a step 1023/1024 (s > m), the integer grid (m = 0, never
+# walked) with the classical term and decimals, a walk on the level-1 grid, a
+# walk on the level-2003 grid and a classical walk over a negative range.
+SAMPLE_OPS = (
+    ["sample", "--a", "1/1024", "--b", "1", "--count", "2", "--depth", "8"],
+    ["sample", "--a", "0", "--b", "3", "--count", "4", "--depth", "5", "--classical", "--approx"],
+    ["sample", "--a", "-1/2", "--b", "1/2", "--count", "3", "--depth", "1"],
+    ["sample", "--a", "0", "--b", f"1/{1 << 2000}", "--count", "9", "--depth", "3"],
+    ["sample", "--a", "-7/4", "--b", "-5/16", "--count", "47", "--depth", "16", "--classical"],
+)
+
 # Runs in a child interpreter with one tree's src/ on PYTHONPATH: reads a
 # JSON list of argvs on stdin, writes [code, stdout, stderr] for each.
 RUNNER = """
@@ -299,6 +311,7 @@ def generate_ops(workdir: Path) -> list[tuple[str, list[str]]]:
     ops.extend((f"error op {i}", list(argv)) for i, argv in enumerate(ERROR_OPS))
     ops.extend((f"usage op {i}", list(argv)) for i, argv in enumerate(USAGE_OPS))
     ops.extend((f"dyadic op {i}", list(argv)) for i, argv in enumerate(DYADIC_OPS))
+    ops.extend((f"sample op {i}", list(argv)) for i, argv in enumerate(SAMPLE_OPS))
     return ops
 
 
