@@ -18,12 +18,13 @@ serializer in ``tests/oracles.py``; the ``--approx`` decimals under
 ``"approx"`` are the only floats.  Only this module writes report data:
 JSON (:func:`_json`) and text (:func:`_text_lines`), in one pass, no tree.
 
-One table, ``_COMMANDS``, is the spec of the argv.  A named subcommand's
-plain arguments (each flag spelled in full, as ``--flag value`` or a bare
-``--approx``/``--classical``) are read from it (:func:`_plain_args`); any
-other argv builds argparse parsers from it (:func:`_build_parser`), which
-print help and report usage errors.  The top-level parser reads only an argv
-that is empty or does not start with a subcommand name.
+One table, ``_COMMANDS``, is the spec of the argv, and a flag spec that
+several subcommands take is one object named beside it.  A named
+subcommand's plain arguments (each flag spelled in full, as ``--flag value``
+or a bare ``--approx``/``--classical``) are read from it (:func:`_plain_args`);
+any other argv goes through one ``parse_known_args`` of the top-level
+argparse parser built from it (:func:`_build_parser`), which prints help and
+reports usage errors.
 
 Exit codes: 0 on success or a certified outcome, 2 when a verification
 came back undecided (or a corpus run has failures), 1 on usage or
@@ -426,65 +427,52 @@ def _sample(args) -> int:
 # The one spec of the argv: each subcommand's handler, help text and flags, which
 # :func:`_plain_args` reads and :func:`_build_parser` builds argparse parsers from.
 # A flag maps to (dest, type, default, required, choices, help); its type is None
-# (the value as given), int, or bool for a bare flag that stores True.
+# (the value as given), int, or bool for a bare flag that stores True.  A spec that
+# more than one subcommand takes is written once, below, and named in each entry.
+_FORMAT = ("fmt", None, "text", False, ("text", "json"), None)
+_APPROX = ("approx", bool, False, False, None,
+           "add non-authoritative decimal values to the output")
+_X = ("x", None, None, True, None, None)
+_N = ("n", int, None, True, None, None)
+_HORIZON = ("n", int, None, True, None, "horizon N")
+_CLASSICAL = ("classical", bool, False, False, None, None)
 _COMMANDS = {
     "eval": (_eval, "exact T(x) at a dyadic point", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
-        "--approx": ("approx", bool, False, False, None,
-                     "add non-authoritative decimal values to the output"),
-        "--x": ("x", None, None, True, None, None),
+        "--format": _FORMAT, "--approx": _APPROX, "--x": _X,
         "--classical": ("classical", bool, False, False, None,
                         "include the distance-to-integers term")}),
     "enclose": (_enclose, "certified enclosure of T(x)", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
-        "--approx": ("approx", bool, False, False, None,
-                     "add non-authoritative decimal values to the output"),
-        "--x": ("x", None, None, True, None, None),
+        "--format": _FORMAT, "--approx": _APPROX, "--x": _X,
         "--depth": ("depth", int, DEFAULT_DEPTH, False, None, None),
-        "--classical": ("classical", bool, False, False, None, None)}),
+        "--classical": _CLASSICAL}),
     "slopes": (_slopes, "slope sums G_1'(x)..G_N'(x)", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
-        "--x": ("x", None, None, True, None, None),
-        "--n": ("n", int, None, True, None, "horizon N")}),
+        "--format": _FORMAT, "--x": _X, "--n": _HORIZON}),
     "neighbors": (_neighbors, "level-n grid neighbours around x", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
-        "--x": ("x", None, None, True, None, None),
-        "--n": ("n", int, None, True, None, None)}),
+        "--format": _FORMAT, "--x": _X, "--n": _N}),
     "measure": (_measure, "certified measure bracket for a quotient level set", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
-        "--approx": ("approx", bool, False, False, None,
-                     "add non-authoritative decimal values to the output"),
-        "--x": ("x", None, None, True, None, None),
+        "--format": _FORMAT, "--approx": _APPROX, "--x": _X,
         "--r": ("r", None, None, True, None, "dyadic radius"),
         "--alpha": ("alpha", None, None, True, None, None),
         "--dir": ("dir", None, None, True, ("ge", "le"), None),
         "--depth": ("depth", int, None, True, None, None)}),
     "lemma": (_check, "certify the one-scale measure estimate at (x, n)", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
-        "--x": ("x", None, None, True, None, None),
-        "--n": ("n", int, None, True, None, None)}),
+        "--format": _FORMAT, "--x": _X, "--n": _N}),
     "blowup": (_check, "certify the quotient blow-up at a dyadic point", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
-        "--x": ("x", None, None, True, None, None),
-        "--n": ("n", int, None, True, None, None)}),
+        "--format": _FORMAT, "--x": _X, "--n": _N}),
     "classify": (_classify, "horizon evidence about the slope sums at x", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
-        "--x": ("x", None, None, True, None, None),
-        "--n": ("n", int, None, True, None, "horizon N")}),
+        "--format": _FORMAT, "--x": _X, "--n": _HORIZON}),
     "refute": (_refute, "emit certificates against approximate derivability", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
-        "--x": ("x", None, None, True, None, None),
+        "--format": _FORMAT, "--x": _X,
         "--n": ("n", int, 20, False, None, "horizon N")}),
     "sample": (_sample, "CSV enclosure samples of T on [a, b]", {
-        "--approx": ("approx", bool, False, False, None,
-                     "add non-authoritative decimal values to the output"),
+        "--approx": _APPROX,
         "--a": ("a", None, None, True, None, None),
         "--b": ("b", None, None, True, None, None),
         "--count": ("count", int, None, True, None, None),
         "--depth": ("depth", int, 20, False, None, None),
-        "--classical": ("classical", bool, False, False, None, None)}),
+        "--classical": _CLASSICAL}),
     "verify-all": (_verify_all, "run a corpus of lemma/blowup checks", {
-        "--format": ("fmt", None, "text", False, ("text", "json"), None),
+        "--format": _FORMAT,
         "--corpus": ("corpus", None, None, False, None, "file with '<kind> <x> <n>' lines"),
         "--jobs": ("jobs", int, 1, False, None, "must be 1: corpus entries run in one process")}),
 }
@@ -567,10 +555,7 @@ def run(argv=None) -> int:
         args = _plain_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
         if args is None:  # argparse reads any other argv, and reports what is wrong
             parser, commands = _build_parser()
-            if argv and argv[0] in commands:  # as the top-level parser would hand them on
-                args, extras = commands[argv[0]].parse_known_args(argv[1:])
-            else:  # an empty argv, an unknown command or a top-level option
-                args, extras = parser.parse_known_args(argv)
+            args, extras = parser.parse_known_args(argv)
             if extras:  # a flag the subcommand does not take: show that subcommand's usage
                 usage = commands.get(args.command, parser)
                 usage.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -1093,6 +1093,9 @@ class TestPlainArgs:
                      else action.type, action.default, action.required, action.choices,
                      action.help) for action in built] == [
                 ([flag], *spec) for flag, spec in flags.items()]
+        # a spec that several subcommands take is written once: equal specs are one object
+        specs = [spec for _, _, flags in cli._COMMANDS.values() for spec in flags.values()]
+        assert len({id(spec) for spec in specs}) == len(set(specs))
 
 
 class TestOptimizedInterpreter:

@@ -8,10 +8,12 @@ reference.  Every engine computes exact Lebesgue measures of the same
 closed sets, so results must agree as rationals, not just overlap.
 """
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import islice
 
+from hypothesis import example, given, settings, strategies as st
 from oracles import (_cell_slope, fraction_band_measures, piece_measures, query_pieces,
                      uniform_quotient_set_sides)
 from takagi_lab.measure import (
@@ -23,7 +25,7 @@ from takagi_lab.measure import (
     quotient_set_bounds,
     quotient_set_sides,
 )
-from takagi_lab.takagi import takagi_enclosure
+from takagi_lab.takagi import slope_sum, takagi_enclosure
 
 QUERIES = 336
 # radii numerators: powers of two and dyadics that are not (3/8, 5/16, ...)
@@ -215,3 +217,91 @@ def test_certified_lower_bound_is_the_bracket_lo():
         if lo != quotient_set_bounds(query).lo:
             mismatches.append(query)
     assert mismatches == []
+
+
+# -- self-affinity: T(y) = G_k(y) + 2**-k * T(2**k * y) ----------------------
+#
+# Each identity below maps one query onto another exactly, so the kernel's
+# brackets must agree as rationals, with no reference engine in between.
+
+def _bounds(sides, k=0):
+    """The ``(lo, hi)`` of each half bracket, times ``2**-k``."""
+    return [(side.lo / (1 << k), side.hi / (1 << k)) for side in sides]
+
+
+_OFFSETS = st.builds(F, st.integers(-8, 24), st.sampled_from((1, 2, 3, 5)))
+
+
+@st.composite
+def _dyadic_centre_cases(draw):
+    """``(x, n, r, alpha, direction, d)``: x on the level-n grid 2**-n Z (integers
+    included, centres below 0 and above 1 among them), ``r <= 2**-(n+1)``."""
+    n = draw(st.integers(1, 6))
+    level = draw(st.integers(0, n))
+    x = F(draw(st.integers(-3 << level, 3 << level)), 1 << level)
+    extra = draw(st.integers(0, 4))
+    r = F(draw(st.integers(1, 1 << extra)), 1 << (n + 1 + extra))
+    base = draw(st.sampled_from((None, -1, 1)))
+    alpha = draw(_OFFSETS)
+    if base is not None:  # near the slope of G_n on one side of x
+        alpha += slope_sum(x + base * F(1, 3 << (n + 1)), n)
+    return x, n, r, alpha, draw(st.sampled_from(Dir)), draw(st.integers(1, 8))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_dyadic_centre_cases())
+@example((F(-2), 1, F(1, 4), F(1), Dir.GE, 1))
+@example((F(13, 8), 3, F(1, 16), F(3, 2), Dir.LE, 1))
+def test_dyadic_centre_self_affinity(case):
+    # on each side of x in 2**-n Z, G_n is affine with slope s on a cell of
+    # width 2**-(n+1) and 2**n x is an integer, so
+    # Q_x(h) = s + Q_0(2**n h) for |h| <= 2**-(n+1): each half of the query at
+    # depth d + n is 2**-n times that half at centre 0 and depth d
+    x, n, r, alpha, direction, d = case
+    at_x = quotient_set_sides(QuotientQuery(x, r, alpha, direction, d + n))
+    s_left, s_right = (slope_sum(x + sign * F(1, 3 << (n + 1)), n) for sign in (-1, 1))
+    left = quotient_set_sides(QuotientQuery(F(0), r * (1 << n), alpha - s_left, direction, d))[0]
+    right = quotient_set_sides(QuotientQuery(F(0), r * (1 << n), alpha - s_right, direction, d))[1]
+    assert _bounds(at_x) == _bounds([left, right], n)
+
+
+def _period(q):
+    """The order of 2 modulo an odd ``q > 1``."""
+    period, power = 1, 2 % q
+    while power != 1:
+        period, power = period + 1, power * 2 % q
+    return period
+
+
+@st.composite
+def _periodic_cases(draw):
+    """``(x, P, r, alpha, direction, d)``: x = p/q, q odd, P the order of 2 mod q,
+    and a dyadic r with ``r * 2**-P`` at most x's distance to 2**-(P+1) Z."""
+    q = draw(st.sampled_from((3, 5, 7, 9, 15, 17, 21, 31)))
+    x = F(draw(st.integers(-2 * q, 3 * q).filter(lambda p: p % q)), q)
+    period = _period(x.denominator)
+    t = x * (1 << (period + 1))
+    gap = min(t - math.floor(t), math.ceil(t) - t)
+    # r <= 2**P * dist(x, 2**-(P+1) Z) = gap / 2; gap >= 1/q
+    exp = draw(st.integers((2 * q).bit_length(), (2 * q).bit_length() + 4))
+    r = F(draw(st.integers(1, int(gap * (1 << exp)) >> 1)), 1 << exp)
+    alpha = draw(_OFFSETS) - draw(st.sampled_from((0, 8)))
+    if draw(st.booleans()):  # near the slope of G_P at x
+        alpha += slope_sum(x, period)
+    return x, period, r, alpha, draw(st.sampled_from(Dir)), draw(st.integers(1, 8))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_periodic_cases())
+@example((F(-5, 7), 3, F(1, 32), F(-1), Dir.GE, 1))
+@example((F(13, 3), 2, F(1, 8), F(1, 2), Dir.LE, 1))
+def test_period_self_affinity(case):
+    # 2**P x = x mod 1 and G_P is affine with slope D = G_P'(x) within
+    # dist(x, 2**-(P+1) Z) of x, so Q_x(h) = D + Q_x(2**P h) there: the query
+    # at radius r 2**-P and depth d + P is 2**-P times the query at radius r,
+    # threshold alpha - D and depth d
+    x, period, r, alpha, direction, d = case
+    scaled = quotient_set_sides(QuotientQuery(x, r / (1 << period), alpha, direction,
+                                              d + period))
+    shifted = quotient_set_sides(QuotientQuery(x, r, alpha - slope_sum(x, period), direction, d))
+    assert _bounds(scaled) == _bounds(shifted, period)

@@ -13,7 +13,7 @@ JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS``,
 the argument parsing cases of ``USAGE_OPS``, the dyadic blow-ups and
 refutes of ``DYADIC_OPS`` and the sample grids of ``SAMPLE_OPS``, and runs
 each op through ``takagi_lab.cli.run`` in-process, once in a fresh
-interpreter per tree: 1 233 ops in all.
+interpreter per tree: 1 243 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -207,7 +207,8 @@ ERROR_OPS = (
 # the plain argv that a subcommand's flag table reads: a repeated flag, which
 # keeps its last value; a value that looks like a flag; a negative value
 # that is not a rational; a value that fails its type or choices; a flag with
-# no value; an empty value; and help after flags.
+# no value; an empty value; and help after flags.  Last, the help of every
+# other subcommand, so each help text is pinned.
 USAGE_OPS = (
     [],
     ["frobnicate", "--x", "1/2"],
@@ -232,6 +233,8 @@ USAGE_OPS = (
     ["eval", "--format", "json", "--x"],
     ["eval", "--x", ""],
     ["eval", "--x", "1/4", "--format", "json", "-h"],
+    *([command, "-h"] for command in ("eval", "enclose", "slopes", "neighbors", "lemma",
+                                       "blowup", "classify", "refute", "sample", "verify-all")),
 )
 
 # Dyadic centres, each with its first blow-up scale 2*level + 1: integers
