@@ -213,7 +213,9 @@ def sample_rows(a, b, count: int, depth: int,
     (:func:`takagi._grid_nums`): ``s`` integer steps per row, no more than
     Horner's rule takes at level ``m``, and each value reduced by its trailing
     zeros.  Any other grid runs Horner's rule on the orbit of each point
-    ``y_i = (top + i*inc) / den``, on one common denominator.
+    ``y_i = (top + i*inc) / den``, on one common denominator.  A classical row
+    is ``2*T(y/2)`` (:mod:`takagi`): the walk at level ``m + 1``, or twice ``y/2``'s
+    enclosure at ``depth + 1``.
     """
     a, b = _to_fraction(a), _to_fraction(b)
     if not (is_dyadic(a) and is_dyadic(b)):
@@ -239,7 +241,7 @@ def sample_rows(a, b, count: int, depth: int,
                 return cells
 
             return map(walk_row, range(k0, k0 + count * s, s),
-                       _grid_nums(k0, s, count, m, classical))
+                       _grid_nums(k0, s, count, m + classical))
     else:
         # a + step is then not dyadic: one end of its enclosure has a
         # denominator that is a multiple of 2**(depth + 1)
@@ -252,7 +254,8 @@ def sample_rows(a, b, count: int, depth: int,
     def row(num: int) -> list[str]:
         common = gcd(num, den)
         p, q = num // common, den // common
-        lo, hi, enc_den = _enclosure_nums(p, q, depth, classical)
+        lo, hi, enc_den = _enclosure_nums(p, q << classical, depth + classical)
+        enc_den >>= classical  # twice y/2's enclosure
         lo_text = format_ratio(lo, enc_den)
         cells = [_join(p, q), lo_text,
                  lo_text if hi == lo else format_ratio(hi, enc_den)]

@@ -152,7 +152,7 @@ def _measures(q: QuotientQuery) -> list[Fraction]:
     # before the enclosure: a depth too large to represent fails here at
     # once, where the enclosure would loop over every level first
     unit = 1 << (n + 1)
-    t_lo, t_hi, t_den = _enclosure_nums(x.numerator, x.denominator, n, False)
+    t_lo, t_hi, t_den = _enclosure_nums(x.numerator, x.denominator, n)
     a, b = alpha.numerator, alpha.denominator
     big = lcm(b * unit, t_den, b * x.denominator)
     step0 = a * (big // b) >> 1  # D*alpha/2

@@ -16,10 +16,10 @@ from the pre-period ``L`` (the 2-adic valuation of ``q``) on, ``r_k``
 returns to ``r_L`` after ``P`` steps, ``P`` the order of 2 modulo the
 odd part of ``q``.  So Horner's rule stops once ``r`` returns: ``m``
 whole periods more are one repunit ``(2**(m*P) - 1) / (2**P - 1)``
-times the period's sum, and the last ``t < P`` terms a short walk, at
-most ``L + 2*P`` steps in all instead of ``n``.  An orbit that does not
-return within ``n`` steps costs one comparison per step more than the
-plain loop.
+times the period's sum, and the last ``t < P`` terms that rule from
+``r_L``, at most ``L + 2*P`` steps in all instead of ``n``.  An orbit that
+does not return within ``n`` steps costs one comparison per step more
+than the plain loop.
 
 On a grid of equally spaced dyadic points, ``T`` is an integer walk.  On
 the level-m grid ``D_m`` every ``g_i`` with ``i >= m`` vanishes, so
@@ -31,9 +31,8 @@ slope ``sum_{i=1}^{m-1} (1 - 2*b_{i+1})``, where ``b_1 .. b_m`` are the
 binary digits of ``j mod 2**m``, most significant first.  The digits
 ``b_2 .. b_m`` are the low ``M = m - 1`` bits of ``j``, so the slope is
 ``M - 2*popcount(j mod 2**M)``, and across the cell, of width ``2**-m``,
-``N(j+1) = N(j) + M - 2*popcount(j mod 2**M)``.  The classical term
-``g_0``, of slope ``1 - 2*b_1``, makes ``M = m``.  On the integers
-(``m = 0``) ``T`` vanishes in both variants, and ``M = 0``.
+``N(j+1) = N(j) + M - 2*popcount(j mod 2**M)``.  On the integers
+(``m = 0``) ``T`` vanishes, and ``M = 0``.
 :func:`_grid_nums` starts ``N`` from one Horner sum and takes ``s`` steps
 per point of a grid with step ``s/2**m``.
 
@@ -41,9 +40,11 @@ A value of ``T`` that needs a limit is an :class:`Enclosure` using the
 tail estimate ``0 <= T(x) - G_n(x) <= sum_{k>n} 2**-(k+1) = 2**-(n+1)``,
 which follows from ``sup g_k = 2**-(k+1)``.
 
-The series here starts at k = 1 (no distance-to-integers term).  The
-textbook variant that includes that term is available through the
-``classical`` flag on the evaluation entry points.
+The series here starts at k = 1.  The textbook variant behind the
+``classical`` flag adds ``g_0(x) = dist(x, Z)`` and is this series at
+``x/2``: halving ``x`` halves its distance to each grid, so
+``g_k(x/2) = g_{k-1}(x)/2``, ``g_0 + ... + g_n = 2*G_{n+1}(x/2)`` and
+``T_c(x) = 2*T(x/2)``, both sides of period 1 in ``x``.
 """
 
 from __future__ import annotations
@@ -133,13 +134,13 @@ def g(k: int, x) -> Fraction:
     return Fraction(min(r, q - r), q << k)
 
 
-def _partial_num(n: int, r: int, q: int, classical: bool) -> int:
+def _partial_num(n: int, r: int, q: int) -> int:
     """``q * 2**n * G_n(x)`` for ``x = r/q mod 1``, ``0 <= r < q``, by Horner's rule
     on the orbit, closed by the period once ``r`` returns to ``r_L``."""
     # acc = q * 2**k * G_k(x) after step k; a step adds min(r, q - r), which is
     # r exactly when r <= q // 2 (a comparison, cheaper than a call to min)
     half = q >> 1
-    acc = (r if r <= half else q - r) if classical else 0
+    acc = 0
     lead = min(n, (q & -q).bit_length() - 1)  # the pre-period L, or n
     for _ in range(lead):
         r <<= 1
@@ -159,12 +160,7 @@ def _partial_num(n: int, r: int, q: int, classical: bool) -> int:
         return acc  # no return within n steps (or none left to walk)
     rest = n - period
     whole, t = divmod(rest, period)
-    head = 0  # the first t terms of a period, by Horner's rule from r_L
-    for _ in range(t):
-        r <<= 1
-        if r >= q:
-            r -= q
-        head = (head << 1) + (r if r <= half else q - r)
+    head = _partial_num(t, start, q)  # the first t < P terms from r_L: t steps, no return
     block = acc - (base << period)  # one period's terms, by Horner's rule
     repunit = ((1 << (whole * period)) - 1) // ((1 << period) - 1)
     return (acc << rest) + ((block * repunit) << t) + head
@@ -173,13 +169,13 @@ def _partial_num(n: int, r: int, q: int, classical: bool) -> int:
 def G(n: int, x, *, classical: bool = False) -> Fraction:
     """Partial sum ``g_1(x) + ... + g_n(x)``; empty sum for n = 0.
 
-    With ``classical=True`` the distance-to-integers term is added in
-    front, giving the partial sums of the textbook variant.
+    With ``classical=True`` the distance-to-integers term ``g_0`` is added in
+    front (the textbook variant), as ``2*G_{n+1}(x/2)``: see the module docstring.
     """
     if n < 0:
         raise ValueError("partial-sum order must be non-negative")
-    r, q = _orbit(x)
-    return Fraction(_partial_num(n, r, q, classical), q << n)
+    r, q = _orbit(x)  # classical: twice G_{n+1} at (x mod 1)/2 = r/(2q)
+    return Fraction(_partial_num(n + classical, r, q << classical), q << (n + classical))
 
 
 def takagi_exact(x, *, classical: bool = False) -> Fraction:
@@ -190,12 +186,12 @@ def takagi_exact(x, *, classical: bool = False) -> Fraction:
     return G(dyadic_level(x) + 1, x, classical=classical)
 
 
-def _grid_nums(k0: int, s: int, count: int, m: int, classical: bool) -> Iterator[int]:
+def _grid_nums(k0: int, s: int, count: int, m: int) -> Iterator[int]:
     """``N(k) = 2**m * T(k / 2**m)`` at ``k = k0 + i*s`` for ``i < count``, ``s > 0``:
     one Horner sum at ``k0``, then ``s`` steps of the grid walk per point."""
     q = 1 << m
-    num = _partial_num(m, k0 % q, q, classical) >> m  # q * 2**m * T(k0/q), over 2**m
-    bits = m if classical else max(m - 1, 0)  # the module docstring's M
+    num = _partial_num(m, k0 % q, q) >> m  # q * 2**m * T(k0/q), over 2**m
+    bits = max(m - 1, 0)  # the module docstring's M
     mask = (1 << bits) - 1
     # one flat loop over the grid indices, yielding at every s-th: faster than
     # an inner loop per point
@@ -207,30 +203,31 @@ def _grid_nums(k0: int, s: int, count: int, m: int, classical: bool) -> Iterator
         num += bits - 2 * (k & mask).bit_count()
 
 
-def _enclosure_nums(p: int, q: int, depth: int, classical: bool) -> tuple[int, int, int]:
-    """:func:`takagi_enclosure` at ``p/q`` in lowest terms, as integers
-    ``(lo, hi, den)`` over one denominator; ``lo == hi`` at a dyadic point."""
+def _enclosure_nums(p: int, q: int, depth: int) -> tuple[int, int, int]:
+    """:func:`takagi_enclosure` at ``p/q`` in lowest terms or ``(p, 2q)`` from them (unreduced
+    if ``p`` is even, same value), as integers ``(lo, hi, den)``; ``lo == hi`` if dyadic."""
     r = p % q
     if not q & (q - 1):
         m = q.bit_length() - 1
-        lo = _partial_num(m, r, q, classical)
+        lo = _partial_num(m, r, q)
         return lo, lo, q << m
-    lo = _partial_num(depth, r, q, classical) << 1
+    lo = _partial_num(depth, r, q) << 1
     return lo, lo + q, q << (depth + 1)
 
 
 def takagi_enclosure(x, depth: int = DEFAULT_DEPTH, *, classical: bool = False) -> Enclosure:
     """Certified interval around T(x).
 
-    A dyadic ``x`` with denominator ``2**m`` collapses to the exact
-    value ``G_m(x)``, since every later ``g_k(x)`` vanishes; elsewhere
-    the result is ``[G_depth(x), G_depth(x) + 2**-(depth+1)]`` by the
-    tail bound.
+    A dyadic ``x`` with denominator ``2**m`` collapses to the exact value
+    ``G_m(x)``, since every later ``g_k(x)`` vanishes; elsewhere the result is
+    ``[G_depth(x), G_depth(x) + 2**-(depth+1)]`` by the tail bound.  With
+    ``classical=True`` it is twice the enclosure of ``x/2`` at ``depth + 1``.
     """
     if depth < 1:
         raise ValueError("enclosure depth must be positive")
     xf = _to_fraction(x)
-    lo, hi, den = _enclosure_nums(xf.numerator, xf.denominator, depth, classical)
+    lo, hi, den = _enclosure_nums(xf.numerator, xf.denominator << classical, depth + classical)
+    den >>= classical  # twice x/2's enclosure
     lo_value = Fraction(lo, den)
     return Enclosure(lo_value, lo_value if hi == lo else Fraction(hi, den))
 

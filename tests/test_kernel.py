@@ -305,3 +305,39 @@ def test_period_self_affinity(case):
                                               d + period))
     shifted = quotient_set_sides(QuotientQuery(x, r, alpha - slope_sum(x, period), direction, d))
     assert _bounds(scaled) == _bounds(shifted, period)
+
+
+@st.composite
+def _pre_period_cases(draw):
+    """``(x, L, r, alpha, direction, d)``: a non-dyadic x = p/q with q even, L >= 1
+    the 2-adic valuation of q, and a dyadic r at most x's distance to 2**-(L+1) Z."""
+    odd = draw(st.sampled_from((3, 5, 7, 9, 15, 21)))
+    pre = draw(st.integers(1, 4))
+    q = odd << pre
+    # p odd keeps the pre-period, and p % odd != 0 keeps x off the dyadics
+    x = F(draw(st.integers(-2 * q, 3 * q).filter(lambda p: p % 2 and p % odd)), q)
+    t = x * (1 << (pre + 1))
+    gap = min(t - math.floor(t), math.ceil(t) - t)  # gap >= 1/odd
+    # r <= dist(x, 2**-(L+1) Z) = gap * 2**-(L+1)
+    exp = draw(st.integers(pre + 1 + odd.bit_length(), pre + 5 + odd.bit_length()))
+    r = F(draw(st.integers(1, int(gap * (1 << exp)) >> (pre + 1))), 1 << exp)
+    alpha = draw(_OFFSETS) - draw(st.sampled_from((0, 8)))
+    if draw(st.booleans()):  # near the slope of G_L at x
+        alpha += slope_sum(x, pre)
+    return x, pre, r, alpha, draw(st.sampled_from(Dir)), draw(st.integers(1, 8))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_pre_period_cases())
+@example((F(-5, 12), 2, F(1, 64), F(-1), Dir.GE, 1))
+@example((F(7, 6), 1, F(1, 16), F(1, 2), Dir.LE, 1))
+def test_pre_period_self_affinity(case):
+    # T(y) = G_L(y) + 2**-L T(2**L y), and G_L is affine with slope s = G_L'(x)
+    # within dist(x, 2**-(L+1) Z) of x, so Q_x(h) = s + Q_{2**L x}(2**L h) there:
+    # the query at depth d + L is 2**-L times the query at centre 2**L x,
+    # radius 2**L r, threshold alpha - s and depth d
+    x, pre, r, alpha, direction, d = case
+    at_x = quotient_set_sides(QuotientQuery(x, r, alpha, direction, d + pre))
+    mapped = quotient_set_sides(QuotientQuery(x * (1 << pre), r * (1 << pre),
+                                              alpha - slope_sum(x, pre), direction, d))
+    assert _bounds(at_x) == _bounds(mapped, pre)

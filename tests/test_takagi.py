@@ -178,6 +178,37 @@ class TestPeriodClose:
                 assert takagi_periodic(x) + fraction_G(0, x, classical=True) in enc
 
 
+class TestClassicalIdentity:
+    """``T_c(x) = 2*T(x/2)`` runs the classical variant through the plain kernel;
+    the oracles add ``g_0`` term by term, so they gate the identity."""
+
+    def test_enclosure_against_the_term_sum(self):
+        rng = random.Random(32)
+        # even and odd denominators, negative centres, depth 1
+        cases = [(F(1, 3), 1), (F(-5, 6), 1), (F(7, 12), 1), (F(-13, 40), 2), (F(-1, 7), 64)]
+        while len(cases) < 300:
+            q = rng.choice((3, 5, 6, 7, 9, 12, 20, 24, 40, 96, 127, 341, 997 << 3))
+            x = F(rng.randrange(-3 * q, 3 * q + 1), q)
+            if not is_dyadic(x):
+                cases.append((x, rng.choice((1, 2, rng.randrange(1, 200)))))
+        for x, depth in cases:
+            enc = takagi_enclosure(x, depth, classical=True)
+            assert enc.lo == fraction_G(depth, x, classical=True), (x, depth)
+            assert enc.width() == F(1, 1 << (depth + 1))
+
+    def test_dyadic_values_against_brute_force(self):
+        rng = random.Random(33)
+        # even and odd integers, half-integers, then dyadics of levels 0-11
+        xs = [F(k) for k in range(-4, 5)] + [F(k, 2) for k in range(-5, 6, 2)]
+        xs += [F(rng.randrange(-(1 << 12), 1 << 12), 1 << rng.randrange(0, 12))
+               for _ in range(200)]
+        for x in xs:
+            value = brute_T_dyadic(x) + brute_g(0, x)
+            assert takagi_exact(x, classical=True) == value, x
+            enc = takagi_enclosure(x, rng.randrange(1, 9), classical=True)
+            assert enc.lo == enc.hi == value, x
+
+
 class TestExactValues:
     def test_examples(self):
         assert takagi_exact(F(0)) == 0
@@ -218,18 +249,18 @@ class TestGridWalk:
             cases.append((k0, rng.randrange(1, 2 * m + 3), rng.randrange(1, 40), m,
                           rng.random() < 0.5))
         for k0, s, count, m, classical in cases:
-            assert list(_grid_nums(k0, s, count, m, classical)) \
+            assert list(_grid_nums(k0, s, count, m + classical)) \
                 == self.exact(k0, s, count, m, classical)
 
     @pytest.mark.parametrize("classical", [False, True])
     def test_deep_grid(self, classical):
         k0 = -(1 << 1999) // 3
-        assert list(_grid_nums(k0, 5, 12, 2000, classical)) \
+        assert list(_grid_nums(k0, 5, 12, 2000 + classical)) \
             == self.exact(k0, 5, 12, 2000, classical)
 
     def test_values_are_integers_and_periodic(self):
         # N(k) = 2**m * T(k / 2**m) has period 2**m in k
-        nums = list(_grid_nums(-16, 1, 48, 4, False))
+        nums = list(_grid_nums(-16, 1, 48, 4))
         assert all(type(num) is int for num in nums)
         assert nums[:16] == nums[16:32] == nums[32:]
 

@@ -13,7 +13,7 @@ JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS``,
 the argument parsing cases of ``USAGE_OPS``, the dyadic blow-ups and
 refutes of ``DYADIC_OPS`` and the sample grids of ``SAMPLE_OPS``, and runs
 each op through ``takagi_lab.cli.run`` in-process, once in a fresh
-interpreter per tree: 1 243 ops in all.
+interpreter per tree: 1 256 ops in all.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
@@ -140,7 +140,10 @@ SLOPE_OPS = (
 # with decimals on a non-dyadic step over a negative range, and each loop of
 # the Horner step at benchmark scale: a dyadic step (the pre-period loop
 # only), a step whose odd part 599 has period 299 > depth (no return), a deep
-# classical sample with decimals and a deep dyadic classical value.
+# classical sample with decimals and a deep dyadic classical value.  Then the
+# edges of the classical variant as twice the series at x/2: even and odd
+# integers, a negative dyadic, a half-integer (exact), a centre at depth 1, a
+# negative pre-periodic centre and one past many periods.
 ORBIT_OPS = (
     ["enclose", "--x", "5/24", "--depth", "4000", "--format", "json"],
     ["enclose", "--x", "1/999999999989", "--depth", "300", "--format", "json"],
@@ -152,6 +155,14 @@ ORBIT_OPS = (
     ["sample", "--a", "1/8", "--b", "5/8", "--count", "300", "--depth", "64", "--classical",
      "--approx"],
     ["eval", "--x", "12345/32768", "--classical"],
+    ["eval", "--x", "2", "--classical"],
+    ["eval", "--x", "3", "--approx", "--classical"],
+    ["eval", "--x", "-5/4", "--format", "json", "--classical"],
+    ["enclose", "--x", "-4", "--classical"],
+    ["enclose", "--x", "1/2", "--classical"],
+    ["enclose", "--x", "1/3", "--depth", "1", "--classical"],
+    ["enclose", "--x", "-7/6", "--depth", "5", "--format", "json", "--classical"],
+    ["enclose", "--x", "5/24", "--depth", "4001", "--classical"],
 )
 
 # JSON output that no benchmark op prints: floats under ``"approx"``, the
@@ -258,12 +269,21 @@ DYADIC_OPS = tuple(
 # when s <= m): a step 1023/1024 (s > m), the integer grid (m = 0, never
 # walked) with the classical term and decimals, a walk on the level-1 grid, a
 # walk on the level-2003 grid and a classical walk over a negative range.
+# Then classical grids: walks across 0 on the level-1 grid, with decimals on
+# the level-2 grid and across 0 on the level-3 grid, Horner's rule on the
+# integers (even numerators, so (p, 2q) is not reduced) and a non-dyadic step.
 SAMPLE_OPS = (
     ["sample", "--a", "1/1024", "--b", "1", "--count", "2", "--depth", "8"],
     ["sample", "--a", "0", "--b", "3", "--count", "4", "--depth", "5", "--classical", "--approx"],
     ["sample", "--a", "-1/2", "--b", "1/2", "--count", "3", "--depth", "1"],
     ["sample", "--a", "0", "--b", f"1/{1 << 2000}", "--count", "9", "--depth", "3"],
     ["sample", "--a", "-7/4", "--b", "-5/16", "--count", "47", "--depth", "16", "--classical"],
+    ["sample", "--a", "-1", "--b", "1", "--count", "5", "--depth", "3", "--classical"],
+    ["sample", "--a", "0", "--b", "2", "--count", "3", "--depth", "2", "--classical"],
+    ["sample", "--a", "1/2", "--b", "1", "--count", "3", "--depth", "2", "--approx",
+     "--classical"],
+    ["sample", "--a", "-3/8", "--b", "5/8", "--count", "9", "--depth", "4", "--classical"],
+    ["sample", "--a", "0", "--b", "1", "--count", "7", "--depth", "9", "--classical"],
 )
 
 # Runs in a child interpreter with one tree's src/ on PYTHONPATH: reads a
