@@ -36,10 +36,11 @@ cell that none of these settles is split; at level n the exact affine
 crossing of each line is solved.  The result is the exact Lebesgue
 measure of each set, the same rationals a full polyline of G_n would
 give, while the cells visited follow the two level lines, about
-``2**-n`` apart, instead of filling the interval.  A settled cell adds
-its length, or its level-n crossings, to the half it lies in; the few
-that straddle x or a window end (at most three per level) are clipped
-to both halves in integers.  A level-n crossing lies at
+``2**-n`` apart, instead of filling the interval.  Every piece, a
+settled cell or a level-n crossing, reaches the halves through one
+function: it adds its length to the half it lies in, and clips the few
+that straddle x or a window end (at most three per level) to both
+halves in integers.  A level-n crossing lies at
 ``j + |w0 - c|/d`` with ``d = |w0 - w1| = (D >> (n+1))*|alpha - slope|``
 for the slope of G_n on the cell, so crossings have at most n + 1
 denominators: a measure is summed as integer numerators per denominator
@@ -84,10 +85,10 @@ __all__ = [
 CERTIFIED = "certified"
 UNDECIDED = "undecided"
 
-# Cell budget of one query's walk: far above what any query near the level
-# lines needs.  It bounds the cells a pathological query visits, not its
-# time: a cell costs a few operations on integers of about n + 1 bits at
-# depth n, and no cell builds a Fraction.
+# Cell budget of one query's walk.  At integer thresholds the cells grow about
+# as 2**(depth/2) (ROADMAP item 6), and a deep query there stops at the budget.
+# It bounds cells, not time: a cell costs a few operations on integers of about
+# n + 1 bits at depth n, and no cell builds a Fraction.
 BREAKPOINT_CAP = 1 << 24
 
 
@@ -173,9 +174,7 @@ def _measures(q: QuotientQuery) -> list[Fraction]:
     if len(roots) > max_cells:  # the walk visits each root
         raise _over_budget(q, max_cells)
 
-    # per measure, in units: the whole cells within a half, and the rest
-    # as numerators per denominator
-    whole = [0, 0, 0, 0]
+    # per measure, in units: numerators per denominator
     sums: list[dict[int, int]] = [{}, {}, {}, {}]
 
     def add(i, p0, p1, s0, s1, d):
@@ -236,15 +235,10 @@ def _measures(q: QuotientQuery) -> list[Fraction]:
                 continue
             p0 = j << (n - m)
             p1 = p0 + (1 << (n - m))
-            if first_l <= p0 and p1 <= last_l:
-                whole[i] += p1 - p0
-            elif first_r <= p0 and p1 <= last_r:
-                whole[i + 1] += p1 - p0
-            else:
-                add(i, p0, p1, p0, p1, 1)
+            add(i, p0, p1, p0, p1, 1)
     dens = [lcm(*part) for part in sums]
-    return [Fraction(count * den + sum(num * (den // d) for d, num in part.items()), den * unit)
-            for count, part, den in zip(whole, sums, dens)]
+    return [Fraction(sum(num * (den // d) for d, num in part.items()), den * unit)
+            for part, den in zip(sums, dens)]
 
 
 def _sides(q: QuotientQuery) -> tuple[Fraction, Fraction, Fraction, Fraction]:

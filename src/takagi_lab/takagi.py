@@ -160,7 +160,7 @@ def _partial_num(n: int, r: int, q: int) -> int:
         return acc  # no return within n steps (or none left to walk)
     rest = n - period
     whole, t = divmod(rest, period)
-    head = _partial_num(t, start, q)  # the first t < P terms from r_L: t steps, no return
+    head = t and _partial_num(t, start, q)  # the first t < P terms from r_L: t steps, no return
     block = acc - (base << period)  # one period's terms, by Horner's rule
     repunit = ((1 << (whole * period)) - 1) // ((1 << period) - 1)
     return (acc << rest) + ((block * repunit) << t) + head

@@ -59,6 +59,10 @@ class TestVerifyLemma:
     def test_dyadic_rejected(self):
         with pytest.raises(ValueError):
             verify_lemma(F(3, 8), 2)
+        # a scale below 1 is refused too, by the lemma and by its certificate
+        for run in (verify_lemma, certificate):
+            with pytest.raises(ValueError, match="^scale index must be positive$"):
+                run(F(1, 3), 0)
 
     def test_short_bound_gives_undecided(self, short_over_budget):
         # the query, over a 3-cell cap, comes back with a bound short of 2**-7

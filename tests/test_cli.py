@@ -473,6 +473,12 @@ class TestSample:
         code, out, err = invoke(capsys, "sample", "--a", "0", "--b", "1", "--count", "4",
                                 "--depth", depth)
         assert (code, out, err) == (1, "", "error: enclosure depth must be positive\n")
+        # so are an empty range and a single point
+        for args, message in ((("--a", "1", "--b", "1", "--count", "4"), "need a < b"),
+                              (("--a", "0", "--b", "1", "--count", "1"),
+                               "need at least two sample points")):
+            assert invoke(capsys, "sample", *args, "--depth", "8") \
+                == (1, "", f"error: {message}\n")
 
     def test_format_flag_rejected(self, capsys):
         # sample always writes CSV; a --format it would ignore is a usage error

@@ -59,6 +59,8 @@ class TestGridDistance:
     def test_index_check(self):
         with pytest.raises(ValueError):
             g(0, F(1, 3))
+        with pytest.raises(ValueError, match="^grid index starts at 1$"):
+            slope(0, F(1, 3))
 
 
 class TestPartialSums:
@@ -293,6 +295,8 @@ class TestEnclosures:
     def test_validation(self):
         with pytest.raises(ValueError):
             takagi_enclosure(F(1, 3), 0)
+        with pytest.raises(ValueError, match="^partial-sum order must be non-negative$"):
+            G(-1, F(1, 3))
         with pytest.raises(ValueError):
             Enclosure(F(1), F(0))
 

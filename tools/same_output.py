@@ -13,7 +13,7 @@ JSON writer's paths of ``JSON_OPS``, the failing ops of ``ERROR_OPS``,
 the argument parsing cases of ``USAGE_OPS``, the dyadic blow-ups and
 refutes of ``DYADIC_OPS`` and the sample grids of ``SAMPLE_OPS``, and runs
 each op through ``takagi_lab.cli.run`` in-process, once in a fresh
-interpreter per tree: 1 256 ops in all.
+interpreter per tree.
 Prints every op whose (exit code, stdout, stderr) differs between REV
 and the working tree, and exits 1 if any does; an op that exits through
 ``SystemExit`` (``-h``) records its code as the exit code.  Nothing under ``bench/``
